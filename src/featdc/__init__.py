@@ -13,17 +13,16 @@ Typical use::
     print(evaluate(labels, test.y)["error_rate_pct"])
 """
 
-from .classify import (LinearModel, TrbfModel, predict_linear, predict_trbf,
-                       sigma_heuristic, train_linear, train_trbf_krr,
-                       trbf_dim, trbf_expand, trbf_indices,
-                       truncated_rbf_kernel)
+from .classify import (LinearModel, TrbfModel, sigma_heuristic,
+                       train_linear, train_trbf_krr, trbf_dim, trbf_expand,
+                       trbf_indices, truncated_rbf_kernel)
 from .dataio import (Dataset, SplitSpec, apply_feature_scale, load_libsvm,
                      max_abs_scale, parse_libsvm, save_libsvm,
                      select_instances, serialize_libsvm, split)
 from .datasets import make_blobs, make_quadratic_band, make_sparse_planted
 from .decompose import (CompositeDecomposition, SubspaceDecomposition,
                         abd_dense_transform, apply_decomposition, block_gram,
-                        compose, disjoint_groups, feature_scatter, fit_abd,
+                        disjoint_groups, feature_scatter, fit_abd,
                         fit_bcd, fit_dca, fit_pca, fit_plan, make_rd,
                         overlapping_groups, within_class_scatter)
 from .errors import (ConfigError, DataError, FeatdcError, NumericError,
@@ -42,13 +41,13 @@ __all__ = [
     "LinearModel", "NumericError", "ParseError", "SplitSpec",
     "SubspaceDecomposition", "TrbfModel", "ValidationError",
     "abd_dense_transform", "apply_decomposition", "apply_feature_scale",
-    "block_gram", "build_r", "compose", "disjoint_groups", "evaluate",
+    "block_gram", "build_r", "disjoint_groups", "evaluate",
     "feature_scatter", "fit_abd", "fit_bcd", "fit_dca", "fit_pca",
     "fit_plan", "gen_sym_eig", "load_dc_model", "load_decomposition",
     "load_libsvm", "load_model_file", "make_blobs", "make_quadratic_band",
     "make_rd", "make_sparse_planted", "max_abs_scale", "overlapping_groups",
     "parse_libsvm", "predict_dc", "within_class_scatter",
-    "predict_linear", "predict_trbf", "save_dc_model", "save_decomposition",
+    "save_dc_model", "save_decomposition",
     "save_libsvm", "select_instances", "serialize_libsvm", "sigma_heuristic",
     "solve_spd", "split", "standardize_rows", "sym_eig", "train_dc",
     "train_linear", "train_trbf_krr", "trbf_dim", "trbf_expand",

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.typing import NDArray
 from scipy.sparse.linalg import LinearOperator, lsmr
 
-from .decompose import feature_scatter
+from .decompose import DEFAULT_MAX_DENSE_FEATURES, feature_scatter
 from .errors import ConfigError, DataError, NumericError
 from .numerics import solve_spd
 
-DEFAULT_MAX_DENSE_FEATURES = 4096
 DEFAULT_MAX_INTRINSIC_DIM = 20000
 EXPAND_CHUNK = 256
 
@@ -56,7 +56,7 @@ def _as_2d(x):
 
 @dataclass
 class LinearModel:
-    weights: np.ndarray
+    weights: NDArray[np.float64]
     bias: float
     lam: float
     solver: str = "dense"
@@ -160,10 +160,6 @@ def _lsmr_weights(x, mu, yc, lam, rhs):
     return w, resid
 
 
-def predict_linear(model, x):
-    return label_from_score(model.decision_function(x))
-
-
 # ---------------------------------------------------------------------------
 # truncated-RBF feature map
 
@@ -264,7 +260,7 @@ def sigma_heuristic(x, seed=0, max_sample=256):
 
 @dataclass
 class TrbfModel:
-    weights: np.ndarray
+    weights: NDArray[np.float64]
     sigma: float
     p: int
     lam: float
@@ -290,6 +286,11 @@ class TrbfModel:
 
     def predict(self, x):
         return label_from_score(self.decision_function(x))
+
+
+# Learner type name -> model class: the config's allowed types and the
+# model file's learner tag.
+LEARNERS = {"linear": LinearModel, "trbf": TrbfModel}
 
 
 def train_trbf_krr(x, y, sigma=None, p=2, lam=None,
@@ -331,7 +332,3 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None,
     u = solve_spd(a, b)
     return TrbfModel(weights=u, sigma=float(sigma), p=int(p),
                      lam=float(lam), n_features=m)
-
-
-def predict_trbf(model, x):
-    return label_from_score(model.decision_function(x))

@@ -54,12 +54,16 @@ def _build_parser():
     return parser
 
 
+def _check_threads(args):
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+
+
 def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
+    _check_threads(args)
+    if args.seed is not None:
         cfg.seed = args.seed
     if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg.threads = args.threads
     if args.out is not None:
         cfg.out_dir = args.out
@@ -94,31 +98,39 @@ def _snapshot(cfg, scale):
     return snap
 
 
-def _train_model(cfg, train):
-    return train_dc(
-        train,
-        cfg.plan_triples(),
-        local=cfg.local,
-        global_=cfg.global_,
-        seed=cfg.seed,
-        threads=cfg.threads,
-        guards=cfg.guards,
-        crossfit=cfg.crossfit_fusion,
-        dca_ridge=cfg.dca_ridge,
-    )
+def _baseline(cfg, train, test, dc_metrics):
+    """The bench report's baseline block: an undecomposed learner on the
+    same split, or the reason the guards refused it."""
+    spec = LearnerSpec(type=cfg.baseline, lam=cfg.global_.lam,
+                       sigma=cfg.global_.sigma, p=cfg.global_.p)
+    try:
+        model = train_learner(spec, train.X, train.y.astype(np.float64),
+                              cfg.guards, cfg.seed)
+    except ConfigError as exc:
+        return {"baseline": {"skipped": True, "reason": str(exc)},
+                "reduction": None}
+    baseline = evaluate(model.predict(test.X), test.y)
+    err_b, err_dc = baseline["error_rate_pct"], dc_metrics["error_rate_pct"]
+    reduction = 0.0 if err_b == 0.0 else 100.0 * (err_b - err_dc) / err_b
+    return {"baseline": baseline, "reduction": reduction}
 
 
 def cmd_train(args):
+    """`train`, and `bench`, which adds the baseline block."""
+    bench = args.command == "bench"
     t_start = time.perf_counter()
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     train, test, parse_s, scale = _prepare_data(cfg)
+    if bench and test is None:
+        raise ConfigError("bench needs test data: give test_path or split")
 
-    model = _train_model(cfg, train)
+    model = train_dc(train, cfg.plan_triples(), local=cfg.local,
+                     global_=cfg.global_, seed=cfg.seed, threads=cfg.threads,
+                     guards=cfg.guards, crossfit=cfg.crossfit_fusion,
+                     dca_ridge=cfg.dca_ridge)
     model.config_snapshot.update(_snapshot(cfg, scale))
-
-    timings = {"parse": parse_s}
-    timings.update(model.fit_timings)
+    timings = {"parse": parse_s, **model.fit_timings}
 
     metrics = None
     t0 = time.perf_counter()
@@ -127,24 +139,36 @@ def cmd_train(args):
         metrics = evaluate(labels, test.y)
     timings["prediction"] = time.perf_counter() - t0
 
+    extra = None
+    if bench:
+        t0 = time.perf_counter()
+        extra = _baseline(cfg, train, test, metrics)
+        timings["baseline"] = time.perf_counter() - t0
+
     t0 = time.perf_counter()
     os.makedirs(cfg.out_dir, exist_ok=True)
     model_path = os.path.join(cfg.out_dir, "model.json")
     save_dc_model(model, model_path)
-    report = build_report("train", cfg.seed, timings, config_echo(cfg),
-                          metrics, artifacts={"model": model_path})
+    report = build_report(args.command, cfg.seed, timings, config_echo(cfg),
+                          metrics, artifacts={"model": model_path}, extra=extra)
     timings["persist"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
     report["timings_s"] = {k: float(v) for k, v in timings.items()}
 
-    path = write_report(report, cfg.out_dir, "train_report.json")
+    path = write_report(report, cfg.out_dir, f"{args.command}_report.json")
     print(format_report(report))
-    print(f"model written to {model_path}")
+    if not bench:
+        print(f"model written to {model_path}")
+    elif extra["reduction"] is not None:
+        print(f"error reduction over baseline: {extra['reduction']:.2f}%")
+    else:
+        print(f"baseline skipped: {extra['baseline']['reason']}")
     print(f"report written to {path}")
     return 0
 
 
 def cmd_eval(args):
+    _check_threads(args)
     t_start = time.perf_counter()
     model = load_dc_model(args.model)
     snap = model.config_snapshot or {}
@@ -174,63 +198,6 @@ def cmd_eval(args):
     path = write_report(report, out_dir, "eval_report.json")
     print(format_report(report))
     print(f"error rate: {metrics['error_rate_pct']:.2f}")
-    print(f"report written to {path}")
-    return 0
-
-
-def cmd_bench(args):
-    t_start = time.perf_counter()
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
-    train, test, parse_s, scale = _prepare_data(cfg)
-    if test is None:
-        raise ConfigError("bench needs test data: give test_path or split")
-
-    model = _train_model(cfg, train)
-    model.config_snapshot.update(_snapshot(cfg, scale))
-    timings = {"parse": parse_s}
-    timings.update(model.fit_timings)
-
-    t0 = time.perf_counter()
-    labels, _ = predict_dc(model, test, threads=cfg.threads)
-    dc_metrics = evaluate(labels, test.y)
-    timings["prediction"] = time.perf_counter() - t0
-
-    baseline_spec = LearnerSpec(type=cfg.baseline, lam=cfg.global_.lam,
-                                sigma=cfg.global_.sigma, p=cfg.global_.p)
-    t0 = time.perf_counter()
-    baseline, reduction = None, None
-    try:
-        base_model = train_learner(baseline_spec, train.X,
-                                   train.y.astype(np.float64), cfg.guards,
-                                   cfg.seed)
-        base_labels = base_model.predict(test.X)
-        baseline = evaluate(base_labels, test.y)
-        err_b, err_dc = baseline["error_rate_pct"], dc_metrics["error_rate_pct"]
-        reduction = 0.0 if err_b == 0.0 else 100.0 * (err_b - err_dc) / err_b
-    except ConfigError as exc:
-        baseline = {"skipped": True, "reason": str(exc)}
-    timings["baseline"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    model_path = os.path.join(cfg.out_dir, "model.json")
-    save_dc_model(model, model_path)
-    report = build_report(
-        "bench", cfg.seed, timings, config_echo(cfg), dc_metrics,
-        artifacts={"model": model_path},
-        extra={"baseline": baseline, "reduction": reduction},
-    )
-    timings["persist"] = time.perf_counter() - t0
-    timings["total"] = time.perf_counter() - t_start
-    report["timings_s"] = {k: float(v) for k, v in timings.items()}
-
-    path = write_report(report, cfg.out_dir, "bench_report.json")
-    print(format_report(report))
-    if reduction is not None:
-        print(f"error reduction over baseline: {reduction:.2f}%")
-    else:
-        print(f"baseline skipped: {baseline['reason']}")
     print(f"report written to {path}")
     return 0
 
@@ -276,7 +243,7 @@ def cmd_inspect(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {"train": cmd_train, "eval": cmd_eval, "bench": cmd_bench,
+    handlers = {"train": cmd_train, "eval": cmd_eval, "bench": cmd_train,
                 "inspect": cmd_inspect}
     try:
         return handlers[args.command](args)

@@ -1,21 +1,28 @@
 """Run configuration: structured-text (JSON) files with strict validation.
 
-Keys mirror the RunConfig fields one for one; unknown keys anywhere in
-the document are errors, so hyperparameter typos fail fast. Validation
+The dataclasses are the schema. Every key is a field name (a trailing
+underscore dropped, so `global_` reads `global`), its type hint says what
+value it takes, a field without a default is a required key, a null
+value means "use the default", and a nested object starts from its
+field's default, so `{"global": {"p": 3}}` keeps the `trbf` type. `RULES`
+holds the checks a type hint cannot express. Unknown keys anywhere in the
+document are errors, so hyperparameter typos fail fast. Validation
 collects every problem and reports them all in a single error rather
 than stopping at the first.
 """
 
+import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .classify import LEARNERS
 from .dataio import SplitSpec
+from .decompose import METHODS
 from .errors import ConfigError
 from .fuse import Guards, LearnerSpec
-
-VALID_METHODS = ("rd", "pca", "dca", "bcd", "abd")
 
 
 @dataclass
@@ -33,7 +40,7 @@ class RunConfig:
     scale_features: bool = False
     positive_label: Optional[float] = None
     n_features_override: Optional[int] = None
-    plan: list = field(default_factory=list)
+    plan: list[PlanEntry] = field(default_factory=list)
     local: LearnerSpec = field(default_factory=lambda: LearnerSpec("linear"))
     global_: LearnerSpec = field(default_factory=lambda: LearnerSpec("trbf"))
     guards: Guards = field(default_factory=Guards)
@@ -48,223 +55,112 @@ class RunConfig:
         return [(e.method, e.n_subspaces, e.group_size) for e in self.plan]
 
 
-_TOP_KEYS = {
-    "train_path", "test_path", "split", "scale_features", "positive_label",
-    "n_features_override", "plan", "local", "global", "guards", "out_dir",
-    "threads", "seed", "crossfit_fusion", "dca_ridge", "baseline",
+def _check(test, text):
+    return lambda v: None if test(v) else f"{text}, got {v!r}"
+
+
+def _one_of(options):
+    return lambda v: None if v in options else f"{v!r} is not one of {list(options)}"
+
+
+_AT_LEAST_1 = _check(lambda v: v >= 1, "must be >= 1")
+_NON_NEGATIVE = _check(lambda v: v >= 0, "must be >= 0")
+_POSITIVE = _check(lambda v: v > 0, "must be positive")
+
+# "Class.field" -> rule for a non-null value: returns None or the problem.
+RULES = {
+    "RunConfig.plan": _check(bool, "must be a non-empty list of decomposition entries"),
+    "RunConfig.n_features_override": _AT_LEAST_1,
+    "RunConfig.threads": _AT_LEAST_1,
+    "RunConfig.seed": _NON_NEGATIVE,
+    "RunConfig.dca_ridge": _POSITIVE,
+    "RunConfig.baseline": _one_of(LEARNERS),
+    "SplitSpec.train_fraction": _check(lambda v: 0.0 < v < 1.0,
+                                       "must be strictly between 0 and 1"),
+    "SplitSpec.seed": _NON_NEGATIVE,
+    "PlanEntry.method": _one_of(METHODS),
+    "PlanEntry.n_subspaces": _AT_LEAST_1,
+    "PlanEntry.group_size": _AT_LEAST_1,
+    "LearnerSpec.type": _one_of(LEARNERS),
+    "LearnerSpec.lam": _POSITIVE,
+    "LearnerSpec.sigma": _POSITIVE,
+    "LearnerSpec.p": _AT_LEAST_1,
+    "Guards.max_dense_features": _AT_LEAST_1,
+    "Guards.max_intrinsic_dim": _AT_LEAST_1,
 }
-_SPLIT_KEYS = {"train_fraction", "seed"}
-_PLAN_KEYS = {"method", "n_subspaces", "group_size"}
-_LEARNER_KEYS = {"type", "lam", "sigma", "p"}
-_GUARD_KEYS = {"max_dense_features", "max_intrinsic_dim"}
 
 
-class _Problems:
-    def __init__(self):
-        self.items = []
-
-    def add(self, msg):
-        self.items.append(msg)
-
-    def raise_if_any(self, path):
-        if self.items:
-            lines = "\n".join(f"  - {m}" for m in self.items)
-            raise ConfigError(
-                f"{len(self.items)} problem(s) in config {path}:\n{lines}"
-            )
+def _key(name):
+    return name.rstrip("_")
 
 
-def _unknown_keys(obj, allowed, where, problems):
-    extra = sorted(set(obj) - allowed)
-    for key in extra:
-        problems.add(f"{where}: unknown key {key!r}")
+def _default(f, base):
+    if base is not None:
+        return getattr(base, f.name)
+    if f.default is not dataclasses.MISSING:
+        return f.default
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return dataclasses.MISSING
 
 
-def _want(obj, key, types, where, problems, required=False, default=None):
-    if key not in obj or obj[key] is None:
-        if required:
-            problems.add(f"{where}: missing required key {key!r}")
-        return default
-    value = obj[key]
-    if types is bool:
-        if not isinstance(value, bool):
-            problems.add(f"{where}.{key}: expected true/false, got {value!r}")
-            return default
-        return value
-    if not isinstance(value, types) or isinstance(value, bool):
-        problems.add(f"{where}.{key}: wrong type {type(value).__name__}")
-        return default
-    return value
-
-
-def _positive(value, key, where, problems, strict=True):
-    if value is None:
-        return None
-    bound_ok = value > 0 if strict else value >= 0
-    if not bound_ok:
-        problems.add(f"{where}.{key}: must be {'positive' if strict else 'non-negative'}, got {value}")
-        return None
-    return value
-
-
-def _parse_learner(obj, where, problems, default_type):
-    if obj is None:
-        return LearnerSpec(default_type)
+def _build(cls, obj, where, problems, base=None):
+    """cls from the JSON object obj, each field starting from base (or
+    its own default); None once obj has a problem."""
     if not isinstance(obj, dict):
-        problems.add(f"{where}: expected an object")
-        return LearnerSpec(default_type)
-    _unknown_keys(obj, _LEARNER_KEYS, where, problems)
-    ltype = _want(obj, "type", str, where, problems, default=default_type)
-    if ltype not in ("linear", "trbf"):
-        problems.add(f"{where}.type: must be 'linear' or 'trbf', got {ltype!r}")
-        ltype = default_type
-    lam = _positive(_want(obj, "lam", (int, float), where, problems),
-                    "lam", where, problems)
-    sigma = _positive(_want(obj, "sigma", (int, float), where, problems),
-                      "sigma", where, problems)
-    p = _want(obj, "p", int, where, problems, default=2)
-    if p is not None and p < 1:
-        problems.add(f"{where}.p: must be >= 1, got {p}")
-        p = 2
-    return LearnerSpec(type=ltype, lam=lam, sigma=sigma, p=p)
-
-
-def _parse_plan(obj, problems):
-    if obj is None or not isinstance(obj, list) or not obj:
-        problems.add("plan: must be a non-empty list of decomposition entries")
-        return []
-    entries = []
-    for i, e in enumerate(obj):
-        where = f"plan[{i}]"
-        if not isinstance(e, dict):
-            problems.add(f"{where}: expected an object")
+        problems.append(f"{where or 'top level'}: expected an object")
+        return None
+    found = len(problems)
+    fields = dataclasses.fields(cls)
+    for key in sorted(set(obj) - {_key(f.name) for f in fields}):
+        problems.append(f"{where or 'top level'}: unknown key {key!r}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields:
+        at = f"{where}.{_key(f.name)}" if where else _key(f.name)
+        value = _default(f, base)
+        if obj.get(_key(f.name)) is not None:
+            value = _value(hints[f.name], obj[_key(f.name)], at, problems, value)
+        elif value is dataclasses.MISSING:
+            problems.append(f"{at}: missing required key")
             continue
-        _unknown_keys(e, _PLAN_KEYS, where, problems)
-        method = _want(e, "method", str, where, problems, required=True)
-        if method is not None and method not in VALID_METHODS:
-            problems.add(
-                f"{where}.method: {method!r} is not one of {list(VALID_METHODS)}")
-            method = None
-        n_sub = _want(e, "n_subspaces", int, where, problems, required=True)
-        if n_sub is not None and n_sub < 1:
-            problems.add(f"{where}.n_subspaces: must be >= 1, got {n_sub}")
-            n_sub = None
-        size = _want(e, "group_size", int, where, problems, required=True)
-        if size is not None and size < 1:
-            problems.add(f"{where}.group_size: must be >= 1, got {size}")
-            size = None
-        if None not in (method, n_sub, size):
-            entries.append(PlanEntry(method, n_sub, size))
-    return entries
+        rule = RULES.get(f"{cls.__name__}.{f.name}")
+        problem = rule(value) if rule and value is not None else None
+        if problem:
+            problems.append(f"{at}: {problem}")
+        values[f.name] = value
+    return cls(**values) if len(problems) == found else None
+
+
+def _value(hint, value, where, problems, default):
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        hint = typing.get_args(hint)[0]
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, where, problems,
+                      None if default is dataclasses.MISSING else default)
+    if typing.get_origin(hint) is list:
+        if not isinstance(value, list):
+            problems.append(f"{where}: expected a list, got {value!r}")
+            return None
+        item = typing.get_args(hint)[0]
+        return [_value(item, v, f"{where}[{i}]", problems, None)
+                for i, v in enumerate(value)]
+    kinds = (int, float) if hint is float else hint
+    if not isinstance(value, kinds) or (hint is not bool and isinstance(value, bool)):
+        problems.append(f"{where}: expected {hint.__name__}, got {value!r}")
+        return None
+    return value
 
 
 def parse_config(doc, path="<config>"):
     """Validate a parsed JSON document into a RunConfig, reporting every
     problem found."""
-    problems = _Problems()
-    if not isinstance(doc, dict):
-        problems.add("top level: expected an object of named keys")
-        problems.raise_if_any(path)
-    _unknown_keys(doc, _TOP_KEYS, "top level", problems)
-
-    train_path = _want(doc, "train_path", str, "top level", problems,
-                       required=True)
-    test_path = _want(doc, "test_path", str, "top level", problems)
-
-    split = None
-    if doc.get("split") is not None:
-        sobj = doc["split"]
-        if not isinstance(sobj, dict):
-            problems.add("split: expected an object")
-        else:
-            _unknown_keys(sobj, _SPLIT_KEYS, "split", problems)
-            frac = _want(sobj, "train_fraction", (int, float), "split",
-                         problems, required=True)
-            sseed = _want(sobj, "seed", int, "split", problems)
-            if frac is not None and not 0.0 < frac < 1.0:
-                problems.add(
-                    f"split.train_fraction: must be strictly between 0 and 1, "
-                    f"got {frac}")
-                frac = None
-            if sseed is not None and sseed < 0:
-                problems.add(f"split.seed: must be >= 0, got {sseed}")
-                sseed = None
-            if frac is not None:
-                split = SplitSpec(train_fraction=float(frac),
-                                  seed=0 if sseed is None else sseed)
-
-    plan = _parse_plan(doc.get("plan"), problems)
-    local = _parse_learner(doc.get("local"), "local", problems, "linear")
-    global_ = _parse_learner(doc.get("global"), "global", problems, "trbf")
-
-    guards = Guards()
-    if doc.get("guards") is not None:
-        gobj = doc["guards"]
-        if not isinstance(gobj, dict):
-            problems.add("guards: expected an object")
-        else:
-            _unknown_keys(gobj, _GUARD_KEYS, "guards", problems)
-            md = _want(gobj, "max_dense_features", int, "guards", problems,
-                       default=guards.max_dense_features)
-            mj = _want(gobj, "max_intrinsic_dim", int, "guards", problems,
-                       default=guards.max_intrinsic_dim)
-            if md is not None and md < 1:
-                problems.add(f"guards.max_dense_features: must be >= 1, got {md}")
-            elif md is not None:
-                guards.max_dense_features = md
-            if mj is not None and mj < 1:
-                problems.add(f"guards.max_intrinsic_dim: must be >= 1, got {mj}")
-            elif mj is not None:
-                guards.max_intrinsic_dim = mj
-
-    out_dir = _want(doc, "out_dir", str, "top level", problems, default=".")
-    threads = _want(doc, "threads", int, "top level", problems,
-                    default=os.cpu_count() or 1)
-    if threads is not None and threads < 1:
-        problems.add(f"threads: must be >= 1, got {threads}")
-        threads = 1
-    seed = _want(doc, "seed", int, "top level", problems, default=0)
-    if seed is not None and seed < 0:
-        problems.add(f"seed: must be >= 0, got {seed}")
-        seed = 0
-    scale = _want(doc, "scale_features", bool, "top level", problems,
-                  default=False)
-    crossfit = _want(doc, "crossfit_fusion", bool, "top level", problems,
-                     default=False)
-    positive_label = _want(doc, "positive_label", (int, float), "top level",
-                           problems)
-    nfo = _want(doc, "n_features_override", int, "top level", problems)
-    if nfo is not None and nfo < 1:
-        problems.add(f"n_features_override: must be >= 1, got {nfo}")
-        nfo = None
-    dca_ridge = _positive(
-        _want(doc, "dca_ridge", (int, float), "top level", problems),
-        "dca_ridge", "top level", problems)
-    baseline = _want(doc, "baseline", str, "top level", problems,
-                     default="linear")
-    if baseline not in ("linear", "trbf"):
-        problems.add(f"baseline: must be 'linear' or 'trbf', got {baseline!r}")
-        baseline = "linear"
-
-    problems.raise_if_any(path)
-    return RunConfig(
-        train_path=train_path,
-        test_path=test_path,
-        split=split,
-        scale_features=scale,
-        positive_label=positive_label,
-        n_features_override=nfo,
-        plan=plan,
-        local=local,
-        global_=global_,
-        guards=guards,
-        out_dir=out_dir,
-        threads=threads,
-        seed=seed,
-        crossfit_fusion=crossfit,
-        dca_ridge=dca_ridge,
-        baseline=baseline,
-    )
+    problems = []
+    cfg = _build(RunConfig, doc, "", problems)
+    if problems:
+        lines = "\n".join(f"  - {m}" for m in problems)
+        raise ConfigError(f"{len(problems)} problem(s) in config {path}:\n{lines}")
+    return cfg
 
 
 def load_config(path):
@@ -282,31 +178,4 @@ def load_config(path):
 def config_echo(cfg):
     """Plain-dict echo of a RunConfig, suitable for reports and model
     snapshots; rerunning from this echo reproduces the run."""
-    return {
-        "train_path": cfg.train_path,
-        "test_path": cfg.test_path,
-        "split": None if cfg.split is None else {
-            "train_fraction": cfg.split.train_fraction,
-            "seed": cfg.split.seed,
-        },
-        "scale_features": cfg.scale_features,
-        "positive_label": cfg.positive_label,
-        "n_features_override": cfg.n_features_override,
-        "plan": [{"method": e.method, "n_subspaces": e.n_subspaces,
-                  "group_size": e.group_size} for e in cfg.plan],
-        "local": _learner_echo(cfg.local),
-        "global": _learner_echo(cfg.global_),
-        "guards": {"max_dense_features": cfg.guards.max_dense_features,
-                   "max_intrinsic_dim": cfg.guards.max_intrinsic_dim},
-        "out_dir": cfg.out_dir,
-        "threads": cfg.threads,
-        "seed": cfg.seed,
-        "crossfit_fusion": cfg.crossfit_fusion,
-        "dca_ridge": cfg.dca_ridge,
-        "baseline": cfg.baseline,
-    }
-
-
-def _learner_echo(spec):
-    return {"type": spec.type, "lam": spec.lam, "sigma": spec.sigma,
-            "p": spec.p}
+    return {_key(k): v for k, v in dataclasses.asdict(cfg).items()}

@@ -74,7 +74,7 @@ class SplitSpec:
     """Seeded train/test split: train side gets round(fraction * N) instances."""
 
     train_fraction: float
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):

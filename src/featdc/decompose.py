@@ -31,12 +31,14 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from numpy.typing import NDArray
 
 from .dataio import Dataset
 from .errors import ConfigError, DataError, NumericError
 from .numerics import gen_sym_eig, solve_spd, sym_eig
 
 METHODS = ("rd", "pca", "dca", "bcd", "abd")
+DEFAULT_MAX_DENSE_FEATURES = 4096
 
 
 @dataclass
@@ -54,12 +56,12 @@ class SubspaceDecomposition:
     method: str
     n_features_in: int
     n_features_out: int
-    index_groups: list
-    transform: Optional[np.ndarray] = None
-    feature_order: Optional[np.ndarray] = None
+    index_groups: list[NDArray[np.int64]]
+    transform: Optional[NDArray[np.float64]] = None
+    feature_order: Optional[NDArray[np.int64]] = None
     block_size: Optional[int] = None
-    eigenvalues: Optional[np.ndarray] = None
-    fit_stats: dict = field(default_factory=dict)
+    eigenvalues: Optional[NDArray[np.float64]] = None
+    fit_stats: dict[str, float] = field(default_factory=dict)
 
     @property
     def n_subspaces(self):
@@ -70,7 +72,7 @@ class SubspaceDecomposition:
 class CompositeDecomposition:
     """Ordered stack of fitted sub-methods; h = total subspace count."""
 
-    parts: list
+    parts: list[SubspaceDecomposition]
 
     def __post_init__(self):
         if not self.parts:
@@ -229,7 +231,8 @@ def make_rd(n_features, n_subspaces, group_size, seed):
     )
 
 
-def fit_pca(x, n_subspaces, group_size, seed=0, center=True, max_dense=4096):
+def fit_pca(x, n_subspaces, group_size, seed=0, center=True,
+            max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Principal-component transform; groups drawn over the rotated
     coordinates with the same seeded scheme as rd."""
     x = _as_matrix(x)
@@ -260,7 +263,7 @@ def default_dca_ridge(sw, scatter):
 
 
 def fit_dca(x, y=None, rho=None, n_subspaces=1, group_size=None, seed=0,
-            max_dense=4096):
+            max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Discriminant transform: generalized eigenvectors of the centered
     scatter against the ridged within-class scatter, descending eigenvalue."""
     if isinstance(x, Dataset) and y is None:
@@ -426,10 +429,6 @@ def abd_dense_transform(part):
 # composition and application
 
 
-def compose(parts) -> CompositeDecomposition:
-    return CompositeDecomposition(list(parts))
-
-
 def _apply_part(part, x):
     sparse = sp.issparse(x)
     if part.method == "rd":
@@ -489,7 +488,8 @@ def part_seed(run_seed, part_index):
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def fit_plan_entry(x, y, entry, child_seed, max_dense=4096, dca_ridge=None):
+def fit_plan_entry(x, y, entry, child_seed,
+                   max_dense=DEFAULT_MAX_DENSE_FEATURES, dca_ridge=None):
     """Fit a single plan entry with an already-derived child seed."""
     x = _as_matrix(x)
     m = x.shape[0]
@@ -508,7 +508,8 @@ def fit_plan_entry(x, y, entry, child_seed, max_dense=4096, dca_ridge=None):
     raise ConfigError(f"unknown decomposition method {method!r}")
 
 
-def fit_plan(x, y, plan, seed, max_dense=4096, dca_ridge=None):
+def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
+             dca_ridge=None):
     """Fit every plan entry and compose the result.
 
     plan is a sequence of (method, n_subspaces, group_size) triples (or
@@ -523,7 +524,7 @@ def fit_plan(x, y, plan, seed, max_dense=4096, dca_ridge=None):
                        dca_ridge=dca_ridge)
         for i, entry in enumerate(plan)
     ]
-    return compose(parts)
+    return CompositeDecomposition(parts)
 
 
 def _plan_triple(entry):

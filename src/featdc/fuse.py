@@ -26,10 +26,12 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import label_from_score, train_linear, train_trbf_krr
+from .classify import (DEFAULT_MAX_INTRINSIC_DIM, LEARNERS, label_from_score,
+                       train_linear, train_trbf_krr)
 from .dataio import Dataset
-from .decompose import (_plan_triple, apply_decomposition, compose,
-                        fit_plan_entry, part_seed)
+from .decompose import (DEFAULT_MAX_DENSE_FEATURES, CompositeDecomposition,
+                        _plan_triple, apply_decomposition, fit_plan_entry,
+                        part_seed)
 from .errors import ConfigError, DataError, FeatdcError
 
 CONSTANT_ROW_TOL = 1e-12
@@ -46,14 +48,14 @@ class LearnerSpec:
     p: int = 2
 
     def __post_init__(self):
-        if self.type not in ("linear", "trbf"):
+        if self.type not in LEARNERS:
             raise ConfigError(f"unknown learner type {self.type!r}")
 
 
 @dataclass
 class Guards:
-    max_dense_features: int = 4096
-    max_intrinsic_dim: int = 20000
+    max_dense_features: int = DEFAULT_MAX_DENSE_FEATURES
+    max_intrinsic_dim: int = DEFAULT_MAX_INTRINSIC_DIM
 
 
 @dataclass
@@ -123,10 +125,6 @@ def apply_standardization(r, shift, scale):
     return (r - shift[:, None]) / scale[:, None]
 
 
-def _column_subset(view, idx):
-    return view[:, idx]
-
-
 def _crossfit_r(local_spec, views, y, guards, seed, threads, folds=5):
     """Out-of-fold local scores: each instance scored by locals that never
     saw it. Fold assignment is a seeded permutation chopped evenly."""
@@ -141,9 +139,9 @@ def _crossfit_r(local_spec, views, y, guards, seed, threads, folds=5):
         keep = np.sort(np.setdiff1d(np.arange(n), hold, assume_unique=False))
 
         def task(i):
-            model = train_learner(local_spec, _column_subset(views[i], keep),
-                                  y[keep], guards, _role_seed(seed, "cvlocal", i))
-            return model.decision_function(_column_subset(views[i], hold))
+            model = train_learner(local_spec, views[i][:, keep], y[keep],
+                                  guards, _role_seed(seed, "cvlocal", i))
+            return model.decision_function(views[i][:, hold])
 
         scores = _map_indexed(task, len(views), threads)
         for i, s in enumerate(scores):
@@ -225,7 +223,7 @@ def _timed_fit_plan(x, y, plan, seed, guards, dca_ridge):
                                     dca_ridge=dca_ridge))
         t_by_method[method] = t_by_method.get(method, 0.0) + (
             time.perf_counter() - t0)
-    comp = compose(parts)
+    comp = CompositeDecomposition(parts)
     return comp, {f"fit_{m}": t for m, t in t_by_method.items()}
 
 

@@ -1,157 +1,115 @@
 """Versioned structured-text persistence for decompositions and models.
 
 Files are JSON documents with a fixed header (format name, version, kind)
-and a payload. Every floating-point value is stored as its hexadecimal
-float literal (`float.hex()`), so a save/load round trip is bit-exact;
-integer arrays are stored as plain integer lists. Loading refuses files
-whose format name or version does not match.
+and a payload. Dataclasses are stored field by field, as their type
+hints say: every floating-point value as its hexadecimal float literal
+(`float.hex()`), so a save/load round trip is bit-exact; float arrays as
+`{shape, hex}`; integer arrays as plain integer lists. Loading refuses
+files whose format name or version does not match, and reports a payload
+that does not fit the schema as a DataError.
 """
 
+import dataclasses
+import functools
 import json
+import typing
 
 import numpy as np
+from numpy.typing import NDArray
 
-from .classify import LinearModel, TrbfModel
-from .decompose import CompositeDecomposition, SubspaceDecomposition
-from .errors import DataError
+from .classify import LEARNERS
+from .decompose import CompositeDecomposition
+from .errors import ConfigError, DataError
 from .fuse import DcModel
 
 FORMAT_NAME = "featdc-model"
 FORMAT_VERSION = 1
 
-
-# ---------------------------------------------------------------------------
-# primitive encoding
-
-
-def _enc_float(x):
-    return float(x).hex()
+FloatArray = NDArray[np.float64]
+IntArray = NDArray[np.int64]
 
 
-def _dec_float(s):
-    return float.fromhex(s)
+@functools.cache
+def _hints(cls):
+    return typing.get_type_hints(cls)
 
 
-def _enc_farray(a):
-    if a is None:
+def _enc(value, hint):
+    """JSON form of value, chosen by its type hint."""
+    if value is None:
         return None
-    a = np.asarray(a, dtype=np.float64)
-    return {"shape": list(a.shape), "hex": [v.hex() for v in a.ravel().tolist()]}
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        hint = typing.get_args(hint)[0]
+    if dataclasses.is_dataclass(hint):
+        return {f.name: _enc(getattr(value, f.name), _hints(hint)[f.name])
+                for f in dataclasses.fields(hint)}
+    if hint == FloatArray:
+        a = np.asarray(value, dtype=np.float64)
+        return {"shape": list(a.shape), "hex": [v.hex() for v in a.ravel().tolist()]}
+    if hint == IntArray:
+        return np.asarray(value).astype(int).tolist()
+    if hint is float:
+        return float(value).hex()
+    if hint is int:
+        return int(value)
+    if typing.get_origin(hint) is list:
+        return [_enc(v, typing.get_args(hint)[0]) for v in value]
+    if typing.get_origin(hint) is dict:
+        return {k: _enc(v, typing.get_args(hint)[1]) for k, v in value.items()}
+    return value
 
 
-def _dec_farray(obj):
+def _dec(obj, hint):
+    """Inverse of `_enc`."""
     if obj is None:
         return None
-    flat = np.array([float.fromhex(s) for s in obj["hex"]], dtype=np.float64)
-    return flat.reshape(obj["shape"])
-
-
-def _enc_iarray(a):
-    if a is None:
-        return None
-    return np.asarray(a).astype(int).tolist()
-
-
-def _dec_iarray(obj, dtype=np.int64):
-    if obj is None:
-        return None
-    return np.asarray(obj, dtype=dtype)
-
-
-# ---------------------------------------------------------------------------
-# decomposition
-
-
-def _enc_part(part):
-    return {
-        "method": part.method,
-        "n_features_in": part.n_features_in,
-        "n_features_out": part.n_features_out,
-        "index_groups": [_enc_iarray(g) for g in part.index_groups],
-        "transform": _enc_farray(part.transform),
-        "feature_order": _enc_iarray(part.feature_order),
-        "block_size": part.block_size,
-        "eigenvalues": _enc_farray(part.eigenvalues),
-        "fit_stats": {k: _enc_float(v) for k, v in part.fit_stats.items()},
-    }
-
-
-def _dec_part(obj):
-    return SubspaceDecomposition(
-        method=obj["method"],
-        n_features_in=obj["n_features_in"],
-        n_features_out=obj["n_features_out"],
-        index_groups=[_dec_iarray(g) for g in obj["index_groups"]],
-        transform=_dec_farray(obj["transform"]),
-        feature_order=_dec_iarray(obj["feature_order"]),
-        block_size=obj["block_size"],
-        eigenvalues=_dec_farray(obj["eigenvalues"]),
-        fit_stats={k: _dec_float(v) for k, v in obj["fit_stats"].items()},
-    )
-
-
-def _enc_decomposition(comp):
-    return {"parts": [_enc_part(p) for p in comp.parts]}
-
-
-def _dec_decomposition(obj):
-    return CompositeDecomposition([_dec_part(p) for p in obj["parts"]])
-
-
-# ---------------------------------------------------------------------------
-# classifier models
+    if typing.get_origin(hint) is typing.Union:
+        hint = typing.get_args(hint)[0]
+    if dataclasses.is_dataclass(hint):
+        return hint(**{f.name: _dec(obj[f.name], _hints(hint)[f.name])
+                       for f in dataclasses.fields(hint)})
+    if hint == FloatArray:
+        flat = np.array([float.fromhex(s) for s in obj["hex"]], dtype=np.float64)
+        return flat.reshape(obj["shape"])
+    if hint == IntArray:
+        return np.asarray(obj, dtype=np.int64)
+    if hint is float:
+        return float.fromhex(obj)
+    if typing.get_origin(hint) is list:
+        return [_dec(v, typing.get_args(hint)[0]) for v in obj]
+    if typing.get_origin(hint) is dict:
+        return {k: _dec(v, typing.get_args(hint)[1]) for k, v in obj.items()}
+    return obj
 
 
 def _enc_learner(model):
-    if isinstance(model, LinearModel):
-        return {
-            "type": "linear",
-            "weights": _enc_farray(model.weights),
-            "bias": _enc_float(model.bias),
-            "lam": _enc_float(model.lam),
-            "solver": model.solver,
-        }
-    if isinstance(model, TrbfModel):
-        return {
-            "type": "trbf",
-            "weights": _enc_farray(model.weights),
-            "sigma": _enc_float(model.sigma),
-            "p": int(model.p),
-            "lam": _enc_float(model.lam),
-            "n_features": int(model.n_features),
-        }
+    for tag, cls in LEARNERS.items():
+        if isinstance(model, cls):
+            return {"type": tag, **_enc(model, cls)}
     raise DataError(f"cannot persist learner of type {type(model).__name__}")
 
 
 def _dec_learner(obj):
-    if obj["type"] == "linear":
-        return LinearModel(
-            weights=_dec_farray(obj["weights"]),
-            bias=_dec_float(obj["bias"]),
-            lam=_dec_float(obj["lam"]),
-            solver=obj["solver"],
-        )
-    if obj["type"] == "trbf":
-        return TrbfModel(
-            weights=_dec_farray(obj["weights"]),
-            sigma=_dec_float(obj["sigma"]),
-            p=obj["p"],
-            lam=_dec_float(obj["lam"]),
-            n_features=obj["n_features"],
-        )
-    raise DataError(f"unknown learner type {obj['type']!r} in model file")
+    if obj["type"] not in LEARNERS:
+        raise DataError(f"unknown learner type {obj['type']!r} in model file")
+    return _dec(obj, LEARNERS[obj["type"]])
 
 
 # ---------------------------------------------------------------------------
 # top-level documents
 
 
-def _document(kind, payload):
-    return {"format": FORMAT_NAME, "version": FORMAT_VERSION,
-            "kind": kind, "payload": payload}
+def _write(kind, payload, path):
+    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
+           "kind": kind, "payload": payload}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
 
 
 def _check_header(doc, path):
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not a model file (not a JSON object)")
     for key in ("format", "version", "kind", "payload"):
         if key not in doc:
             raise DataError(f"{path}: not a model file (missing {key!r})")
@@ -165,23 +123,31 @@ def _check_header(doc, path):
 
 
 def save_decomposition(comp, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_document("decomposition", _enc_decomposition(comp)), fh)
-        fh.write("\n")
+    _write("decomposition", _enc(comp, CompositeDecomposition), path)
 
 
 def save_dc_model(model, path):
-    payload = {
-        "decomposition": _enc_decomposition(model.decomposition),
+    _write("dc_model", {
+        "decomposition": _enc(model.decomposition, CompositeDecomposition),
         "locals": [_enc_learner(m) for m in model.locals],
         "global": _enc_learner(model.global_model),
-        "r_shift": _enc_farray(model.r_shift),
-        "r_scale": _enc_farray(model.r_scale),
+        "r_shift": _enc(model.r_shift, FloatArray),
+        "r_scale": _enc(model.r_scale, FloatArray),
         "config_snapshot": model.config_snapshot,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_document("dc_model", payload), fh)
-        fh.write("\n")
+    }, path)
+
+
+def _dec_payload(kind, p):
+    if kind == "decomposition":
+        return _dec(p, CompositeDecomposition)
+    return DcModel(
+        decomposition=_dec(p["decomposition"], CompositeDecomposition),
+        locals=[_dec_learner(m) for m in p["locals"]],
+        global_model=_dec_learner(p["global"]),
+        r_shift=_dec(p["r_shift"], FloatArray),
+        r_scale=_dec(p["r_scale"], FloatArray),
+        config_snapshot=p.get("config_snapshot", {}),
+    )
 
 
 def load_model_file(path):
@@ -195,20 +161,14 @@ def load_model_file(path):
         raise DataError(f"{path}: not valid structured text: {exc}") from exc
     _check_header(doc, path)
     kind = doc["kind"]
-    if kind == "decomposition":
-        return kind, _dec_decomposition(doc["payload"])
-    if kind == "dc_model":
-        p = doc["payload"]
-        model = DcModel(
-            decomposition=_dec_decomposition(p["decomposition"]),
-            locals=[_dec_learner(m) for m in p["locals"]],
-            global_model=_dec_learner(p["global"]),
-            r_shift=_dec_farray(p["r_shift"]),
-            r_scale=_dec_farray(p["r_scale"]),
-            config_snapshot=p.get("config_snapshot", {}),
-        )
-        return kind, model
-    raise DataError(f"{path}: unknown document kind {kind!r}")
+    if kind not in ("decomposition", "dc_model"):
+        raise DataError(f"{path}: unknown document kind {kind!r}")
+    try:
+        return kind, _dec_payload(kind, doc["payload"])
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            ConfigError) as exc:
+        raise DataError(f"{path}: malformed {kind} payload "
+                        f"({type(exc).__name__}: {exc})") from exc
 
 
 def load_decomposition(path):

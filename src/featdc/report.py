@@ -10,8 +10,10 @@ import hashlib
 import json
 import os
 
+from .decompose import METHODS
+
 TIMING_ORDER = (
-    "parse", "fit_rd", "fit_pca", "fit_dca", "fit_bcd", "fit_abd",
+    "parse", *(f"fit_{m}" for m in METHODS),
     "fit_decomposition", "local_training", "fusion", "prediction",
     "baseline", "persist", "total",
 )

@@ -26,7 +26,7 @@ from featdc.dataio import (Dataset, SplitSpec, load_libsvm, max_abs_scale,
 from featdc.datasets import make_blobs, make_quadratic_band, \
     make_sparse_planted
 from featdc.decompose import (abd_dense_transform, apply_decomposition,
-                              block_gram, compose, disjoint_groups,
+                              block_gram, disjoint_groups,
                               feature_scatter, fit_abd, fit_bcd, fit_dca,
                               fit_pca, fit_plan, make_rd,
                               within_class_scatter)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from featdc.classify import (default_lam, label_from_score, predict_linear,
-                             predict_trbf, sigma_heuristic, train_linear,
-                             train_trbf_krr, trbf_dim, trbf_expand,
-                             trbf_indices, truncated_rbf_kernel, TrbfModel)
+from featdc.classify import (default_lam, label_from_score, sigma_heuristic,
+                             train_linear, train_trbf_krr, trbf_dim,
+                             trbf_expand, trbf_indices, truncated_rbf_kernel,
+                             TrbfModel)
 from featdc.errors import ConfigError, DataError, NumericError
 
 
@@ -111,7 +111,7 @@ def test_predict_linear_matches_decision_function():
     y = np.where(rng.random(50) < 0.5, 1, -1)
     model = train_linear(x, y, lam=0.1)
     scores = model.decision_function(x)
-    labels = predict_linear(model, x)
+    labels = model.predict(x)
     assert np.array_equal(labels, label_from_score(scores))
 
 
@@ -229,7 +229,7 @@ def test_train_trbf_krr_solves_xor():
     x = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
     y = np.array([1, -1, -1, 1])
     model = train_trbf_krr(x, y, lam=1e-6, sigma=1.0, p=2)
-    assert np.array_equal(predict_trbf(model, x), y)
+    assert np.array_equal(model.predict(x), y)
 
 
 def test_train_trbf_krr_dimension_guard():
@@ -254,7 +254,7 @@ def test_trbf_model_zero_weights_scores_zero():
                       lam=1.0, n_features=2)
     scores = model.decision_function(np.ones((2, 5)))
     assert np.array_equal(scores, np.zeros(5))
-    assert np.array_equal(predict_trbf(model, np.ones((2, 5))),
+    assert np.array_equal(model.predict(np.ones((2, 5))),
                           np.ones(5, dtype=np.int64))
 
 

@@ -2,15 +2,19 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from featdc.cli import main
-from featdc.config import parse_config
+from featdc.config import config_echo, parse_config
 from featdc.dataio import save_libsvm, select_instances
 from featdc.datasets import make_blobs
 from featdc.errors import ConfigError
+from featdc.fuse import LearnerSpec
+
+FIXTURE_MODEL = Path(__file__).parent / "fixtures" / "model_v1.json"
 
 
 def write_blob_file(path, n=200, n_features=8, seed=0, separation=8.0):
@@ -248,12 +252,27 @@ def test_eval_refuses_other_format_version(tmp_path, capsys):
     assert "refusing" in capsys.readouterr().err
 
 
-def test_thread_override_must_be_positive(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["train", "bench", "eval"])
+def test_thread_override_must_be_positive(tmp_path, capsys, command):
     write_blob_file(tmp_path / "train.libsvm")
-    rc = main(["train", "--config", str(base_config(tmp_path)),
-               "--threads", "0"])
-    assert rc == 2
-    capsys.readouterr()
+    if command == "eval":
+        args = ["eval", "--model", str(FIXTURE_MODEL),
+                "--test", str(tmp_path / "train.libsvm")]
+    else:
+        args = [command, "--config", str(base_config(tmp_path))]
+    for threads in ("0", "-3"):
+        rc = main(args + ["--threads", threads])
+        assert rc == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+
+
+def test_malformed_model_file_is_data_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"format": "featdc-model", "version": 1,
+                                "kind": "dc_model", "payload": {}}))
+    rc = main(["inspect", "--model", str(path)])
+    assert rc == 3
+    assert "m.json" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +290,57 @@ def test_wide_sparse_plan_validates():
         "global": {"type": "trbf", "p": 3},
     }, "inline")
     assert cfg.plan_triples() == [("rd", 4, 23618), ("abd", 4, 23618)]
+
+
+FULL_CONFIG = {
+    "train_path": "train.libsvm", "test_path": "test.libsvm",
+    "split": {"train_fraction": 0.8, "seed": 0}, "scale_features": True,
+    "positive_label": 2, "n_features_override": 47236,
+    "plan": [{"method": "rd", "n_subspaces": 4, "group_size": 40}],
+    "local": {"type": "linear", "lam": 1.0},
+    "global": {"type": "trbf", "p": 2, "sigma": None, "lam": None},
+    "guards": {"max_dense_features": 4096, "max_intrinsic_dim": 20000},
+    "crossfit_fusion": False, "dca_ridge": None, "baseline": "linear",
+    "out_dir": "out", "threads": 4, "seed": 7,
+}
+
+
+def test_config_echo_is_pinned():
+    # reports and model snapshots carry this text; key order included
+    echo = json.dumps(config_echo(parse_config(FULL_CONFIG, "inline")))
+    assert echo == (
+        '{"train_path": "train.libsvm", "test_path": "test.libsvm", '
+        '"split": {"train_fraction": 0.8, "seed": 0}, '
+        '"scale_features": true, "positive_label": 2, '
+        '"n_features_override": 47236, '
+        '"plan": [{"method": "rd", "n_subspaces": 4, "group_size": 40}], '
+        '"local": {"type": "linear", "lam": 1.0, "sigma": null, "p": 2}, '
+        '"global": {"type": "trbf", "lam": null, "sigma": null, "p": 2}, '
+        '"guards": {"max_dense_features": 4096, "max_intrinsic_dim": 20000}, '
+        '"out_dir": "out", "threads": 4, "seed": 7, '
+        '"crossfit_fusion": false, "dca_ridge": null, "baseline": "linear"}')
+
+
+def test_rerun_from_echo_reproduces_config():
+    minimal = {"train_path": "x",
+               "plan": [{"method": "abd", "n_subspaces": 2, "group_size": 3}]}
+    others = {"split": {"train_fraction": 0.5}, "crossfit_fusion": True,
+              "dca_ridge": 0.25, "local": {"lam": 3, "p": 4},
+              "global": {"type": "linear", "sigma": 1.5},
+              "guards": {"max_intrinsic_dim": 99}, "baseline": "trbf"}
+    for doc in (FULL_CONFIG, minimal, {**minimal, **others}):
+        cfg = parse_config(doc, "inline")
+        assert parse_config(config_echo(cfg), "echo") == cfg
+
+
+def test_global_without_type_is_trbf():
+    cfg = parse_config({
+        "train_path": "x",
+        "plan": [{"method": "rd", "n_subspaces": 1, "group_size": 1}],
+        "global": {"p": 3},
+    }, "inline")
+    assert cfg.global_ == LearnerSpec(type="trbf", p=3)
+    assert cfg.local == LearnerSpec(type="linear")
 
 
 def test_zero_subspaces_rejected():

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from featdc.decompose import (CompositeDecomposition, abd_dense_transform,
-                              apply_decomposition, block_gram, compose,
+                              apply_decomposition, block_gram,
                               disjoint_groups, feature_scatter, fit_abd,
                               fit_bcd, fit_dca, fit_pca, fit_plan, make_rd,
                               overlapping_groups, within_class_scatter)
@@ -267,7 +267,7 @@ def test_fit_bcd_with_zero_padding():
     part = fit_bcd(x, groups)
     assert part.n_features_out == padded == 108
     assert part.fit_stats["offdiag_block_residual"] <= 1e-8
-    views = apply_decomposition(compose([part]), x)
+    views = apply_decomposition(CompositeDecomposition([part]), x)
     assert [v.shape for v in views] == [(27, 120)] * 4
 
 
@@ -335,7 +335,7 @@ def test_fit_abd_matches_kron_apply():
     x = rng.normal(size=(12, 18))
     groups = groups_of([4, 4, 4])
     part = fit_abd(x, groups)
-    views = apply_decomposition(compose([part]), x)
+    views = apply_decomposition(CompositeDecomposition([part]), x)
     xr = x[part.feature_order]
     full = abd_dense_transform(part) @ xr
     assert np.allclose(np.vstack(views), full, atol=1e-12)
@@ -355,8 +355,8 @@ def test_fit_abd_sparse_matches_dense():
     pa = fit_abd(xd, groups)
     pb = fit_abd(xs, groups)
     assert np.allclose(pa.transform, pb.transform, atol=1e-12)
-    va = apply_decomposition(compose([pa]), xd)
-    vb = apply_decomposition(compose([pb]), xs)
+    va = apply_decomposition(CompositeDecomposition([pa]), xd)
+    vb = apply_decomposition(CompositeDecomposition([pb]), xs)
     for a, b in zip(va, vb):
         b = b.toarray() if sp.issparse(b) else b
         assert np.allclose(a, b, atol=1e-12)
@@ -368,10 +368,10 @@ def test_fit_abd_sparse_matches_dense():
 
 def test_compose_counts_and_errors():
     part = make_rd(6, 2, 3, seed=0)
-    comp = compose([part])
+    comp = CompositeDecomposition([part])
     assert comp.h == 2
     with pytest.raises(ConfigError):
-        compose([])
+        CompositeDecomposition([])
     with pytest.raises(ConfigError):
         CompositeDecomposition([make_rd(6, 1, 2, 0), make_rd(7, 1, 2, 0)])
 
@@ -379,7 +379,7 @@ def test_compose_counts_and_errors():
 def test_apply_rd_selection_oracle():
     x = np.array([[5.0], [7.0]])
     part = make_rd(2, 2, 1, seed=3)
-    views = apply_decomposition(compose([part]), x)
+    views = apply_decomposition(CompositeDecomposition([part]), x)
     got = sorted(float(v[0, 0]) for v in views)
     assert got == [5.0, 7.0]
 
@@ -387,7 +387,7 @@ def test_apply_rd_selection_oracle():
 def test_apply_abd_hand_oracle():
     x = np.array([[1.0, 0.0], [1.0, 0.0]])
     part = fit_abd(x, [np.array([0]), np.array([1])])
-    views = apply_decomposition(compose([part]), x)
+    views = apply_decomposition(CompositeDecomposition([part]), x)
     dense = [v.toarray() if sp.issparse(v) else v for v in views]
     assert np.allclose(dense[0], [[np.sqrt(2.0), 0.0]])
     assert np.allclose(dense[1], [[0.0, 0.0]])
@@ -439,7 +439,7 @@ def test_apply_is_linear():
 def test_apply_dimension_mismatch():
     part = make_rd(4, 1, 2, seed=0)
     with pytest.raises(DataError):
-        apply_decomposition(compose([part]), np.ones((5, 2)))
+        apply_decomposition(CompositeDecomposition([part]), np.ones((5, 2)))
 
 
 def test_fit_plan_counts_and_determinism():

@@ -1,11 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from featdc.classify import LinearModel, TrbfModel
 from featdc.datasets import make_blobs
-from featdc.decompose import apply_decomposition, compose, fit_plan
+from featdc.decompose import METHODS, apply_decomposition, fit_plan
 from featdc.errors import DataError
 from featdc.fuse import LearnerSpec, predict_dc, train_dc
 from featdc.persist import (FORMAT_VERSION, load_dc_model,
@@ -166,6 +168,23 @@ def test_missing_file_refused(tmp_path):
 
 def test_header_keys_required(tmp_path):
     path = tmp_path / "h.json"
-    path.write_text(json.dumps({"format": "featdc-model"}))
-    with pytest.raises(DataError):
-        load_model_file(path)
+    for doc in ({"format": "featdc-model"}, 5,
+                {"format": "featdc-model", "version": 1, "kind": "dc_model",
+                 "payload": {}}):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="h.json"):
+            load_model_file(path)
+
+
+def test_version_1_fixture_loads_and_resaves_unchanged(tmp_path):
+    # a `featdc train` model.json kept from before the schema-driven
+    # encoder: every method, linear locals, TRBF global, scaled features
+    fixture = Path(__file__).parent / "fixtures" / "model_v1.json"
+    model = load_dc_model(fixture)
+    assert [p.method for p in model.decomposition.parts] == list(METHODS)
+    assert all(isinstance(m, LinearModel) for m in model.locals)
+    assert isinstance(model.global_model, TrbfModel)
+    assert "feature_scale" in model.config_snapshot
+    path = tmp_path / "resaved.json"
+    save_dc_model(model, path)
+    assert path.read_bytes() == fixture.read_bytes()
