@@ -33,37 +33,33 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="config file (JSON)")
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the config seed")
+    def training(p):
+        p.add_argument("--config", required=True, help="config file (JSON)")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for local training")
+                       help="worker threads for local training (prediction "
+                            "always runs on the calling thread)")
         p.add_argument("--out", default=None, help="output directory")
 
-    common(sub.add_parser("train", help="train and persist a model"))
+    training(sub.add_parser("train", help="train and persist a model"))
     pe = sub.add_parser("eval", help="evaluate a saved model on a test file")
     pe.add_argument("--model", required=True, help="saved model file")
     pe.add_argument("--test", required=True, help="test data (libsvm text)")
-    common(pe, config=False)
-    common(sub.add_parser("bench", help="pipeline vs. undecomposed baseline"))
+    pe.add_argument("--out", default=None, help="output directory")
+    training(sub.add_parser("bench", help="pipeline vs. undecomposed baseline"))
     pi = sub.add_parser("inspect", help="dump decomposition diagnostics")
     pi.add_argument("--model", required=True, help="saved model or "
                                                    "decomposition file")
     return parser
 
 
-def _check_threads(args):
-    if args.threads is not None and args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-
-
 def _apply_overrides(cfg, args):
-    _check_threads(args)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.threads is not None:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg.threads = args.threads
     if args.out is not None:
         cfg.out_dir = args.out
@@ -135,7 +131,7 @@ def cmd_train(args):
     metrics = None
     t0 = time.perf_counter()
     if test is not None:
-        labels, _ = predict_dc(model, test, threads=cfg.threads)
+        labels, _ = predict_dc(model, test)
         metrics = evaluate(labels, test.y)
     timings["prediction"] = time.perf_counter() - t0
 
@@ -168,11 +164,9 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    _check_threads(args)
     t_start = time.perf_counter()
     model = load_dc_model(args.model)
     snap = model.config_snapshot or {}
-    threads = args.threads or snap.get("threads") or 1
 
     t0 = time.perf_counter()
     test = load_libsvm(
@@ -186,7 +180,7 @@ def cmd_eval(args):
     parse_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    labels, _ = predict_dc(model, test, threads=threads)
+    labels, _ = predict_dc(model, test)
     metrics = evaluate(labels, test.y)
     predict_s = time.perf_counter() - t0
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from numpy.typing import NDArray
 

@@ -5,8 +5,9 @@ subspace view (concurrently when asked — tasks are pure and merged by
 subspace index, so results are identical for any thread count), collects
 the h x N local-output matrix R on the training instances, standardizes
 its rows, and trains the global classifier on (R, y). `predict_dc` replays
-the same stages with the stored parameters; the final label is
-sign(global score) with sign(0) = +1.
+the same stages with the stored parameters on the calling thread (a
+worker pool costs more than the scoring it would spread); the final label
+is sign(global score) with sign(0) = +1.
 
 R carries continuous local scores rather than hard labels so the global
 learner sees margins. Row standardization (zero mean, unit variance over
@@ -227,17 +228,15 @@ def _timed_fit_plan(x, y, plan, seed, guards, dca_ridge):
     return comp, {f"fit_{m}": t for m, t in t_by_method.items()}
 
 
-def predict_dc(model, test, threads=1):
-    """(labels, scores) for a Dataset or raw feature matrix."""
+def predict_dc(model, test, threads=None):
+    """(labels, scores) for a Dataset or raw feature matrix.
+
+    The locals are scored in order on the calling thread; `threads` is
+    accepted for compatibility and ignored.
+    """
     x = test.X if isinstance(test, Dataset) else test
     with _stage("prediction"):
-        views = apply_decomposition(model.decomposition, x)
-
-        def task(i):
-            return np.asarray(model.locals[i].decision_function(views[i]))
-
-        rows = _map_indexed(task, len(views), threads)
-        r = np.vstack(rows)
+        r = build_r(model.locals, apply_decomposition(model.decomposition, x))
         rs = apply_standardization(r, model.r_shift, model.r_scale)
         scores = model.global_model.decision_function(rs)
     return label_from_score(scores), scores

@@ -10,14 +10,6 @@ import hashlib
 import json
 import os
 
-from .decompose import METHODS
-
-TIMING_ORDER = (
-    "parse", *(f"fit_{m}" for m in METHODS),
-    "fit_decomposition", "local_training", "fusion", "prediction",
-    "baseline", "persist", "total",
-)
-
 
 def sha256_file(path):
     digest = hashlib.sha256()
@@ -63,17 +55,15 @@ def _rule(width=58):
 
 
 def format_report(report):
-    """Fixed-width table: stage timings, then metrics."""
+    """Fixed-width table: stage timings in the order they were recorded,
+    then metrics."""
     width = 58
     lines = [_rule(width),
              _row(f"command: {report['command']}", f"seed {report['seed']}",
                   width),
              _rule(width)]
-    timings = report.get("timings_s", {})
-    ordered = [k for k in TIMING_ORDER if k in timings]
-    ordered += [k for k in sorted(timings) if k not in TIMING_ORDER]
-    for key in ordered:
-        lines.append(_row(f"time {key} (s)", f"{timings[key]:.3f}", width))
+    for key, seconds in report.get("timings_s", {}).items():
+        lines.append(_row(f"time {key} (s)", f"{seconds:.3f}", width))
     metrics = report.get("metrics")
     if metrics:
         lines.append(_rule(width))

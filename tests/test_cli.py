@@ -188,6 +188,25 @@ def test_train_timings_cover_the_total(tmp_path):
     assert method_sum <= t["fit_decomposition"] + 1e-9
 
 
+def test_report_table_lists_timings_in_recorded_order(tmp_path, capsys):
+    write_blob_file(tmp_path / "train.libsvm")
+    cfg = base_config(tmp_path, plan=[
+        {"method": "pca", "n_subspaces": 2, "group_size": 4},
+        {"method": "rd", "n_subspaces": 2, "group_size": 4},
+    ])
+    rc = main(["train", "--config", str(cfg)])
+    assert rc == 0
+    rows = [line.split("time ", 1)[1].split(" (s)")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("| time ")]
+    # fit_* rows follow the plan, not the method table
+    assert rows == ["parse", "fit_pca", "fit_rd", "fit_decomposition",
+                    "local_training", "fusion", "prediction", "persist",
+                    "total"]
+    report = json.loads((tmp_path / "out" / "train_report.json").read_text())
+    assert list(report["timings_s"]) == rows
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 
@@ -256,10 +275,14 @@ def test_eval_refuses_other_format_version(tmp_path, capsys):
 def test_thread_override_must_be_positive(tmp_path, capsys, command):
     write_blob_file(tmp_path / "train.libsvm")
     if command == "eval":
-        args = ["eval", "--model", str(FIXTURE_MODEL),
-                "--test", str(tmp_path / "train.libsvm")]
-    else:
-        args = [command, "--config", str(base_config(tmp_path))]
+        # eval only predicts, which runs on the calling thread: no --threads
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--model", str(FIXTURE_MODEL),
+                  "--test", str(tmp_path / "train.libsvm"), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        return
+    args = [command, "--config", str(base_config(tmp_path))]
     for threads in ("0", "-3"):
         rc = main(args + ["--threads", threads])
         assert rc == 2

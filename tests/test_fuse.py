@@ -125,6 +125,20 @@ def test_train_dc_thread_count_does_not_change_scores():
     assert np.max(np.abs(s1 - s4)) <= 1e-12
 
 
+def test_predict_dc_runs_on_calling_thread(monkeypatch):
+    ds = blob_dataset(n=90, n_features=8, seed=7, separation=3.0)
+    model = train_dc(ds, [("rd", 2, 4), ("pca", 2, 4)], seed=3)
+    assert model.h > 1
+    expected = predict_dc(model, ds, threads=1)[1]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("predict_dc started a worker pool")
+
+    monkeypatch.setattr("featdc.fuse.ThreadPoolExecutor", no_pool)
+    scores = predict_dc(model, ds, threads=4)[1]
+    assert np.array_equal(scores, expected)
+
+
 def test_train_dc_duplicated_features_share_weight():
     # duplicating the feature block as a second subspace splits the fused
     # contribution evenly between identical locals; predictions match the
