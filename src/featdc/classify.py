@@ -13,8 +13,10 @@ Both produce continuous decision scores; sign(score) is the label, with
 sign(0) = +1.
 """
 
+import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,9 @@ from .errors import ConfigError, DataError, NumericError
 from .numerics import solve_spd
 
 DEFAULT_MAX_INTRINSIC_DIM = 20000
-EXPAND_CHUNK = 256
+# Columns per expanded chunk of the TRBF map. The width fixes the Gram's
+# summation order, so it is a constant, independent of `threads`.
+EXPAND_CHUNK = 2048
 
 
 def default_lam(n_instances):
@@ -178,6 +182,34 @@ def trbf_indices(m, p):
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _trbf_tables(m, p):
+    """Row coefficients and fill runs of the order-p map on m inputs.
+
+    Row r of the map (before the envelope) is coef[r] times the product
+    of u over the coordinates of multi-index r, i.e. its parent row times
+    u[last]. In graded lexicographic order the children c + (k,), k from
+    c[-1] to m-1, of each multi-index c with |c| < p sit on consecutive
+    rows, so each run (parent, lo, first) fills rows first .. first+m-lo-1
+    with z[parent] * u[lo:]. Cached per (m, p); `coef` is read-only.
+    """
+    combos = trbf_indices(m, p)
+    coef = np.empty(len(combos))
+    coef[0] = 1.0
+    row_of = {(): 0}
+    runs = []
+    for r, c in enumerate(combos[1:], start=1):
+        parent = c[:-1]
+        last = c[-1]
+        pr = row_of[parent]
+        coef[r] = coef[pr] / math.sqrt(c.count(last))
+        row_of[c] = r
+        if last == (parent[-1] if parent else 0):
+            runs.append((pr, last, r))
+    coef.flags.writeable = False
+    return coef, tuple(runs)
+
+
 def trbf_expand(x, sigma, p):
     """Order-p truncated-RBF feature map.
 
@@ -203,19 +235,11 @@ def trbf_expand(x, sigma, p):
     m, n = x.shape
     u = x / sigma
     envelope = np.exp(-0.5 * np.einsum("ij,ij->j", u, u))
-    combos = trbf_indices(m, p)
-    z = np.empty((len(combos), n))
+    coef, runs = _trbf_tables(m, p)
+    z = np.empty((coef.shape[0], n))
     z[0] = 1.0
-    coef = np.empty(len(combos))
-    coef[0] = 1.0
-    row_of = {(): 0}
-    for r, c in enumerate(combos[1:], start=1):
-        parent = c[:-1]
-        last = c[-1]
-        pr = row_of[parent]
-        z[r] = z[pr] * u[last]
-        coef[r] = coef[pr] / math.sqrt(c.count(last))
-        row_of[c] = r
+    for parent, lo, first in runs:
+        np.multiply(z[parent], u[lo:], out=z[first:first + m - lo])
     z *= coef[:, None]
     z *= envelope[None, :]
     return z[:, 0] if single else z
@@ -293,15 +317,28 @@ class TrbfModel:
 LEARNERS = {"linear": LinearModel, "trbf": TrbfModel}
 
 
+def _physical_memory():
+    """Bytes of physical memory on this host, or None where the platform
+    does not report it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def train_trbf_krr(x, y, sigma=None, p=2, lam=None,
                    max_intrinsic_dim=DEFAULT_MAX_INTRINSIC_DIM, seed=0):
     """Kernel ridge regression through the explicit truncated-RBF map.
 
-    All columns are expanded to Z (J x N, accumulated in fixed 256-column
-    chunks so results are reproducible regardless of caller threading)
-    and the intrinsic-space normal equations (Z Z^T + lam I) u = Z y are
-    solved with a Cholesky factorization: the J^2 N + J^3 path, which
-    beats the N^3 dual path whenever J stays moderate.
+    All columns are expanded to Z (J x N, accumulated in fixed
+    EXPAND_CHUNK-column chunks so results are reproducible regardless of
+    caller threading) and the intrinsic-space normal equations
+    (Z Z^T + lam I) u = Z y are solved with a Cholesky factorization: the
+    J^2 N + J^3 path, which beats the N^3 dual path whenever J stays
+    moderate. Before allocating, the peak working set of 8 (2 J^2 +
+    J EXPAND_CHUNK) bytes (the accumulator, one chunk's Z Z^T and one
+    chunk; the solve needs the accumulator and one factor) is checked
+    against physical memory.
     """
     x = _as_2d(x)
     _check_finite_features(x)
@@ -314,6 +351,14 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None,
         raise ConfigError(
             f"intrinsic dimension C({m}+{p},{p}) = {j} exceeds the guard "
             f"{max_intrinsic_dim}; lower the order p or fuse fewer inputs"
+        )
+    need = 8 * (2 * j * j + j * EXPAND_CHUNK)
+    budget = _physical_memory()
+    if budget is not None and need > budget:
+        raise ConfigError(
+            f"intrinsic dimension {j} needs {need / 2**30:.1f} GiB for the "
+            f"TRBF normal equations, more than the {budget / 2**30:.1f} GiB "
+            "of physical memory; lower the order p or fuse fewer inputs"
         )
     if sigma is None:
         sigma = sigma_heuristic(x, seed=seed)
@@ -329,6 +374,7 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None,
         z = trbf_expand(x[:, lo:hi], sigma, p)
         a += z @ z.T
         b += z @ y[lo:hi]
+        del z  # one chunk alive at a time, none during the solve
     u = solve_spd(a, b)
     return TrbfModel(weights=u, sigma=float(sigma), p=int(p),
                      lam=float(lam), n_features=m)

@@ -132,15 +132,23 @@ def gen_sym_eig(s, b) -> EigResult:
 
 
 def solve_spd(a, rhs):
-    """Solve A X = rhs for symmetric positive definite A via Cholesky."""
-    a = sym_from_upper(a)
+    """Solve A X = rhs for symmetric positive definite A via Cholesky.
+
+    Reads only the upper triangle of `a`, like `sym_from_upper`: `a.T` is
+    Fortran-ordered with that triangle as its lower one, so LAPACK gets
+    the same operand as from `sym_from_upper(a)` and the matrix is copied
+    once, into the factor.
+    """
+    a = np.asarray(a, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
+    if np.triu(~np.isfinite(a)).any():
         raise NumericError("solve_spd: non-finite entries in matrix")
+    if not np.all(np.isfinite(rhs)):
+        raise NumericError("solve_spd: non-finite entries in right-hand side")
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True)
+        factor = scipy.linalg.cho_factor(a.T, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(
             "solve_spd: matrix is not positive definite (Cholesky failed)"
         ) from exc
-    return scipy.linalg.cho_solve(factor, rhs)
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from featdc.classify import (default_lam, label_from_score, sigma_heuristic,
-                             train_linear, train_trbf_krr, trbf_dim,
-                             trbf_expand, trbf_indices, truncated_rbf_kernel,
-                             TrbfModel)
+import featdc.classify as classify
+from featdc.classify import (EXPAND_CHUNK, default_lam, label_from_score,
+                             sigma_heuristic, train_linear, train_trbf_krr,
+                             trbf_dim, trbf_expand, trbf_indices,
+                             truncated_rbf_kernel, TrbfModel)
 from featdc.errors import ConfigError, DataError, NumericError
 
 
@@ -181,6 +182,67 @@ def test_trbf_kernel_consistency_property():
         total += n
 
 
+def row_loop_expand(x, sigma, p):
+    # the map as one Python row operation per multi-index: the reference
+    # that the run-wise fill must reproduce bit for bit
+    single = np.ndim(x) == 1 and not sp.issparse(x)
+    x = classify._as_2d(x)
+    if sp.issparse(x):
+        x = x.toarray()
+    m, n = x.shape
+    u = x / sigma
+    envelope = np.exp(-0.5 * np.einsum("ij,ij->j", u, u))
+    combos = trbf_indices(m, p)
+    z = np.empty((len(combos), n))
+    z[0] = 1.0
+    coef = np.empty(len(combos))
+    coef[0] = 1.0
+    row_of = {(): 0}
+    for r, c in enumerate(combos[1:], start=1):
+        parent = c[:-1]
+        last = c[-1]
+        pr = row_of[parent]
+        z[r] = z[pr] * u[last]
+        coef[r] = coef[pr] / math.sqrt(c.count(last))
+        row_of[c] = r
+    z *= coef[:, None]
+    z *= envelope[None, :]
+    return z[:, 0] if single else z
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 20])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_trbf_expand_matches_row_loop_bitwise(m, p):
+    rng = np.random.default_rng(100 * m + p)
+    for n in (1, 3, EXPAND_CHUNK + 1):
+        x = rng.normal(size=(m, n))
+        assert same_bits(trbf_expand(x, 0.9, p), row_loop_expand(x, 0.9, p))
+    v = rng.normal(size=m)
+    assert same_bits(trbf_expand(v, 1.7, p), row_loop_expand(v, 1.7, p))
+    xs = sp.random(m, 9, density=0.4, format="csc", random_state=m + p)
+    assert same_bits(trbf_expand(xs, 0.6, p), row_loop_expand(xs, 0.6, p))
+
+
+def test_trbf_tables_built_once_per_shape():
+    classify._trbf_tables.cache_clear()
+    x = np.ones((3, 4))
+    for n in (4, 1, 4):
+        trbf_expand(x[:, :n], 1.0, 2)
+    trbf_expand(x, 1.0, 3)
+    info = classify._trbf_tables.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    coef, runs = classify._trbf_tables(3, 2)
+    assert not coef.flags.writeable
+    assert coef.shape == (trbf_dim(3, 2),)
+    # one run per multi-index of degree < p: 1 + 3 here
+    assert len(runs) == 4
+
+
 def test_trbf_expand_validation():
     x = np.ones((2, 3))
     with pytest.raises(ConfigError):
@@ -238,6 +300,47 @@ def test_train_trbf_krr_dimension_guard():
     with pytest.raises(ConfigError, match="order p or fuse fewer"):
         train_trbf_krr(x, y, lam=1.0, sigma=1.0, p=3,
                        max_intrinsic_dim=20000)
+
+
+def test_train_trbf_krr_across_chunk_boundaries():
+    # three chunks, the last one partial, against one unchunked solve
+    rng = np.random.default_rng(11)
+    n = 2 * EXPAND_CHUNK + 17
+    x = rng.normal(size=(2, n))
+    y = np.where(x[0] * x[1] > 0, 1.0, -1.0)
+    model = train_trbf_krr(x, y, lam=0.5, sigma=1.2, p=2)
+    z = trbf_expand(x, 1.2, 2)
+    ref = np.linalg.solve(z @ z.T + 0.5 * np.eye(z.shape[0]), z @ y)
+    assert np.allclose(model.weights, ref, rtol=1e-10, atol=1e-12)
+
+
+def test_train_trbf_krr_memory_guard_refuses_before_allocating(monkeypatch):
+    m, p = 20, 3
+    j = trbf_dim(m, p)
+    need = 8 * (2 * j * j + j * EXPAND_CHUNK)
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(m, 10))
+    y = np.where(rng.random(10) < 0.5, 1.0, -1.0)
+    sizes = []
+    real_eye, real_empty = np.eye, np.empty
+
+    def eye(k, *args, **kwargs):
+        sizes.append(k)
+        return real_eye(k, *args, **kwargs)
+
+    def empty(shape, *args, **kwargs):
+        sizes.append(np.max(shape))
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", eye)
+    monkeypatch.setattr(np, "empty", empty)
+    monkeypatch.setattr(classify, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigError, match="physical memory"):
+        train_trbf_krr(x, y, lam=1.0, sigma=1.0, p=p)
+    assert j not in sizes
+    monkeypatch.setattr(classify, "_physical_memory", lambda: need)
+    model = train_trbf_krr(x, y, lam=1.0, sigma=1.0, p=p)
+    assert model.intrinsic_dim == j and j in sizes
 
 
 def test_train_trbf_krr_validation():

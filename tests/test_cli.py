@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import featdc.classify as classify
 from featdc.cli import main
 from featdc.config import config_echo, parse_config
 from featdc.dataio import save_libsvm, select_instances
@@ -151,6 +152,17 @@ def test_seed_override_lands_in_report(tmp_path):
     report = json.loads((tmp_path / "out" / "train_report.json").read_text())
     assert report["seed"] == 99
     assert report["config"]["seed"] == 99
+
+
+def test_trbf_memory_guard_exits_2_tagged_fusion(tmp_path, capsys,
+                                                 monkeypatch):
+    write_blob_file(tmp_path / "train.libsvm")
+    monkeypatch.setattr(classify, "_physical_memory", lambda: 1024)
+    rc = main(["train", "--config", str(base_config(tmp_path))])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fusion: ") and "physical memory" in err
+    assert not (tmp_path / "out" / "model.json").exists()
 
 
 def test_training_is_reproducible_byte_for_byte(tmp_path):

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from featdc.errors import NumericError
 from featdc.numerics import (SCIPY_OPENBLAS, gen_sym_eig, solve_spd, sym_eig,
@@ -152,6 +153,38 @@ def test_solve_spd_residual_property():
 def test_solve_spd_rejects_non_spd():
     with pytest.raises(NumericError):
         solve_spd(np.diag([1.0, -1.0]), np.ones(2))
+
+
+def test_solve_spd_reads_upper_triangle_bitwise():
+    # the strict lower triangle is never read: the result has the bits of
+    # the symmetrize-then-factor route, whatever the lower triangle holds
+    rng = np.random.default_rng(32)
+    for n in (1, 2, 7, 130, 300):
+        a = random_spd(rng, n)
+        a[np.tril_indices(n, -1)] += rng.normal(size=n * (n - 1) // 2)
+        rhs = rng.normal(size=(n, 2))
+        before = a.copy()
+        ref = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(sym_from_upper(a), lower=True), rhs)
+        got = solve_spd(a, rhs)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_spd_non_finite_upper_triangle(bad):
+    a = random_spd(np.random.default_rng(33), 4)
+    for i, j in ((0, 0), (1, 3), (3, 3)):
+        upper = a.copy()
+        upper[i, j] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_spd(upper, np.ones(4))
+    lower = a.copy()
+    lower[3, 1] = bad  # below the diagonal: never read
+    assert np.array_equal(solve_spd(lower, np.ones(4)),
+                          solve_spd(a, np.ones(4)))
+    with pytest.raises(NumericError, match="right-hand side"):
+        solve_spd(a, np.array([1.0, bad, 0.0, 0.0]))
 
 
 PIN_CHECK = """
