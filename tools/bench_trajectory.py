@@ -10,10 +10,9 @@ at the repository root holds, for every end-to-end metric, the median,
 the quartiles and the per-seed values; the per-layer metrics of the
 traced run; the operation counts; the environment fingerprint; and the
 sha256 of the `src/featdc` sources that were measured. Takes about 13
-minutes with the defaults.
+minutes on 2 cores.
 """
 
-import argparse
 import glob
 import hashlib
 import json
@@ -24,6 +23,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+SEEDS = range(1, 6)
 
 
 def source_sha256():
@@ -76,21 +76,11 @@ def trajectory(workload, seeds, seconds):
     }
 
 
-def main(argv=None):
+def main():
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    workloads = [w["name"] for w in benchmark["workloads"]]
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--workload", choices=workloads, action="append",
-                   help="repeatable; default: every workload")
-    p.add_argument("--seeds", type=int, default=5,
-                   help="--trace 0 runs per workload, seeds 1..N (default 5)")
-    args = p.parse_args(argv)
-    if args.seeds < 5:
-        p.error("--seeds must be at least 5")
-    for workload in args.workload or workloads:
-        result = trajectory(workload, range(1, args.seeds + 1),
-                            float(benchmark["run_seconds"]))
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        result = trajectory(workload, SEEDS, float(benchmark["run_seconds"]))
         out = os.path.join(ROOT, f"BENCH_{workload}.json")
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=1)
