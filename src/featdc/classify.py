@@ -17,6 +17,8 @@ import functools
 import itertools
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,10 @@ DEFAULT_MAX_INTRINSIC_DIM = 20000
 # Columns per expanded chunk of the TRBF map. The width fixes the Gram's
 # summation order, so it is a constant, independent of `threads`.
 EXPAND_CHUNK = 2048
+# Rows per block of the TRBF Gram's upper block-triangle. Each block is one
+# task with one writer and the partition ignores `threads`, so the Gram has
+# the same bits for every thread count.
+GRAM_BLOCK = 256
 
 
 def default_lam(n_instances):
@@ -327,18 +333,21 @@ def _physical_memory():
 
 
 def train_trbf_krr(x, y, sigma=None, p=2, lam=None,
-                   max_intrinsic_dim=DEFAULT_MAX_INTRINSIC_DIM, seed=0):
+                   max_intrinsic_dim=DEFAULT_MAX_INTRINSIC_DIM, seed=0,
+                   threads=1):
     """Kernel ridge regression through the explicit truncated-RBF map.
 
-    All columns are expanded to Z (J x N, accumulated in fixed
-    EXPAND_CHUNK-column chunks so results are reproducible regardless of
-    caller threading) and the intrinsic-space normal equations
+    All columns are expanded to Z (J x N) in fixed EXPAND_CHUNK-column
+    chunks, and the intrinsic-space normal equations
     (Z Z^T + lam I) u = Z y are solved with a Cholesky factorization: the
     J^2 N + J^3 path, which beats the N^3 dual path whenever J stays
-    moderate. Before allocating, the peak working set of 8 (2 J^2 +
-    J EXPAND_CHUNK) bytes (the accumulator, one chunk's Z Z^T and one
-    chunk; the solve needs the accumulator and one factor) is checked
-    against physical memory.
+    moderate. Only the upper block-triangle of Z Z^T is accumulated (the
+    solve reads that triangle only), in row blocks of GRAM_BLOCK spread
+    over `threads` workers; one pool serves the whole call. Chunk width and
+    block partition are constants, so the weights have the same bits for
+    every `threads`. Before allocating, the peak working set of 8 (2 J^2 +
+    J EXPAND_CHUNK) bytes (the accumulator and its Cholesky factor, plus
+    one chunk) is checked against physical memory.
     """
     x = _as_2d(x)
     _check_finite_features(x)
@@ -369,12 +378,21 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None,
 
     a = lam * np.eye(j)
     b = np.zeros(j)
-    for lo in range(0, n, EXPAND_CHUNK):
-        hi = min(lo + EXPAND_CHUNK, n)
-        z = trbf_expand(x[:, lo:hi], sigma, p)
-        a += z @ z.T
-        b += z @ y[lo:hi]
-        del z  # one chunk alive at a time, none during the solve
+    starts = range(0, j, GRAM_BLOCK)
+    spread = threads > 1 and len(starts) > 1
+    with (ThreadPoolExecutor(threads) if spread else nullcontext()) as pool:
+        run = pool.map if spread else map
+        for lo in range(0, n, EXPAND_CHUNK):
+            hi = min(lo + EXPAND_CHUNK, n)
+            z = trbf_expand(x[:, lo:hi], sigma, p)
+
+            def block(r0):
+                r1 = min(r0 + GRAM_BLOCK, j)
+                a[r0:r1, r0:] += z[r0:r1] @ z[r0:].T
+
+            list(run(block, starts))
+            b += z @ y[lo:hi]
+            del z  # one chunk alive at a time, none during the solve
     u = solve_spd(a, b)
     return TrbfModel(weights=u, sigma=float(sigma), p=int(p),
                      lam=float(lam), n_features=m)

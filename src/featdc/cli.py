@@ -38,8 +38,9 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for local training (prediction "
-                            "always runs on the calling thread)")
+                       help="worker threads for local training and the "
+                            "TRBF global's Gram (prediction always runs on "
+                            "the calling thread)")
         p.add_argument("--out", default=None, help="output directory")
 
     training(sub.add_parser("train", help="train and persist a model"))

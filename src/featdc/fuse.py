@@ -4,7 +4,9 @@
 subspace view (concurrently when asked — tasks are pure and merged by
 subspace index, so results are identical for any thread count), collects
 the h x N local-output matrix R on the training instances, standardizes
-its rows, and trains the global classifier on (R, y). `predict_dc` replays
+its rows, and trains the global classifier on (R, y). `threads` is the
+only parallelism: it spreads the locals, then the TRBF global's Gram;
+each local runs on one thread, so pools never nest. `predict_dc` replays
 the same stages with the stored parameters on the calling thread (a
 worker pool costs more than the scoring it would spread); the final label
 is sign(global score) with sign(0) = +1.
@@ -83,13 +85,14 @@ def _stage(name):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def train_learner(spec, x, y, guards, seed):
+def train_learner(spec, x, y, guards, seed, threads=1):
+    """Train one learner; `threads` spreads only the TRBF Gram."""
     if spec.type == "linear":
         return train_linear(x, y, lam=spec.lam,
                             max_dense=guards.max_dense_features)
     return train_trbf_krr(x, y, sigma=spec.sigma, p=spec.p, lam=spec.lam,
                           max_intrinsic_dim=guards.max_intrinsic_dim,
-                          seed=seed)
+                          seed=seed, threads=threads)
 
 
 def _map_indexed(fn, count, threads):
@@ -197,7 +200,7 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
         shift, scale = standardize_rows(r)
         rs = apply_standardization(r, shift, scale)
         global_model = train_learner(global_, rs, y, guards,
-                                     _role_seed(seed, "global", 0))
+                                     _role_seed(seed, "global", 0), threads)
     timings["fusion"] = time.perf_counter() - t0
 
     return DcModel(

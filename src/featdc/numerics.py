@@ -8,8 +8,10 @@ factor, and symmetric-positive-definite solves.
 All functions treat their inputs as read-only and are safe to call
 concurrently.
 
-Importing this module runs scipy's bundled OpenBLAS with one thread for
-the rest of the process; numpy's OpenBLAS keeps its own thread count.
+Importing this module runs the OpenBLAS libraries bundled with numpy and
+scipy with one thread each for the rest of the process, the host
+program's numpy included; featdc's `threads` pool is its only
+parallelism.
 """
 
 import ctypes
@@ -23,33 +25,44 @@ import scipy.linalg
 from .errors import NumericError
 
 
-def _scipy_openblas():
-    """ctypes handle of the OpenBLAS in scipy's own wheel directory, or
-    None when scipy runs on another BLAS (a system library, MKL)."""
-    pkg = os.path.dirname(scipy.__file__)
+def _bundled_openblas(module, suffix):
+    """ctypes handle of the OpenBLAS in `module`'s own wheel directory, or
+    None when the module runs on another BLAS (a system library, MKL).
+
+    numpy's wheel bundles libscipy_openblas64_ (64-bit integer API, symbol
+    suffix "64_"), scipy's bundles libscipy_openblas (no suffix).
+    """
+    pkg = os.path.dirname(module.__file__)
+    setter = "scipy_openblas_set_num_threads" + suffix
     for pattern in (pkg + ".libs/*openblas*", pkg + "/.dylibs/*openblas*"):
         for path in sorted(glob.glob(pattern)):
             try:
                 lib = ctypes.CDLL(path)
             except OSError:
                 continue
-            if hasattr(lib, "scipy_openblas_set_num_threads"):
+            if hasattr(lib, setter):
                 return lib
     return None
 
 
-# numpy's and scipy's wheels each bundle an OpenBLAS with its own thread
-# pool. A numpy gemm followed by a scipy factorization leaves the two pools
-# busy-waiting against each other (8.0 ms instead of 0.4 ms for a scatter
-# plus solve at M=128 on 2 cores). featdc calls scipy's LAPACK from this
-# module only, so scipy's pool gets one thread and numpy keeps its pool for
-# the large Grams. Set once and never per call: the setter is not safe while
-# another thread is inside a BLAS call, and factorizations of order >= 128
-# give different bits at 1 and 2 threads, so a `threads`-dependent setting
-# would make scores depend on `--threads`.
-SCIPY_OPENBLAS = _scipy_openblas()
+# numpy's and scipy's wheels each bundle an OpenBLAS with a thread pool
+# sized to the machine. A numpy gemm followed by a scipy factorization
+# leaves the two pools busy-waiting against each other (8.0 ms instead of
+# 0.4 ms for a scatter plus solve at M=128 on 2 cores), and LSMR's
+# ddot/gemv calls from featdc's `threads` workers fight numpy's pool (rcv1
+# `train_dc` at threads=2: 3.7-3.9 s, against 1.4 s with numpy at 1 thread).
+# So both libraries run one thread, and featdc's own pool is the only
+# parallelism; the one large kernel, the TRBF Gram, is spread over it in
+# fixed blocks. Set once and never per call: the setter is not safe while
+# another thread is inside a BLAS call, and threaded BLAS kernels give
+# different bits at 1 and 2 threads, so a `threads`-dependent setting would
+# make scores depend on `--threads`.
+SCIPY_OPENBLAS = _bundled_openblas(scipy, "")
+NUMPY_OPENBLAS = _bundled_openblas(np, "64_")
 if SCIPY_OPENBLAS is not None:
     SCIPY_OPENBLAS.scipy_openblas_set_num_threads(1)
+if NUMPY_OPENBLAS is not None:
+    NUMPY_OPENBLAS.scipy_openblas_set_num_threads64_(1)
 
 
 class EigResult(NamedTuple):

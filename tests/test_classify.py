@@ -1,15 +1,19 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import featdc.classify as classify
-from featdc.classify import (EXPAND_CHUNK, default_lam, label_from_score,
-                             sigma_heuristic, train_linear, train_trbf_krr,
-                             trbf_dim, trbf_expand, trbf_indices,
-                             truncated_rbf_kernel, TrbfModel)
+from featdc.classify import (EXPAND_CHUNK, GRAM_BLOCK, default_lam,
+                             label_from_score, sigma_heuristic, train_linear,
+                             train_trbf_krr, trbf_dim, trbf_expand,
+                             trbf_indices, truncated_rbf_kernel, TrbfModel)
+from featdc.datasets import make_blobs
 from featdc.errors import ConfigError, DataError, NumericError
+from featdc.fuse import LearnerSpec, train_dc
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +316,50 @@ def test_train_trbf_krr_across_chunk_boundaries():
     z = trbf_expand(x, 1.2, 2)
     ref = np.linalg.solve(z @ z.T + 0.5 * np.eye(z.shape[0]), z @ y)
     assert np.allclose(model.weights, ref, rtol=1e-10, atol=1e-12)
+
+
+def test_train_trbf_krr_blocked_gram_same_bits_for_any_threads():
+    # J = C(15, 3) = 455 spans two GRAM_BLOCKs and N two chunks, so every
+    # thread count accumulates the same blocks over both chunks
+    rng = np.random.default_rng(13)
+    m, p, n = 12, 3, EXPAND_CHUNK + 300
+    assert trbf_dim(m, p) > GRAM_BLOCK
+    x = rng.normal(size=(m, n))
+    y = np.where(x[0] + x[1] * x[2] > 0, 1.0, -1.0)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers' blocks often
+    try:
+        weights = [train_trbf_krr(x, y, lam=2.0, sigma=3.0, p=p,
+                                  threads=t).weights for t in (1, 2, 4)]
+    finally:
+        sys.setswitchinterval(switch)
+    assert np.array_equal(weights[0], weights[1])
+    assert np.array_equal(weights[0], weights[2])
+    z = trbf_expand(x, 3.0, p)
+    ref = np.linalg.solve(z @ z.T + 2.0 * np.eye(z.shape[0]), z @ y)
+    assert np.allclose(weights[0], ref, rtol=1e-9, atol=1e-12)
+
+
+def test_train_dc_trbf_locals_start_no_nested_pool(monkeypatch):
+    made = []
+
+    class CountingPool(classify.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(threading.current_thread() is threading.main_thread())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("featdc.classify.ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr("featdc.fuse.ThreadPoolExecutor", CountingPool)
+    # each local sees 10 inputs at p=3: J = 286 spans two GRAM_BLOCKs, so a
+    # local given threads=2 would start a Gram pool of its own
+    ds = make_blobs(200, n_features=20, separation=3.0, seed=4)
+    assert trbf_dim(10, 3) > GRAM_BLOCK
+    train_trbf_krr(ds.X[:10].toarray(), ds.y, p=3, threads=2)
+    assert made == [True]
+    made.clear()
+    train_dc(ds, [("rd", 2, 10)], local=LearnerSpec(type="trbf", p=3),
+             global_=LearnerSpec(type="trbf", p=2), threads=2)
+    assert made == [True]  # the locals' pool, started by the caller only
 
 
 def test_train_trbf_krr_memory_guard_refuses_before_allocating(monkeypatch):

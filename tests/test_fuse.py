@@ -125,6 +125,24 @@ def test_train_dc_thread_count_does_not_change_scores():
     assert np.max(np.abs(s1 - s4)) <= 1e-12
 
 
+def test_train_dc_lsmr_locals_same_bits_for_any_threads():
+    ds = blob_dataset(n=150, n_features=12, seed=8, separation=3.0)
+    plan = [("rd", 3, 6)]
+    guards = Guards(max_dense_features=4)
+    m1 = train_dc(ds, plan, seed=4, threads=1, guards=guards)
+    m4 = train_dc(ds, plan, seed=4, threads=4, guards=guards)
+    assert {m.solver for m in m1.locals} == {"lsmr"}
+    assert np.array_equal(predict_dc(m1, ds)[1], predict_dc(m4, ds)[1])
+
+
+def test_train_dc_crossfit_same_bits_for_any_threads():
+    ds = blob_dataset(n=100, n_features=8, seed=9, separation=3.0)
+    plan = [("rd", 2, 4), ("pca", 2, 4)]
+    m1 = train_dc(ds, plan, seed=6, threads=1, crossfit=True)
+    m2 = train_dc(ds, plan, seed=6, threads=2, crossfit=True)
+    assert np.array_equal(predict_dc(m1, ds)[1], predict_dc(m2, ds)[1])
+
+
 def test_predict_dc_runs_on_calling_thread(monkeypatch):
     ds = blob_dataset(n=90, n_features=8, seed=7, separation=3.0)
     model = train_dc(ds, [("rd", 2, 4), ("pca", 2, 4)], seed=3)

@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg
 
 from featdc.errors import NumericError
-from featdc.numerics import (SCIPY_OPENBLAS, gen_sym_eig, solve_spd, sym_eig,
-                             sym_from_upper)
+from featdc.numerics import (NUMPY_OPENBLAS, SCIPY_OPENBLAS, gen_sym_eig,
+                             solve_spd, sym_eig, sym_from_upper)
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -199,20 +199,25 @@ def numpy_threads():
             return get()
     return None
 
-before = numpy_threads()
 import featdc
-print(before, numpy_threads(),
+from featdc.datasets import make_blobs
+after_import = numpy_threads()
+featdc.train_dc(make_blobs(80, n_features=6, separation=3.0, seed=0),
+                [("rd", 2, 3), ("pca", 2, 3)], threads=4)
+print(after_import, numpy_threads(),
       featdc.numerics.SCIPY_OPENBLAS.scipy_openblas_get_num_threads())
 """
 
 
-@pytest.mark.skipif(SCIPY_OPENBLAS is None,
-                    reason="scipy does not bundle OpenBLAS")
+@pytest.mark.skipif(SCIPY_OPENBLAS is None or NUMPY_OPENBLAS is None,
+                    reason="numpy or scipy does not bundle OpenBLAS")
 def test_import_runs_scipy_openblas_single_threaded():
-    # a fresh interpreter, so numpy's count is read before featdc is imported
+    # a fresh interpreter, so the counts come from featdc's import alone;
+    # train_dc at threads=4 must leave numpy's count at 1
     proc = subprocess.run([sys.executable, "-c", PIN_CHECK],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    numpy_before, numpy_after, scipy_threads = proc.stdout.split()
+    numpy_after_import, numpy_after_train, scipy_threads = proc.stdout.split()
     assert scipy_threads == "1"
-    assert numpy_after == numpy_before
+    assert numpy_after_import == "1"
+    assert numpy_after_train == "1"
