@@ -38,6 +38,10 @@ from .errors import DataError, ParseError, ValidationError
 class Dataset:
     """Sparse feature matrix (n_features x n_instances) plus -1/+1 labels.
 
+    X is always stored CSC. The pipeline (decomposition, locals, predict)
+    works on a dense copy of X instead when that copy takes no more bytes
+    than the CSC arrays; see `featdc.decompose`.
+
     Treat both arrays as read-only after construction; every operation in
     the package returns new objects instead of mutating.
     """
@@ -241,8 +245,14 @@ def max_abs_scale(ds: Dataset):
 
 
 def apply_feature_scale(ds: Dataset, scale) -> Dataset:
+    """Divide feature row i of `ds` by scale[i].
+
+    One multiply per stored entry by the reciprocal, on X's own sparsity
+    pattern (its index arrays are shared, not copied).
+    """
     scale = np.asarray(scale, dtype=np.float64)
     if scale.shape != (ds.n_features,):
         raise DataError(f"scale vector length {scale.shape} != {ds.n_features} features")
-    scaled = sp.diags_array(1.0 / scale) @ ds.X
-    return Dataset(sp.csc_array(scaled), ds.y)
+    x = sp.csc_array(ds.X)
+    data = x.data * (1.0 / scale)[x.indices]
+    return Dataset(sp.csc_array((data, x.indices, x.indptr), shape=x.shape), ds.y)

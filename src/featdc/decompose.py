@@ -90,12 +90,30 @@ class CompositeDecomposition:
 
 
 def _as_matrix(x):
-    """Accept a Dataset or a raw (sparse or dense) n_features x n matrix."""
+    """The matrix the pipeline works on, from a Dataset or a raw (sparse or
+    dense) n_features x n matrix.
+
+    This is the one gate between the sparse and the dense route. A sparse
+    matrix whose dense float64 form takes no more bytes than its CSC
+    arrays (8·M·N <= data + indices + indptr bytes) comes back as a dense
+    ndarray; any other sparse matrix comes back unchanged. The rule reads
+    only the input, so dense data (every feature present) takes BLAS
+    products while bag-of-words data keeps its sparse products.
+    """
     if isinstance(x, Dataset):
-        return x.X
-    if sp.issparse(x):
-        return x
-    return np.asarray(x, dtype=np.float64)
+        x = x.X
+    if not sp.issparse(x):
+        return np.asarray(x, dtype=np.float64)
+    csc = x.tocsc()
+    m, n = csc.shape
+    if 8 * m * n <= csc.data.nbytes + csc.indices.nbytes + csc.indptr.nbytes:
+        return _densify(csc)
+    return x
+
+
+def _densify(x):
+    """Dense float64 copy of a sparse matrix (the gate's one conversion)."""
+    return x.toarray().astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +480,10 @@ def apply_decomposition(comp: CompositeDecomposition, x):
     """Project data through every part and slice out the h subspace views.
 
     Views are returned part by part, groups in order within each part;
-    each view is a (group_size x n_instances) matrix, sparse where the
-    transform preserves sparsity (rd, abd) and dense otherwise.
+    each view is a (group_size x n_instances) matrix. On the sparse route
+    (x stays sparse at the `_as_matrix` gate) views are sparse where the
+    transform preserves sparsity (rd, abd) and dense otherwise; on the
+    dense route every view is dense.
     """
     x = _as_matrix(x)
     if x.shape[0] != comp.n_features_in:

@@ -33,8 +33,8 @@ from .classify import (DEFAULT_MAX_INTRINSIC_DIM, LEARNERS, label_from_score,
                        train_linear, train_trbf_krr)
 from .dataio import Dataset
 from .decompose import (DEFAULT_MAX_DENSE_FEATURES, CompositeDecomposition,
-                        _plan_triple, apply_decomposition, fit_plan_entry,
-                        part_seed)
+                        _as_matrix, _plan_triple, apply_decomposition,
+                        fit_plan_entry, part_seed)
 from .errors import ConfigError, DataError, FeatdcError
 
 CONSTANT_ROW_TOL = 1e-12
@@ -175,14 +175,15 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
 
     t0 = time.perf_counter()
     with _stage("decomposition fitting"):
-        comp, per_method = _timed_fit_plan(train.X, y, plan, seed, guards,
+        x = _as_matrix(train.X)  # densified once here, not once per entry
+        comp, per_method = _timed_fit_plan(x, y, plan, seed, guards,
                                            dca_ridge)
     timings.update(per_method)
     timings["fit_decomposition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     with _stage("local training"):
-        views = apply_decomposition(comp, train.X)
+        views = apply_decomposition(comp, x)
 
         def task(i):
             return train_learner(local, views[i], y, guards,

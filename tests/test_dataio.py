@@ -205,6 +205,26 @@ def test_max_abs_scale():
         apply_feature_scale(ds, np.ones(2))
 
 
+def test_apply_feature_scale_matches_diagonal_product():
+    # one multiply per stored entry, as diag(1/scale) @ X does, so the
+    # scaled data has the same bits and the same sparsity pattern
+    rng = np.random.default_rng(21)
+    for trial in range(30):
+        ds = random_dataset(rng, density=0.4)
+        x = ds.X.toarray()
+        x[int(rng.integers(ds.n_features))] = 0.0  # an all-zero feature
+        ds = Dataset(sp.csc_array(x), ds.y)
+        peak = np.abs(x).max(axis=1)
+        scale = np.where(peak > 0, peak * rng.uniform(1.0, 3.0), 1.0)
+        scaled = apply_feature_scale(ds, scale)
+        want = sp.csc_array(sp.diags_array(1.0 / scale) @ ds.X)
+        want.sort_indices()
+        assert np.array_equal(scaled.X.indptr, want.indptr)
+        assert np.array_equal(scaled.X.indices, want.indices)
+        assert scaled.X.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(scaled.y, ds.y)
+
+
 def test_select_instances():
     rng = np.random.default_rng(5)
     ds = random_dataset(rng, m=4, n=8)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from featdc.decompose import (CompositeDecomposition, abd_dense_transform,
-                              apply_decomposition, block_gram,
-                              disjoint_groups, feature_scatter, fit_abd,
-                              fit_bcd, fit_dca, fit_pca, fit_plan, make_rd,
-                              overlapping_groups, within_class_scatter)
+from featdc.decompose import (METHODS, CompositeDecomposition, _as_matrix,
+                              abd_dense_transform, apply_decomposition,
+                              block_gram, disjoint_groups, feature_scatter,
+                              fit_abd, fit_bcd, fit_dca, fit_pca, fit_plan,
+                              make_rd, overlapping_groups,
+                              within_class_scatter)
 from featdc.errors import ConfigError, DataError
 
 
@@ -475,3 +476,46 @@ def test_fit_plan_rd_abd_composition():
     views = apply_decomposition(comp, x)
     assert len(views) == 8
     assert all(v.shape[1] == 40 for v in views)
+
+
+# ---------------------------------------------------------------------------
+# the sparse/dense gate
+
+
+def csc_with_nnz(m, n, nnz, rng):
+    """m x n CSC with int64 index arrays and exactly nnz stored entries."""
+    flat = np.sort(rng.choice(m * n, size=nnz, replace=False))
+    cols, rows = np.divmod(flat, m)
+    indptr = np.searchsorted(cols, np.arange(n + 1)).astype(np.int64)
+    return sp.csc_array((rng.normal(size=nnz), rows.astype(np.int64), indptr),
+                        shape=(m, n))
+
+
+def test_gate_densifies_exactly_up_to_the_byte_rule():
+    # dense bytes 8*10*3 = 240; CSC bytes 16*nnz + 8*4 (int64 indices)
+    rng = np.random.default_rng(30)
+    inside = csc_with_nnz(10, 3, 13, rng)
+    outside = csc_with_nnz(10, 3, 12, rng)
+    for x, nbytes in ((inside, 240), (outside, 224)):
+        assert x.data.nbytes + x.indices.nbytes + x.indptr.nbytes == nbytes
+    got = _as_matrix(inside)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert np.array_equal(got, inside.toarray())
+    assert _as_matrix(outside) is outside
+    dense = rng.normal(size=(3, 4))
+    assert np.array_equal(_as_matrix(dense), dense)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_dense_route_views_match_dense_input_bits(method):
+    rng = np.random.default_rng(31)
+    xs = sp.csc_array(rng.normal(size=(12, 60)))
+    assert isinstance(_as_matrix(xs), np.ndarray)
+    y = np.where(rng.random(60) < 0.5, 1, -1)
+    comp = fit_plan(xs, y, [(method, 3, 4)], seed=8)
+    from_sparse = apply_decomposition(comp, xs)
+    from_dense = apply_decomposition(comp, xs.toarray())
+    assert len(from_sparse) == len(from_dense) == 3
+    for a, b in zip(from_sparse, from_dense):
+        assert isinstance(a, np.ndarray)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

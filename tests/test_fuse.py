@@ -250,6 +250,36 @@ def test_train_dc_accepts_matrix_predictions():
     assert np.array_equal(from_ds, from_mat)
 
 
+def test_train_dc_densifies_dense_data_once(monkeypatch):
+    from featdc import decompose
+
+    ds = blob_dataset(n=80, n_features=8, seed=12)
+    plan = [("rd", 2, 4), ("pca", 2, 4), ("dca", 2, 4), ("bcd", 2, 4),
+            ("abd", 2, 4)]
+    calls = []
+    densify = decompose._densify
+
+    def counting(x):
+        calls.append(x.shape)
+        return densify(x)
+
+    monkeypatch.setattr(decompose, "_densify", counting)
+    train_dc(ds, plan, seed=1)
+    assert calls == [(8, 80)]
+
+
+def test_predict_dc_sparse_and_dense_query_same_bits():
+    ds = blob_dataset(n=90, n_features=8, seed=13, separation=3.0)
+    model = train_dc(ds, [("rd", 2, 4), ("pca", 2, 4), ("abd", 2, 4)],
+                     seed=2)
+    for k in (0, 41, 89):
+        column = ds.X[:, [k]]
+        assert sp.issparse(column)
+        sparse_scores = predict_dc(model, column)[1]
+        dense_scores = predict_dc(model, column.toarray())[1]
+        assert sparse_scores.tobytes() == dense_scores.tobytes()
+
+
 def test_train_dc_rejects_bad_input():
     with pytest.raises(DataError):
         train_dc(np.ones((3, 4)), [("rd", 1, 3)], seed=0)
