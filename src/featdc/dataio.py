@@ -16,16 +16,35 @@ unreadable index or value text                  ParseError
 index smaller than 1                            ValidationError
 non-ascending or duplicate index within a line  ValidationError
 non-finite feature value (nan/inf)              ValidationError
+file that is not UTF-8 (`load_libsvm`)          DataError
 ==============================================  =================
 
 All messages carry the 1-based line number. Labels are mapped by the sign
 convention (token > 0 becomes +1, otherwise -1) unless ``positive_label``
 pins one exact raw value to +1 (used for sources labeled e.g. {1, 2}).
+
+Two parsers share this contract. A bulk path parses text that keeps to a
+strict grammar with numpy, in blocks of about 1 MiB cut at line ends:
+
+- the text is ASCII, and its only whitespace is space, tab, ``\n`` and
+  ``\r\n``;
+- the label token holds no ``:``; every other token holds exactly one,
+  with 1-15 ASCII digits before it;
+- labels and values are decimal numbers spelled with ``0-9 + - . e E``
+  (so no label is NaN) that numpy reads one per token; values are finite;
+- indices are at least 1 and strictly ascend within each line.
+
+Any other input goes whole to the line loop (`_parse_lines`), which uses
+Python's ``float()``/``int()`` and is the only source of the errors above,
+so their classes, messages and line numbers do not depend on the path.
+Both paths give bit-identical arrays: numpy and ``float()`` round every
+such decimal alike.
 """
 
 import gzip
 import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,15 +118,40 @@ def parse_libsvm(source, n_features=None, positive_label=None) -> Dataset:
     from the same source (train/test) agree on the dimension; the final
     count is the larger of the override and the maximum index seen.
     Zero-valued entries are dropped.
+
+    Text that keeps to the bulk grammar (module docstring) is parsed
+    block-wise with numpy; anything else goes, whole, to the line loop.
     """
     if isinstance(source, str):
-        source = io.StringIO(source)
+        text = source
+    else:
+        source = list(source)
+        text = _joined_lines(source)
+    parsed = _parse_bulk(text) if text is not None else None
+    if parsed is None:
+        parsed = _parse_lines(io.StringIO(source) if isinstance(source, str) else source)
+    raw_labels, data, indices, indptr, max_index = parsed
 
+    if raw_labels.size == 0:
+        raise ParseError("empty input: no instances found")
+    # degenerate all-empty instances still need one feature row
+    m = max(max_index, n_features or 0, 1)
+    x = sp.csc_array((data, indices, indptr), shape=(m, raw_labels.size))
+    uniq, inverse = np.unique(raw_labels, return_inverse=True)
+    mapped = [_map_label(raw, positive_label) for raw in uniq.tolist()]
+    return Dataset(x, np.asarray(mapped, dtype=np.int64)[inverse])
+
+
+def _parse_lines(lines):
+    """The reference line loop, and the only source of parse errors.
+
+    Returns (raw labels, data, 0-based indices, indptr, max index).
+    """
     data, indices, indptr = [], [], [0]
     labels = []
     max_index = 0
 
-    for line_no, raw_line in enumerate(source, start=1):
+    for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line:
             continue
@@ -118,7 +162,7 @@ def parse_libsvm(source, n_features=None, positive_label=None) -> Dataset:
             raise ParseError(f"line {line_no}: unreadable label {tokens[0]!r}") from None
         if math.isnan(label_value):
             raise ParseError(f"line {line_no}: unreadable label {tokens[0]!r}")
-        labels.append(_map_label(label_value, positive_label))
+        labels.append(label_value)
 
         previous = 0
         for token in tokens[1:]:
@@ -147,29 +191,141 @@ def parse_libsvm(source, n_features=None, positive_label=None) -> Dataset:
         max_index = max(max_index, previous)
         indptr.append(len(data))
 
-    if not labels:
-        raise ParseError("empty input: no instances found")
+    return (np.asarray(labels, dtype=np.float64),
+            np.asarray(data, dtype=np.float64),
+            np.asarray(indices, dtype=np.int64),
+            np.asarray(indptr, dtype=np.int64),
+            max_index)
 
-    m = max(max_index, n_features or 0)
-    if m < 1:
-        m = 1  # degenerate all-empty instances still need one feature row
-    x = sp.csc_array(
-        (np.asarray(data, dtype=np.float64),
-         np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(m, len(labels)),
-    )
-    return Dataset(x, np.asarray(labels, dtype=np.int64))
+
+def _joined_lines(lines):
+    """The text whose split after each '\\n' gives back exactly `lines`,
+    or None when there is no such text."""
+    try:
+        text = "".join(lines)
+    except TypeError:
+        return None
+    breaks = len(lines) - 1 + text.endswith("\n")
+    if text.count("\n") != breaks or not all(line.endswith("\n") for line in lines[:-1]):
+        return None
+    return text
+
+
+BULK_BLOCK_CHARS = 1 << 20  # a block ends at the last line end before this
+_MAX_INDEX_DIGITS = 15      # below 2**53, so every such index is exact
+
+_BULK_BYTES = b"0123456789+-.eE: \t\n\r"  # the last four are whitespace
+
+
+def _parse_bulk(text):
+    """`_parse_lines`' result for `text`, parsed in blocks of about
+    BULK_BLOCK_CHARS; None if a block breaks the bulk grammar."""
+    blocks = []
+    start = 0
+    while start < len(text):
+        end = start + BULK_BLOCK_CHARS
+        if end < len(text):
+            cut = text.rfind("\n", start, end)
+            end = cut + 1 if cut >= 0 else text.find("\n", end) + 1 or len(text)
+        block = _parse_block(text[start:end])
+        if block is None:
+            return None
+        blocks.append(block)
+        start = end
+    if not blocks:
+        return None
+    labels, data, indices, counts, max_indices = zip(*blocks)
+    indptr = np.zeros(sum(c.size for c in counts) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return (np.concatenate(labels), np.concatenate(data),
+            np.concatenate(indices), indptr, max(max_indices))
+
+
+def _parse_block(block):
+    """One block of whole lines: (raw labels, kept values, their 0-based
+    indices, kept entries per row, max index), or None."""
+    try:
+        raw = block.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if raw.translate(None, _BULK_BYTES):
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    if b"\r" in raw:  # only as part of "\r\n"
+        cr = np.flatnonzero(b == ord("\r"))
+        if cr[-1] + 1 == b.size or (b[cr + 1] != ord("\n")).any():
+            return None
+
+    # tokens: runs of bytes above " ", the only whitespace left
+    in_token = np.zeros(b.size + 1, dtype=np.int8)
+    np.greater(b, ord(" "), out=in_token[1:].view(bool))
+    starts = np.flatnonzero(np.diff(in_token) == 1)
+    if starts.size == 0:  # blank lines only
+        return np.zeros(0), np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64), 0
+    line = np.searchsorted(np.flatnonzero(b == ord("\n")), starts)
+    is_label = np.ones(starts.size, dtype=bool)
+    is_label[1:] = line[1:] != line[:-1]
+    is_entry = ~is_label
+
+    # the label holds no ':', every other token exactly one
+    colons = np.flatnonzero(b == ord(":"))
+    owner = np.searchsorted(starts, colons, side="right") - 1
+    if not np.array_equal(np.bincount(owner, minlength=starts.size), is_entry):
+        return None
+    n_digits = colons - starts[is_entry]  # none makes index 0, refused below
+    longest = int(n_digits.max(initial=0))
+    if longest > _MAX_INDEX_DIGITS:
+        return None
+
+    # decode the index digits, last digit first, and blank them and the ':'
+    blanked = b.copy()
+    blanked[colons] = ord(" ")
+    index = np.zeros(colons.size, dtype=np.int64)
+    for k in range(longest):
+        has = n_digits > k
+        at = colons[has] - 1 - k
+        digit = b[at] - np.uint8(ord("0"))  # wraps above 9 for a non-digit
+        if (digit > 9).any():
+            return None
+        index[has] += digit.astype(np.int64) * 10 ** k
+        blanked[at] = ord(" ")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            numbers = np.fromstring(blanked.tobytes(), sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    if numbers.size != starts.size:  # one number per token, e.g. no empty value
+        return None
+    labels, values = numbers[is_label], numbers[is_entry]
+    if not np.isfinite(values).all():  # no label is NaN: the bytes hold no letter n
+        return None
+    entry_row = (np.cumsum(is_label) - 1)[is_entry]
+    same_row = entry_row[1:] == entry_row[:-1]
+    if index.size and (index.min() < 1 or (same_row & (index[1:] <= index[:-1])).any()):
+        return None
+
+    keep = values != 0.0
+    counts = np.bincount(entry_row[keep], minlength=labels.size)
+    return labels, values[keep], index[keep] - 1, counts, int(index.max(initial=0))
 
 
 def load_libsvm(path, n_features=None, positive_label=None) -> Dataset:
-    """Read a LIBSVM file; transparently decompresses when `path` ends in .gz."""
+    """Read a LIBSVM file; transparently decompresses when `path` ends in .gz.
+
+    The file is decoded as UTF-8 whole, then parsed as one string; a file
+    that cannot be read or decoded raises DataError naming `path`.
+    """
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
         with opener(path, "rt", encoding="utf-8") as handle:
-            return parse_libsvm(handle, n_features=n_features, positive_label=positive_label)
+            text = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
+    return parse_libsvm(text, n_features=n_features, positive_label=positive_label)
 
 
 def train_size(n_instances, fraction):
@@ -216,11 +372,15 @@ def serialize_libsvm(ds: Dataset) -> str:
     Values are printed with repr(), whose shortest round-trip decimal form
     guarantees parse(serialize(ds)) reproduces every float bit-exactly.
     """
+    x = ds.X
+    indices = (x.indices + 1).tolist()
+    values = x.data.astype(np.float64, copy=False).tolist()
+    indptr = x.indptr.tolist()
     out = []
-    for k in range(ds.n_instances):
-        idx, val = ds.column(k)
-        parts = ["+1" if ds.y[k] > 0 else "-1"]
-        parts.extend(f"{int(i) + 1}:{float(v)!r}" for i, v in zip(idx, val))
+    for k, label in enumerate(ds.y.tolist()):
+        lo, hi = indptr[k], indptr[k + 1]
+        parts = ["+1" if label > 0 else "-1"]
+        parts.extend(f"{i}:{v!r}" for i, v in zip(indices[lo:hi], values[lo:hi]))
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
 

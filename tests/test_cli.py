@@ -254,6 +254,15 @@ def test_malformed_train_file_is_data_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_non_utf8_test_file_is_data_error(tmp_path, capsys):
+    path = tmp_path / "latin.libsvm"
+    path.write_bytes(b"-1 2:\xff\n")
+    rc = main(["eval", "--model", str(FIXTURE_MODEL), "--test", str(path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "latin.libsvm" in err and "UTF-8" in err
+
+
 def test_numeric_overflow_is_numeric_error(tmp_path, capsys):
     lines = []
     rng = np.random.default_rng(0)
