@@ -30,7 +30,6 @@ from .decompose import DEFAULT_MAX_DENSE_FEATURES, feature_scatter
 from .errors import ConfigError, DataError, NumericError
 from .numerics import solve_spd
 
-DEFAULT_MAX_INTRINSIC_DIM = 20000
 # Columns per expanded chunk of the TRBF map. The width fixes the Gram's
 # summation order, so it is a constant, independent of `threads`.
 EXPAND_CHUNK = 2048
@@ -332,9 +331,7 @@ def _physical_memory():
         return None
 
 
-def train_trbf_krr(x, y, sigma=None, p=2, lam=None,
-                   max_intrinsic_dim=DEFAULT_MAX_INTRINSIC_DIM, seed=0,
-                   threads=1):
+def train_trbf_krr(x, y, sigma=None, p=2, lam=None, seed=0, threads=1):
     """Kernel ridge regression through the explicit truncated-RBF map.
 
     All columns are expanded to Z (J x N) in fixed EXPAND_CHUNK-column
@@ -345,9 +342,13 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None,
     solve reads that triangle only), in row blocks of GRAM_BLOCK spread
     over `threads` workers; one pool serves the whole call. Chunk width and
     block partition are constants, so the weights have the same bits for
-    every `threads`. Before allocating, the peak working set of 8 (2 J^2 +
-    J EXPAND_CHUNK) bytes (the accumulator and its Cholesky factor, plus
-    one chunk) is checked against physical memory.
+    every `threads`. The one guard on J runs before anything is allocated:
+    the peak working set of 8 (2 J^2 + J EXPAND_CHUNK) bytes (the
+    accumulator and its Cholesky factor, plus one chunk) must fit in three
+    quarters of physical memory (of 8 GiB where the platform reports
+    none), else a ConfigError refuses the plan. The quarter left covers
+    what the guard does not measure: the data, the views, R, the locals
+    and the OS.
     """
     x = _as_2d(x)
     _check_finite_features(x)
@@ -356,18 +357,15 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None,
     if y.shape[0] != n:
         raise DataError(f"{n} instances but {y.shape[0]} labels")
     j = trbf_dim(m, p)
-    if j > max_intrinsic_dim:
-        raise ConfigError(
-            f"intrinsic dimension C({m}+{p},{p}) = {j} exceeds the guard "
-            f"{max_intrinsic_dim}; lower the order p or fuse fewer inputs"
-        )
     need = 8 * (2 * j * j + j * EXPAND_CHUNK)
-    budget = _physical_memory()
-    if budget is not None and need > budget:
+    budget = 3 * (_physical_memory() or 8 * 2**30) // 4
+    if need > budget:
         raise ConfigError(
-            f"intrinsic dimension {j} needs {need / 2**30:.1f} GiB for the "
-            f"TRBF normal equations, more than the {budget / 2**30:.1f} GiB "
-            "of physical memory; lower the order p or fuse fewer inputs"
+            f"intrinsic dimension C({m}+{p},{p}) = {j} needs "
+            f"{need / 2**30:.1f} GiB for the TRBF normal equations, more than "
+            f"the {budget / 2**30:.1f} GiB budget (three quarters of physical "
+            "memory, or of 8 GiB where it is not reported); lower the order "
+            "p or fuse fewer inputs"
         )
     if sigma is None:
         sigma = sigma_heuristic(x, seed=seed)

@@ -122,7 +122,7 @@ def cmd_train(args):
     if bench and test is None:
         raise ConfigError("bench needs test data: give test_path or split")
 
-    model = train_dc(train, cfg.plan_triples(), local=cfg.local,
+    model = train_dc(train, cfg.plan, local=cfg.local,
                      global_=cfg.global_, seed=cfg.seed, threads=cfg.threads,
                      guards=cfg.guards, crossfit=cfg.crossfit_fusion,
                      dca_ridge=cfg.dca_ridge)

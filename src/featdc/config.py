@@ -51,9 +51,6 @@ class RunConfig:
     dca_ridge: Optional[float] = None
     baseline: str = "linear"
 
-    def plan_triples(self):
-        return [(e.method, e.n_subspaces, e.group_size) for e in self.plan]
-
 
 def _check(test, text):
     return lambda v: None if test(v) else f"{text}, got {v!r}"
@@ -86,7 +83,6 @@ RULES = {
     "LearnerSpec.sigma": _POSITIVE,
     "LearnerSpec.p": _AT_LEAST_1,
     "Guards.max_dense_features": _AT_LEAST_1,
-    "Guards.max_intrinsic_dim": _AT_LEAST_1,
 }
 
 

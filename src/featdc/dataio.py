@@ -85,12 +85,6 @@ class Dataset:
     def n_instances(self):
         return self.X.shape[1]
 
-    def column(self, k):
-        """Sparse vector of instance k as (ascending 0-based indices, values)."""
-        x = self.X
-        lo, hi = x.indptr[k], x.indptr[k + 1]
-        return x.indices[lo:hi], x.data[lo:hi]
-
 
 @dataclass(frozen=True)
 class SplitSpec:

@@ -25,6 +25,7 @@ rows so the block grid is exact; padding is recorded and re-applied to
 held-out data automatically.
 """
 
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -328,17 +329,21 @@ def _solve_pivot(pivot, rhs_t, scatter_norm):
             ) from exc
 
 
-def fit_bcd(x, index_groups, center=False):
+def fit_bcd(x, index_groups, center=False,
+            max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Blocked Doolittle elimination of the feature gram.
 
     index_groups must disjointly partition the (possibly padded) feature
     index range; `disjoint_groups` builds such a partition from a plan
     entry. Each eliminator is built against the current gram, so the
     accumulated transform is the product B_h ... B_1 and the final gram is
-    block-diagonal up to roundoff.
+    block-diagonal up to roundoff. The gram, its working copy and the
+    transform are dense over the padded range, so that count is what
+    `max_dense` bounds.
     """
     x = _as_matrix(x)
     n_padded = _check_partition(index_groups, equal_sizes=False)
+    _guard_dense(n_padded, max_dense, "bcd")
     order = np.concatenate(index_groups)
     xr = _padded_rearranged(x, order, n_padded)
     scatter = feature_scatter(xr, center=center)
@@ -523,12 +528,14 @@ def fit_plan_entry(x, y, entry, child_seed,
     if method in ("bcd", "abd"):
         groups, _ = disjoint_groups(m, n_sub, size,
                                     np.random.default_rng(child_seed))
-        return fit_bcd(x, groups) if method == "bcd" else fit_abd(x, groups)
+        if method == "bcd":
+            return fit_bcd(x, groups, max_dense=max_dense)
+        return fit_abd(x, groups)
     raise ConfigError(f"unknown decomposition method {method!r}")
 
 
 def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
-             dca_ridge=None):
+             dca_ridge=None, timings=None):
     """Fit every plan entry and compose the result.
 
     plan is a sequence of (method, n_subspaces, group_size) triples (or
@@ -536,13 +543,17 @@ def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
     from (seed, entry position). bcd/abd entries build their disjoint
     padded partition with that child seed; a bcd/abd plan whose
     n_subspaces * group_size falls short of the feature count gets larger
-    groups so real features are always covered.
+    groups so real features are always covered. A `timings` dict gains
+    each entry's seconds under `fit_<method>`, summed per method.
     """
-    parts = [
-        fit_plan_entry(x, y, entry, part_seed(seed, i), max_dense=max_dense,
-                       dca_ridge=dca_ridge)
-        for i, entry in enumerate(plan)
-    ]
+    parts = []
+    for i, entry in enumerate(plan):
+        t0 = time.perf_counter()
+        parts.append(fit_plan_entry(x, y, entry, part_seed(seed, i),
+                                    max_dense=max_dense, dca_ridge=dca_ridge))
+        if timings is not None:
+            key = f"fit_{parts[-1].method}"
+            timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
     return CompositeDecomposition(parts)
 
 

@@ -29,12 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import (DEFAULT_MAX_INTRINSIC_DIM, LEARNERS, label_from_score,
-                       train_linear, train_trbf_krr)
+from .classify import LEARNERS, label_from_score, train_linear, train_trbf_krr
 from .dataio import Dataset
-from .decompose import (DEFAULT_MAX_DENSE_FEATURES, CompositeDecomposition,
-                        _as_matrix, _plan_triple, apply_decomposition,
-                        fit_plan_entry, part_seed)
+from .decompose import (DEFAULT_MAX_DENSE_FEATURES, _as_matrix,
+                        apply_decomposition, fit_plan)
 from .errors import ConfigError, DataError, FeatdcError
 
 CONSTANT_ROW_TOL = 1e-12
@@ -58,7 +56,6 @@ class LearnerSpec:
 @dataclass
 class Guards:
     max_dense_features: int = DEFAULT_MAX_DENSE_FEATURES
-    max_intrinsic_dim: int = DEFAULT_MAX_INTRINSIC_DIM
 
 
 @dataclass
@@ -91,7 +88,6 @@ def train_learner(spec, x, y, guards, seed, threads=1):
         return train_linear(x, y, lam=spec.lam,
                             max_dense=guards.max_dense_features)
     return train_trbf_krr(x, y, sigma=spec.sigma, p=spec.p, lam=spec.lam,
-                          max_intrinsic_dim=guards.max_intrinsic_dim,
                           seed=seed, threads=threads)
 
 
@@ -162,8 +158,9 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
              guards=None, crossfit=False, dca_ridge=None, config_snapshot=None):
     """Fit the full divide-and-conquer model on a training Dataset.
 
-    plan is a list of (method, n_subspaces, group_size) entries; local and
-    global LearnerSpecs default to linear locals and a TRBF global.
+    plan is a list of (method, n_subspaces, group_size) entries (or config
+    plan entries with those fields); local and global LearnerSpecs default
+    to linear locals and a TRBF global.
     """
     if not isinstance(train, Dataset):
         raise DataError("train_dc expects a Dataset")
@@ -176,9 +173,8 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
     t0 = time.perf_counter()
     with _stage("decomposition fitting"):
         x = _as_matrix(train.X)  # densified once here, not once per entry
-        comp, per_method = _timed_fit_plan(x, y, plan, seed, guards,
-                                           dca_ridge)
-    timings.update(per_method)
+        comp = fit_plan(x, y, plan, seed, max_dense=guards.max_dense_features,
+                        dca_ridge=dca_ridge, timings=timings)
     timings["fit_decomposition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -213,23 +209,6 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
         config_snapshot=dict(config_snapshot or {}),
         fit_timings=timings,
     )
-
-
-def _timed_fit_plan(x, y, plan, seed, guards, dca_ridge):
-    """Fit plan entries one at a time (with the same child seeds fit_plan
-    would derive) so each sub-method's cost is visible in reports."""
-    t_by_method = {}
-    parts = []
-    for i, entry in enumerate(plan):
-        method = _plan_triple(entry)[0]
-        t0 = time.perf_counter()
-        parts.append(fit_plan_entry(x, y, entry, part_seed(seed, i),
-                                    max_dense=guards.max_dense_features,
-                                    dca_ridge=dca_ridge))
-        t_by_method[method] = t_by_method.get(method, 0.0) + (
-            time.perf_counter() - t0)
-    comp = CompositeDecomposition(parts)
-    return comp, {f"fit_{m}": t for m, t in t_by_method.items()}
 
 
 def predict_dc(model, test, threads=None):

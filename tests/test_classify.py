@@ -302,8 +302,7 @@ def test_train_trbf_krr_dimension_guard():
     x = np.ones((300, 5))
     y = np.array([1, -1, 1, -1, 1])
     with pytest.raises(ConfigError, match="order p or fuse fewer"):
-        train_trbf_krr(x, y, lam=1.0, sigma=1.0, p=3,
-                       max_intrinsic_dim=20000)
+        train_trbf_krr(x, y, lam=1.0, sigma=1.0, p=3)
 
 
 def test_train_trbf_krr_across_chunk_boundaries():
@@ -382,13 +381,39 @@ def test_train_trbf_krr_memory_guard_refuses_before_allocating(monkeypatch):
 
     monkeypatch.setattr(np, "eye", eye)
     monkeypatch.setattr(np, "empty", empty)
-    monkeypatch.setattr(classify, "_physical_memory", lambda: need - 1)
+    fits = -(-4 * need // 3)  # the least memory whose three quarters hold need
+    monkeypatch.setattr(classify, "_physical_memory", lambda: fits - 1)
     with pytest.raises(ConfigError, match="physical memory"):
         train_trbf_krr(x, y, lam=1.0, sigma=1.0, p=p)
     assert j not in sizes
-    monkeypatch.setattr(classify, "_physical_memory", lambda: need)
+    monkeypatch.setattr(classify, "_physical_memory", lambda: fits)
     model = train_trbf_krr(x, y, lam=1.0, sigma=1.0, p=p)
     assert model.intrinsic_dim == j and j in sizes
+
+
+def test_train_trbf_krr_memory_guard_without_a_reading(monkeypatch):
+    # no physical-memory reading: the budget is three quarters of 8 GiB,
+    # 6 GiB, which holds J = C(198,2) = 19503 (5.97 GiB) but not
+    # J = C(199,2) = 19701 (6.08 GiB); a patched np.eye stops the admitted
+    # plan at its first J x J allocation
+    class Admitted(Exception):
+        pass
+
+    real_eye = np.eye
+
+    def eye(k, *args, **kwargs):
+        if k > 10000:
+            raise Admitted
+        return real_eye(k, *args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", eye)
+    monkeypatch.setattr(classify, "_physical_memory", lambda: None)
+    rng = np.random.default_rng(13)
+    y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+    with pytest.raises(Admitted):
+        train_trbf_krr(rng.normal(size=(196, 5)), y, lam=1.0, sigma=1.0)
+    with pytest.raises(ConfigError, match="order p or fuse fewer"):
+        train_trbf_krr(rng.normal(size=(197, 5)), y, lam=1.0, sigma=1.0)
 
 
 def test_train_trbf_krr_validation():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,15 +103,13 @@ def test_bench_reports_zero_reduction_when_both_perfect(tmp_path, capsys):
     assert report["reduction"] == 0.0
 
 
-def test_bench_skips_infeasible_baseline(tmp_path, capsys):
+def test_bench_skips_infeasible_baseline(tmp_path, capsys, monkeypatch):
     write_blob_file(tmp_path / "train.libsvm")
-    cfg = base_config(
-        tmp_path,
-        baseline="trbf",
-        guards={"max_dense_features": 4096, "max_intrinsic_dim": 40},
-    )
-    # h=4 fused inputs stay under the cap (C(4+2,2)=15) but the 8-feature
-    # baseline needs C(10,2)=45 coordinates and gets skipped, not failed
+    cfg = base_config(tmp_path, baseline="trbf")
+    # a 384 KiB budget (three quarters of 512 KiB) holds the global on h=4
+    # fused inputs (J = C(4+2,2) = 15, 249,360 B) but not the 8-feature
+    # baseline (J = C(10,2) = 45, 769,680 B), which is skipped, not failed
+    monkeypatch.setattr(classify, "_physical_memory", lambda: 2**19)
     rc = main(["bench", "--config", str(cfg)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -157,12 +156,18 @@ def test_seed_override_lands_in_report(tmp_path):
 def test_trbf_memory_guard_exits_2_tagged_fusion(tmp_path, capsys,
                                                  monkeypatch):
     write_blob_file(tmp_path / "train.libsvm")
-    monkeypatch.setattr(classify, "_physical_memory", lambda: 1024)
+    j = 15  # the global on h=4 fused inputs at p=2: C(4+2,2)
+    need = 8 * (2 * j * j + j * classify.EXPAND_CHUNK)
+    fits = -(-4 * need // 3)  # the least memory whose three quarters hold need
+    monkeypatch.setattr(classify, "_physical_memory", lambda: fits - 1)
     rc = main(["train", "--config", str(base_config(tmp_path))])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: fusion: ") and "physical memory" in err
     assert not (tmp_path / "out" / "model.json").exists()
+    monkeypatch.setattr(classify, "_physical_memory", lambda: fits)
+    assert main(["train", "--config", str(base_config(tmp_path))]) == 0
+    assert (tmp_path / "out" / "model.json").exists()
 
 
 def test_training_is_reproducible_byte_for_byte(tmp_path):
@@ -229,6 +234,7 @@ def test_config_problems_are_collected(tmp_path, capsys):
         "plan": [{"method": "fft", "n_subspaces": 2, "group_size": 4}],
         "typo_key": 1,
         "threads": 0,
+        "guards": {"max_intrinsic_dim": 20000},
     }))
     rc = main(["train", "--config", str(cfg)])
     assert rc == 2
@@ -238,6 +244,7 @@ def test_config_problems_are_collected(tmp_path, capsys):
     assert "fft" in err              # unknown method
     assert "typo_key" in err         # unknown key
     assert "threads" in err          # non-positive
+    assert "max_intrinsic_dim" in err  # removed option, now an unknown key
 
 
 def test_missing_train_file_is_data_error(tmp_path, capsys):
@@ -333,7 +340,17 @@ def test_wide_sparse_plan_validates():
         ],
         "global": {"type": "trbf", "p": 3},
     }, "inline")
-    assert cfg.plan_triples() == [("rd", 4, 23618), ("abd", 4, 23618)]
+    assert [(e.method, e.n_subspaces, e.group_size) for e in cfg.plan] == [
+        ("rd", 4, 23618), ("abd", 4, 23618)]
+
+
+def test_readme_config_example_parses():
+    # the README's config example is a second copy of the schema
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(re.sub(r"//[^\n]*", "", block))
+    cfg = parse_config(doc, "README.md")
+    assert config_echo(cfg)["guards"] == doc["guards"]
 
 
 FULL_CONFIG = {
@@ -343,7 +360,7 @@ FULL_CONFIG = {
     "plan": [{"method": "rd", "n_subspaces": 4, "group_size": 40}],
     "local": {"type": "linear", "lam": 1.0},
     "global": {"type": "trbf", "p": 2, "sigma": None, "lam": None},
-    "guards": {"max_dense_features": 4096, "max_intrinsic_dim": 20000},
+    "guards": {"max_dense_features": 4096},
     "crossfit_fusion": False, "dca_ridge": None, "baseline": "linear",
     "out_dir": "out", "threads": 4, "seed": 7,
 }
@@ -360,7 +377,7 @@ def test_config_echo_is_pinned():
         '"plan": [{"method": "rd", "n_subspaces": 4, "group_size": 40}], '
         '"local": {"type": "linear", "lam": 1.0, "sigma": null, "p": 2}, '
         '"global": {"type": "trbf", "lam": null, "sigma": null, "p": 2}, '
-        '"guards": {"max_dense_features": 4096, "max_intrinsic_dim": 20000}, '
+        '"guards": {"max_dense_features": 4096}, '
         '"out_dir": "out", "threads": 4, "seed": 7, '
         '"crossfit_fusion": false, "dca_ridge": null, "baseline": "linear"}')
 
@@ -371,7 +388,7 @@ def test_rerun_from_echo_reproduces_config():
     others = {"split": {"train_fraction": 0.5}, "crossfit_fusion": True,
               "dca_ridge": 0.25, "local": {"lam": 3, "p": 4},
               "global": {"type": "linear", "sigma": 1.5},
-              "guards": {"max_intrinsic_dim": 99}, "baseline": "trbf"}
+              "guards": {"max_dense_features": 99}, "baseline": "trbf"}
     for doc in (FULL_CONFIG, minimal, {**minimal, **others}):
         cfg = parse_config(doc, "inline")
         assert parse_config(config_echo(cfg), "echo") == cfg

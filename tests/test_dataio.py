@@ -39,7 +39,9 @@ def test_parse_basic_example():
     assert ds.n_features == 7
     assert ds.n_instances == 2
     assert np.array_equal(ds.y, [1, -1])
-    idx0, val0 = ds.column(0)
+    x = ds.X
+    lo, hi = x.indptr[0], x.indptr[1]
+    idx0, val0 = x.indices[lo:hi], x.data[lo:hi]
     assert np.array_equal(idx0, [2, 6])  # 0-based internally
     assert np.allclose(val0, [0.5, 1.2])
 
@@ -47,8 +49,10 @@ def test_parse_basic_example():
 def test_parse_is_order_preserving():
     lines = ["+1 1:1.0", "-1 2:2.0", "+1 3:3.0"]
     ds = parse_libsvm("\n".join(lines))
+    x = ds.X
     for k in range(3):
-        idx, val = ds.column(k)
+        lo, hi = x.indptr[k], x.indptr[k + 1]
+        idx, val = x.indices[lo:hi], x.data[lo:hi]
         assert idx[0] == k
         assert val[0] == float(k + 1)
 
@@ -87,7 +91,9 @@ def test_parse_error_messages_carry_line_numbers():
 
 def test_parse_drops_zero_values():
     ds = parse_libsvm("+1 1:0.0 2:1.0")
-    idx, val = ds.column(0)
+    x = ds.X
+    lo, hi = x.indptr[0], x.indptr[1]
+    idx, val = x.indices[lo:hi], x.data[lo:hi]
     assert np.array_equal(idx, [1])
     assert np.array_equal(val, [1.0])
 

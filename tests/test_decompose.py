@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import featdc.decompose as decompose
 from featdc.decompose import (METHODS, CompositeDecomposition, _as_matrix,
                               abd_dense_transform, apply_decomposition,
                               block_gram, disjoint_groups, feature_scatter,
                               fit_abd, fit_bcd, fit_dca, fit_pca, fit_plan,
-                              make_rd, overlapping_groups,
+                              fit_plan_entry, make_rd, overlapping_groups,
                               within_class_scatter)
 from featdc.errors import ConfigError, DataError
 
@@ -131,10 +132,17 @@ def test_fit_pca_diagonalization_property():
                            atol=1e-8 * (1 + np.linalg.norm(s)))
 
 
-def test_fit_pca_dimension_guard():
+@pytest.mark.parametrize("method", ["pca", "dca", "bcd"])
+def test_fit_pca_dimension_guard(method, monkeypatch):
+    # the guard fires before any dense M x M scatter is built
+    def no_scatter(*args, **kwargs):
+        raise AssertionError("dense scatter built past the guard")
+
+    monkeypatch.setattr(decompose, "feature_scatter", no_scatter)
     x = np.ones((5, 3))
+    y = np.array([1, -1, 1])
     with pytest.raises(ConfigError, match="rd or abd"):
-        fit_pca(x, 1, 2, max_dense=4)
+        fit_plan_entry(x, y, (method, 1, 2), 0, max_dense=4)
 
 
 def test_fit_pca_sparse_matches_dense():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import featdc.classify as classify
 from featdc.classify import label_from_score, train_linear
 from featdc.dataio import Dataset
 from featdc.datasets import make_blobs
@@ -191,17 +192,19 @@ def test_train_dc_plan_order_does_not_change_linear_fusion_labels():
     assert np.array_equal(la, lb)
 
 
-def test_train_dc_stage_names_tag_errors():
+def test_train_dc_stage_names_tag_errors(monkeypatch):
     ds = blob_dataset(n=40, n_features=30, seed=1)
-    # trbf locals on 10-dimensional views with p=4 exceed a tiny intrinsic
-    # cap, and the guard fires inside local training
+    # trbf locals on 10-dimensional views with p=4 have J = C(14,4) = 1001
+    # and need 32.4 MB, over a 12 MB budget (three quarters of 16 MiB), so
+    # the memory guard fires inside local training
+    monkeypatch.setattr(classify, "_physical_memory", lambda: 2**24)
     with pytest.raises(ConfigError, match="local training"):
         train_dc(ds, [("rd", 3, 10)],
-                 local=LearnerSpec(type="trbf", p=4),
-                 guards=Guards(max_intrinsic_dim=50), seed=0)
-    with pytest.raises(ConfigError, match="decomposition fitting"):
-        train_dc(ds, [("pca", 3, 10)],
-                 guards=Guards(max_dense_features=8), seed=0)
+                 local=LearnerSpec(type="trbf", p=4), seed=0)
+    for method in ("pca", "bcd"):
+        with pytest.raises(ConfigError, match="decomposition fitting"):
+            train_dc(ds, [(method, 3, 10)],
+                     guards=Guards(max_dense_features=8), seed=0)
 
 
 def test_train_dc_crossfit_path():
