@@ -228,6 +228,10 @@ def cmd_inspect(args):
                                       in sorted(locals_desc.items())))
         g = obj.global_model
         print(f"global: {type(g).__name__} on {obj.h} fused inputs")
+        if obj.at is None:
+            print("scoring: per-view (trbf locals)")
+        else:
+            print(f"scoring: linear map {obj.h} x {comp.n_features_in}")
         print(f"fusion row shift range: [{obj.r_shift.min():.6g}, "
               f"{obj.r_shift.max():.6g}]")
         print(f"fusion row scale range: [{obj.r_scale.min():.6g}, "

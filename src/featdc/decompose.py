@@ -481,6 +481,15 @@ def _apply_part(part, x):
     raise ConfigError(f"unknown decomposition method {part.method!r}")
 
 
+def check_feature_count(comp: CompositeDecomposition, x):
+    """DataError unless x has the feature count comp was fitted on."""
+    if x.shape[0] != comp.n_features_in:
+        raise DataError(
+            f"data has {x.shape[0]} features but the decomposition was "
+            f"fitted on {comp.n_features_in}"
+        )
+
+
 def apply_decomposition(comp: CompositeDecomposition, x):
     """Project data through every part and slice out the h subspace views.
 
@@ -491,15 +500,58 @@ def apply_decomposition(comp: CompositeDecomposition, x):
     dense route every view is dense.
     """
     x = _as_matrix(x)
-    if x.shape[0] != comp.n_features_in:
-        raise DataError(
-            f"data has {x.shape[0]} features but the decomposition was "
-            f"fitted on {comp.n_features_in}"
-        )
+    check_feature_count(comp, x)
     views = []
     for part in comp.parts:
         views.extend(_apply_part(part, x))
     return views
+
+
+def _pull_back_part(part, weights):
+    """Input-feature vectors a_k with a_k . x = w_k . view_k(x), one per
+    group of `part`, for weight vectors over its views."""
+    m = part.n_features_in
+    out = []
+    for i, (g, w) in enumerate(zip(part.index_groups, weights)):
+        if part.method == "rd":
+            u = np.zeros(m)
+            u[g] = w
+        elif part.method in ("pca", "dca", "bcd"):
+            u = w @ part.transform[g]
+        elif part.method == "abd":
+            u = np.concatenate([part.transform[j, i] * w
+                                for j in range(len(part.index_groups))])
+        else:
+            raise ConfigError(f"unknown decomposition method {part.method!r}")
+        if part.feature_order is not None:
+            # coordinate c of the rearranged space is padded input row
+            # feature_order[c]; padding rows (>= m) only ever meet zeros
+            padded = np.empty(part.n_features_out)
+            padded[part.feature_order] = u
+            u = padded[:m]
+        out.append(u)
+    return out
+
+
+def linear_pullback(comp: CompositeDecomposition, weights):
+    """The M x h matrix whose column k maps input features to view k's
+    linear score: column k . x == weights[k] . (view k of x), for weight
+    vectors in view order (as `apply_decomposition` returns the views).
+
+    Every method is linear, so this folds the decomposition into the
+    linear locals once: rd scatters w into its group's rows, pca/dca take
+    w @ T[g], bcd does the same over the rearranged padded coordinates
+    and abd weights each block j by V[j, i]; both scatter back through
+    `feature_order` and drop the padding rows. C-contiguous, so that
+    `x.T @ at` runs on contiguous rows for one sparse column.
+    """
+    if len(weights) != comp.h:
+        raise DataError(f"{len(weights)} weight vectors but {comp.h} subspaces")
+    cols, start = [], 0
+    for part in comp.parts:
+        cols.extend(_pull_back_part(part, weights[start:start + part.n_subspaces]))
+        start += part.n_subspaces
+    return np.ascontiguousarray(np.column_stack(cols))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,18 @@ subspace index, so results are identical for any thread count), collects
 the h x N local-output matrix R on the training instances, standardizes
 its rows, and trains the global classifier on (R, y). `threads` is the
 only parallelism: it spreads the locals, then the TRBF global's Gram;
-each local runs on one thread, so pools never nest. `predict_dc` replays
-the same stages with the stored parameters on the calling thread (a
-worker pool costs more than the scoring it would spread); the final label
-is sign(global score) with sign(0) = +1.
+each local runs on one thread, so pools never nest.
+
+`predict_dc` scores on the calling thread (a worker pool costs more than
+the scoring it would spread). Every decomposition method is a linear map,
+so when every local is linear the h local scores of a query are one
+affine map of its features, R = Aᵀx + b: `DcModel` derives the M x h
+matrix A (`at`) and b once, after training and after loading, and predict
+takes one product instead of building h subspace views. Models with TRBF
+locals replay the views. Both routes then replay the stored row
+standardization and the global; the final label is sign(global score)
+with sign(0) = +1. Training's R still comes from the views, which exist
+there anyway.
 
 R carries continuous local scores rather than hard labels so the global
 learner sees margins. Row standardization (zero mean, unit variance over
@@ -28,12 +36,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
-from .classify import LEARNERS, label_from_score, train_linear, train_trbf_krr
+from .classify import (LEARNERS, LinearModel, label_from_score, train_linear,
+                       train_trbf_krr)
 from .dataio import Dataset
 from .decompose import (DEFAULT_MAX_DENSE_FEATURES, _as_matrix,
-                        apply_decomposition, fit_plan)
-from .errors import ConfigError, DataError, FeatdcError
+                        apply_decomposition, check_feature_count, fit_plan,
+                        linear_pullback)
+from .errors import ConfigError, DataError, FeatdcError, NumericError
 
 CONSTANT_ROW_TOL = 1e-12
 
@@ -67,6 +78,17 @@ class DcModel:
     r_scale: np.ndarray
     config_snapshot: dict = field(default_factory=dict)
     fit_timings: dict = field(default_factory=dict)
+    # collapsed scorer of linear locals: R = at.T @ x + b (None otherwise);
+    # derived from the fields above, never persisted
+    at: Optional[np.ndarray] = field(init=False, repr=False)
+    b: Optional[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.at = self.b = None
+        if all(isinstance(m, LinearModel) for m in self.locals):
+            self.at = linear_pullback(self.decomposition,
+                                      [m.weights for m in self.locals])
+            self.b = np.array([m.bias for m in self.locals], dtype=np.float64)
 
     @property
     def h(self):
@@ -211,15 +233,34 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
     )
 
 
+def local_scores(model, x):
+    """The h x n local-output matrix R of a raw query matrix x.
+
+    x passes the `_as_matrix` gate and must be finite. Linear locals score
+    through the collapsed map in one product, R = at.T @ x + b, without
+    building a subspace view; TRBF locals score their views in order.
+    """
+    x = _as_matrix(x)
+    if x.ndim == 1:
+        x = x[:, None]
+    if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
+        raise NumericError("query features contain non-finite values")
+    if model.at is None:
+        return build_r(model.locals, apply_decomposition(model.decomposition, x))
+    check_feature_count(model.decomposition, x)
+    return np.asarray(x.T @ model.at).T + model.b[:, None]
+
+
 def predict_dc(model, test, threads=None):
     """(labels, scores) for a Dataset or raw feature matrix.
 
-    The locals are scored in order on the calling thread; `threads` is
-    accepted for compatibility and ignored.
+    R comes from `local_scores`; then the stored standardization and the
+    global model score it. Everything runs on the calling thread;
+    `threads` is accepted for compatibility and ignored.
     """
     x = test.X if isinstance(test, Dataset) else test
     with _stage("prediction"):
-        r = build_r(model.locals, apply_decomposition(model.decomposition, x))
+        r = local_scores(model, x)
         rs = apply_standardization(r, model.r_shift, model.r_scale)
         scores = model.global_model.decision_function(rs)
     return label_from_score(scores), scores

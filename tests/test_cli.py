@@ -132,6 +132,20 @@ def test_inspect_describes_model(tmp_path, capsys):
     assert "global:" in out
 
 
+def test_inspect_names_the_scoring_route(tmp_path, capsys):
+    write_blob_file(tmp_path / "train.libsvm")
+    model = str(tmp_path / "out" / "model.json")
+    main(["train", "--config", str(base_config(tmp_path))])
+    capsys.readouterr()
+    assert main(["inspect", "--model", model]) == 0
+    assert "scoring: linear map 4 x 8\n" in capsys.readouterr().out
+    main(["train", "--config",
+          str(base_config(tmp_path, local={"type": "trbf", "p": 2}))])
+    capsys.readouterr()
+    assert main(["inspect", "--model", model]) == 0
+    assert "scoring: per-view (trbf locals)\n" in capsys.readouterr().out
+
+
 def test_module_entry_point_runs(tmp_path):
     write_blob_file(tmp_path / "train.libsvm")
     cfg = base_config(tmp_path)

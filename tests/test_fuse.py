@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,10 +8,11 @@ import featdc.classify as classify
 from featdc.classify import label_from_score, train_linear
 from featdc.dataio import Dataset
 from featdc.datasets import make_blobs
-from featdc.errors import ConfigError, DataError
+from featdc.decompose import apply_decomposition
+from featdc.errors import ConfigError, DataError, NumericError
 from featdc.fuse import (DcModel, Guards, LearnerSpec, apply_standardization,
-                         build_r, evaluate, predict_dc, standardize_rows,
-                         train_dc)
+                         build_r, evaluate, local_scores, predict_dc,
+                         standardize_rows, train_dc)
 
 
 def blob_dataset(n=120, n_features=8, seed=0, separation=8.0):
@@ -286,3 +289,107 @@ def test_predict_dc_sparse_and_dense_query_same_bits():
 def test_train_dc_rejects_bad_input():
     with pytest.raises(DataError):
         train_dc(np.ones((3, 4)), [("rd", 1, 3)], seed=0)
+
+
+# ---------------------------------------------------------------------------
+# collapsed linear scorer
+
+
+def per_view(model):
+    """The same model scored through its subspace views."""
+    twin = copy.copy(model)
+    twin.at = twin.b = None
+    return twin
+
+
+def sparse_dataset(n=120, n_features=11, seed=0):
+    # density 0.3 keeps X sparse at the `_as_matrix` gate
+    rng = np.random.default_rng(seed)
+    x = sp.random(n_features, n, density=0.3, random_state=rng,
+                  data_rvs=rng.standard_normal, format="csc")
+    y = np.where(rng.normal(size=n_features) @ x.toarray() >= 0, 1, -1)
+    return Dataset(sp.csc_array(x), y.astype(np.int64))
+
+
+# 11 features: the 3-group bcd/abd entries pad to 3 x 4 = 12 coordinates
+COLLAPSE_PLANS = {
+    "rd": [("rd", 3, 4)],
+    "pca": [("pca", 3, 4)],
+    "dca": [("dca", 3, 4)],
+    "bcd": [("bcd", 3, 3)],
+    "abd": [("abd", 3, 3)],
+    "mixed": [("rd", 2, 4), ("pca", 2, 4), ("dca", 2, 4), ("bcd", 3, 3),
+              ("abd", 3, 3)],
+}
+
+
+@pytest.mark.parametrize("data", ["dense", "sparse"])
+@pytest.mark.parametrize("plan", COLLAPSE_PLANS)
+def test_collapsed_r_matches_the_views(plan, data):
+    ds = (blob_dataset(n=120, n_features=11, seed=4, separation=3.0)
+          if data == "dense" else sparse_dataset(seed=4))
+    model = train_dc(ds, COLLAPSE_PLANS[plan], seed=6)
+    assert model.at.shape == (11, model.h) and model.at.flags.c_contiguous
+    for part in model.decomposition.parts:
+        if part.method in ("bcd", "abd"):
+            assert part.n_features_out == 12
+    x = ds.X
+    queries = [x, x.toarray(), x[:, [7]], x[:, [7]].toarray(),
+               x[:, 20:60], x[:, 20:60].toarray()]
+    for q in queries:
+        ref = build_r(model.locals, apply_decomposition(model.decomposition, q))
+        r = local_scores(model, q)
+        assert r.shape == ref.shape
+        assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(predict_dc(model, q)[0],
+                              predict_dc(per_view(model), q)[0])
+
+
+def test_predict_dc_builds_views_only_for_trbf_locals(monkeypatch):
+    from featdc import fuse
+
+    ds = blob_dataset(n=90, n_features=8, seed=7, separation=3.0)
+    linear = train_dc(ds, [("rd", 2, 4), ("bcd", 2, 4), ("abd", 2, 4)],
+                      seed=3)
+    trbf = train_dc(ds, [("rd", 2, 4)], local=LearnerSpec(type="trbf", p=2),
+                    seed=3)
+    assert linear.at is not None and trbf.at is None
+    calls = []
+    apply = fuse.apply_decomposition
+
+    def counting(comp, x):
+        calls.append(x.shape)
+        return apply(comp, x)
+
+    monkeypatch.setattr(fuse, "apply_decomposition", counting)
+    predict_dc(linear, ds)
+    predict_dc(linear, ds.X[:, [3]])
+    assert calls == []
+    predict_dc(trbf, ds)
+    assert calls == [(8, 90)]
+
+
+@pytest.mark.parametrize("local", ["linear", "trbf"])
+def test_predict_dc_wrong_feature_count_is_tagged(local):
+    ds = blob_dataset(n=60, n_features=8, seed=2)
+    model = train_dc(ds, [("rd", 2, 4)], local=LearnerSpec(type=local),
+                     seed=0)
+    with pytest.raises(DataError, match="prediction: data has 5 features but "
+                                        "the decomposition was fitted on 8"):
+        predict_dc(model, ds.X[:5])
+
+
+@pytest.mark.parametrize("global_", ["linear", "trbf"])
+def test_predict_dc_refuses_non_finite_queries(global_):
+    ds = blob_dataset(n=60, n_features=8, seed=1)
+    model = train_dc(ds, [("rd", 2, 4), ("pca", 2, 4)],
+                     global_=LearnerSpec(type=global_), seed=0)
+    dense = ds.X[:, :4].toarray()
+    dense[3, 2] = np.nan
+    sparse = sparse_dataset(n=40, n_features=8).X.copy()
+    sparse.data[0] = np.inf
+    for q in (dense, sparse):
+        with pytest.raises(NumericError,
+                           match="prediction: query features contain "
+                                 "non-finite values"):
+            predict_dc(model, q)

@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -188,3 +189,16 @@ def test_version_1_fixture_loads_and_resaves_unchanged(tmp_path):
     path = tmp_path / "resaved.json"
     save_dc_model(model, path)
     assert path.read_bytes() == fixture.read_bytes()
+
+
+def test_version_1_fixture_predicts_through_the_collapsed_map():
+    fixture = Path(__file__).parent / "fixtures" / "model_v1.json"
+    model = load_dc_model(fixture)
+    assert model.at.shape == (6, model.h)
+    twin = copy.copy(model)
+    twin.at = twin.b = None
+    ds = make_blobs(200, n_features=6, separation=2.0, seed=3)
+    labels, scores = predict_dc(model, ds)
+    ref_labels, ref_scores = predict_dc(twin, ds)
+    assert np.array_equal(labels, ref_labels)
+    assert np.max(np.abs(scores - ref_scores)) <= 1e-12 * np.max(np.abs(ref_scores))
