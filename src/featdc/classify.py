@@ -261,14 +261,14 @@ def truncated_rbf_kernel(x, y, sigma, p):
     return math.exp(-(x @ x + y @ y) / (2 * s2)) * series
 
 
-def sigma_heuristic(x, seed=0, max_sample=256):
-    """Median pairwise distance over a seeded instance subsample (the
-    usual kernel-bandwidth rule of thumb); falls back to 1.0 when the
-    median is degenerate."""
+def sigma_heuristic(x, seed=0):
+    """Median pairwise distance over a seeded subsample of at most 256
+    instances (the usual kernel-bandwidth rule of thumb); falls back to
+    1.0 when the median is degenerate."""
     x = _as_2d(x)
     n = x.shape[1]
     rng = np.random.default_rng(seed)
-    take = min(n, max_sample)
+    take = min(n, 256)
     cols = np.sort(rng.choice(n, size=take, replace=False))
     xs = x[:, cols]
     gram = np.asarray((xs.T @ xs).toarray() if sp.issparse(xs) else xs.T @ xs)

@@ -124,8 +124,7 @@ def cmd_train(args):
 
     model = train_dc(train, cfg.plan, local=cfg.local,
                      global_=cfg.global_, seed=cfg.seed, threads=cfg.threads,
-                     guards=cfg.guards, crossfit=cfg.crossfit_fusion,
-                     dca_ridge=cfg.dca_ridge)
+                     guards=cfg.guards, dca_ridge=cfg.dca_ridge)
     model.config_snapshot.update(_snapshot(cfg, scale))
     timings = {"parse": parse_s, **model.fit_timings}
 

@@ -47,7 +47,6 @@ class RunConfig:
     out_dir: str = "."
     threads: int = field(default_factory=lambda: os.cpu_count() or 1)
     seed: int = 0
-    crossfit_fusion: bool = False
     dca_ridge: Optional[float] = None
     baseline: str = "linear"
 

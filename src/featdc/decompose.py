@@ -33,7 +33,6 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.typing import NDArray
 
-from .dataio import Dataset
 from .errors import ConfigError, DataError, NumericError
 from .numerics import gen_sym_eig, solve_spd, sym_eig
 
@@ -91,8 +90,8 @@ class CompositeDecomposition:
 
 
 def _as_matrix(x):
-    """The matrix the pipeline works on, from a Dataset or a raw (sparse or
-    dense) n_features x n matrix.
+    """The matrix the pipeline works on, from a raw (sparse or dense)
+    n_features x n matrix.
 
     This is the one gate between the sparse and the dense route. A sparse
     matrix whose dense float64 form takes no more bytes than its CSC
@@ -101,8 +100,6 @@ def _as_matrix(x):
     only the input, so dense data (every feature present) takes BLAS
     products while bag-of-words data keeps its sparse products.
     """
-    if isinstance(x, Dataset):
-        x = x.X
     if not sp.issparse(x):
         return np.asarray(x, dtype=np.float64)
     csc = x.tocsc()
@@ -179,7 +176,8 @@ def _padded_rearranged(x, order, n_padded):
     if n_padded < m:
         raise ConfigError(f"padded size {n_padded} smaller than feature count {m}")
     if sp.issparse(x):
-        xp = sp.csc_array((x.tocsc().data, x.tocsc().indices, x.tocsc().indptr),
+        csc = x.tocsc()
+        xp = sp.csc_array((csc.data, csc.indices, csc.indptr),
                           shape=(n_padded, n))
         return sp.csr_array(xp.tocsr()[order])
     xp = np.zeros((n_padded, n))
@@ -249,14 +247,14 @@ def make_rd(n_features, n_subspaces, group_size, seed):
     )
 
 
-def fit_pca(x, n_subspaces, group_size, seed=0, center=True,
+def fit_pca(x, n_subspaces, group_size, seed=0,
             max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Principal-component transform; groups drawn over the rotated
     coordinates with the same seeded scheme as rd."""
     x = _as_matrix(x)
     m = x.shape[0]
     _guard_dense(m, max_dense, "pca")
-    scatter = feature_scatter(x, center=center)
+    scatter = feature_scatter(x, center=True)
     values, vectors = sym_eig(scatter)
     rng = np.random.default_rng(seed)
     groups = overlapping_groups(m, n_subspaces, group_size, rng)
@@ -280,15 +278,11 @@ def default_dca_ridge(sw, scatter):
     return rho
 
 
-def fit_dca(x, y=None, rho=None, n_subspaces=1, group_size=None, seed=0,
+def fit_dca(x, y, rho=None, n_subspaces=1, group_size=None, seed=0,
             max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Discriminant transform: generalized eigenvectors of the centered
     scatter against the ridged within-class scatter, descending eigenvalue."""
-    if isinstance(x, Dataset) and y is None:
-        y = x.y
     x = _as_matrix(x)
-    if y is None:
-        raise DataError("dca needs labels")
     m = x.shape[0]
     _guard_dense(m, max_dense, "dca")
     if group_size is None:
@@ -329,8 +323,7 @@ def _solve_pivot(pivot, rhs_t, scatter_norm):
             ) from exc
 
 
-def fit_bcd(x, index_groups, center=False,
-            max_dense=DEFAULT_MAX_DENSE_FEATURES):
+def fit_bcd(x, index_groups, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Blocked Doolittle elimination of the feature gram.
 
     index_groups must disjointly partition the (possibly padded) feature
@@ -346,7 +339,7 @@ def fit_bcd(x, index_groups, center=False,
     _guard_dense(n_padded, max_dense, "bcd")
     order = np.concatenate(index_groups)
     xr = _padded_rearranged(x, order, n_padded)
-    scatter = feature_scatter(xr, center=center)
+    scatter = feature_scatter(xr, center=False)
     scatter_norm = float(np.linalg.norm(scatter))
 
     offsets = np.cumsum([0] + [len(g) for g in index_groups])

@@ -23,10 +23,7 @@ R carries continuous local scores rather than hard labels so the global
 learner sees margins. Row standardization (zero mean, unit variance over
 training instances) makes the arbitrary local score scales commensurable;
 rows that are constant on the training set are left untouched, and the
-same affine map is replayed at predict time. By default the fusion R is
-the locals' resubstitution output; an optional 5-fold cross-fitted R
-(`crossfit=True`) guards against the stacking overfit at the cost of
-five extra local fits.
+same affine map is replayed at predict time.
 """
 
 import time
@@ -147,37 +144,13 @@ def apply_standardization(r, shift, scale):
     return (r - shift[:, None]) / scale[:, None]
 
 
-def _crossfit_r(local_spec, views, y, guards, seed, threads, folds=5):
-    """Out-of-fold local scores: each instance scored by locals that never
-    saw it. Fold assignment is a seeded permutation chopped evenly."""
-    n = views[0].shape[1]
-    if n < folds:
-        raise DataError(f"cross-fitted fusion needs at least {folds} instances")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5F)))
-    perm = rng.permutation(n)
-    r = np.zeros((len(views), n))
-    for f in range(folds):
-        hold = np.sort(perm[f::folds])
-        keep = np.sort(np.setdiff1d(np.arange(n), hold, assume_unique=False))
-
-        def task(i):
-            model = train_learner(local_spec, views[i][:, keep], y[keep],
-                                  guards, _role_seed(seed, "cvlocal", i))
-            return model.decision_function(views[i][:, hold])
-
-        scores = _map_indexed(task, len(views), threads)
-        for i, s in enumerate(scores):
-            r[i, hold] = s
-    return r
-
-
 def _role_seed(seed, role, index):
     entropy = (int(seed), sum(ord(c) for c in role), int(index))
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
-             guards=None, crossfit=False, dca_ridge=None, config_snapshot=None):
+             guards=None, dca_ridge=None, config_snapshot=None):
     """Fit the full divide-and-conquer model on a training Dataset.
 
     plan is a list of (method, n_subspaces, group_size) entries (or config
@@ -212,10 +185,7 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
 
     t0 = time.perf_counter()
     with _stage("fusion"):
-        if crossfit:
-            r = _crossfit_r(local, views, y, guards, seed, threads)
-        else:
-            r = build_r(local_models, views)
+        r = build_r(local_models, views)
         shift, scale = standardize_rows(r)
         rs = apply_standardization(r, shift, scale)
         global_model = train_learner(global_, rs, y, guards,

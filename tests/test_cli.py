@@ -91,6 +91,23 @@ def test_eval_prints_two_decimal_error_rate(tmp_path, capsys):
     assert report["metrics"]["n"] == 4
 
 
+def test_eval_of_version_1_fixture_ignores_removed_config_keys(tmp_path,
+                                                              capsys):
+    # the fixture's config snapshot still holds the removed keys
+    # `crossfit_fusion` and `guards.max_intrinsic_dim`; eval never parses it
+    ds = make_blobs(200, n_features=6, separation=2.0, seed=3)
+    save_libsvm(ds, tmp_path / "test6.libsvm")
+    rc = main(["eval", "--model", str(FIXTURE_MODEL),
+               "--test", str(tmp_path / "test6.libsvm"),
+               "--out", str(tmp_path / "evalout")])
+    assert rc == 0
+    assert "error rate:" in capsys.readouterr().out
+    report = json.loads((tmp_path / "evalout" / "eval_report.json").read_text())
+    assert report["config"]["crossfit_fusion"] is False
+    assert "max_intrinsic_dim" in report["config"]["guards"]
+    assert report["metrics"]["n"] == 200
+
+
 def test_bench_reports_zero_reduction_when_both_perfect(tmp_path, capsys):
     write_blob_file(tmp_path / "train.libsvm")
     cfg = base_config(tmp_path, baseline="linear")
@@ -249,6 +266,7 @@ def test_config_problems_are_collected(tmp_path, capsys):
         "typo_key": 1,
         "threads": 0,
         "guards": {"max_intrinsic_dim": 20000},
+        "crossfit_fusion": True,
     }))
     rc = main(["train", "--config", str(cfg)])
     assert rc == 2
@@ -259,6 +277,7 @@ def test_config_problems_are_collected(tmp_path, capsys):
     assert "typo_key" in err         # unknown key
     assert "threads" in err          # non-positive
     assert "max_intrinsic_dim" in err  # removed option, now an unknown key
+    assert "crossfit_fusion" in err    # removed option, now an unknown key
 
 
 def test_missing_train_file_is_data_error(tmp_path, capsys):
@@ -375,7 +394,7 @@ FULL_CONFIG = {
     "local": {"type": "linear", "lam": 1.0},
     "global": {"type": "trbf", "p": 2, "sigma": None, "lam": None},
     "guards": {"max_dense_features": 4096},
-    "crossfit_fusion": False, "dca_ridge": None, "baseline": "linear",
+    "dca_ridge": None, "baseline": "linear",
     "out_dir": "out", "threads": 4, "seed": 7,
 }
 
@@ -393,14 +412,14 @@ def test_config_echo_is_pinned():
         '"global": {"type": "trbf", "lam": null, "sigma": null, "p": 2}, '
         '"guards": {"max_dense_features": 4096}, '
         '"out_dir": "out", "threads": 4, "seed": 7, '
-        '"crossfit_fusion": false, "dca_ridge": null, "baseline": "linear"}')
+        '"dca_ridge": null, "baseline": "linear"}')
 
 
 def test_rerun_from_echo_reproduces_config():
     minimal = {"train_path": "x",
                "plan": [{"method": "abd", "n_subspaces": 2, "group_size": 3}]}
-    others = {"split": {"train_fraction": 0.5}, "crossfit_fusion": True,
-              "dca_ridge": 0.25, "local": {"lam": 3, "p": 4},
+    others = {"split": {"train_fraction": 0.5}, "dca_ridge": 0.25,
+              "local": {"lam": 3, "p": 4},
               "global": {"type": "linear", "sigma": 1.5},
               "guards": {"max_dense_features": 99}, "baseline": "trbf"}
     for doc in (FULL_CONFIG, minimal, {**minimal, **others}):

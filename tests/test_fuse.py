@@ -139,14 +139,6 @@ def test_train_dc_lsmr_locals_same_bits_for_any_threads():
     assert np.array_equal(predict_dc(m1, ds)[1], predict_dc(m4, ds)[1])
 
 
-def test_train_dc_crossfit_same_bits_for_any_threads():
-    ds = blob_dataset(n=100, n_features=8, seed=9, separation=3.0)
-    plan = [("rd", 2, 4), ("pca", 2, 4)]
-    m1 = train_dc(ds, plan, seed=6, threads=1, crossfit=True)
-    m2 = train_dc(ds, plan, seed=6, threads=2, crossfit=True)
-    assert np.array_equal(predict_dc(m1, ds)[1], predict_dc(m2, ds)[1])
-
-
 def test_predict_dc_runs_on_calling_thread(monkeypatch):
     ds = blob_dataset(n=90, n_features=8, seed=7, separation=3.0)
     model = train_dc(ds, [("rd", 2, 4), ("pca", 2, 4)], seed=3)
@@ -208,22 +200,6 @@ def test_train_dc_stage_names_tag_errors(monkeypatch):
         with pytest.raises(ConfigError, match="decomposition fitting"):
             train_dc(ds, [(method, 3, 10)],
                      guards=Guards(max_dense_features=8), seed=0)
-
-
-def test_train_dc_crossfit_path():
-    ds = blob_dataset(n=100, n_features=8, seed=17)
-    m1 = train_dc(ds, [("rd", 2, 4)], crossfit=True, seed=5,
-                  global_=LearnerSpec(type="linear", lam=1.0))
-    m2 = train_dc(ds, [("rd", 2, 4)], crossfit=True, seed=5,
-                  global_=LearnerSpec(type="linear", lam=1.0))
-    s1 = predict_dc(m1, ds)[1]
-    s2 = predict_dc(m2, ds)[1]
-    assert np.array_equal(s1, s2)
-    labels, _ = predict_dc(m1, ds)
-    assert evaluate(labels, ds.y)["error_rate_pct"] <= 5.0
-    tiny = blob_dataset(n=4, n_features=4, seed=0)
-    with pytest.raises(DataError):
-        train_dc(tiny, [("rd", 1, 4)], crossfit=True, seed=0)
 
 
 def test_predict_dc_zero_score_maps_positive():
