@@ -165,7 +165,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     t_start = time.perf_counter()
-    model = load_dc_model(args.model)
+    model = load_dc_model(args.model)  # derives the collapsed scorer too
+    load_s = time.perf_counter() - t_start
     snap = model.config_snapshot or {}
 
     t0 = time.perf_counter()
@@ -184,7 +185,7 @@ def cmd_eval(args):
     metrics = evaluate(labels, test.y)
     predict_s = time.perf_counter() - t0
 
-    timings = {"parse": parse_s, "prediction": predict_s,
+    timings = {"load": load_s, "parse": parse_s, "prediction": predict_s,
                "total": time.perf_counter() - t_start}
     report = build_report("eval", snap.get("seed", 0), timings,
                           snap, metrics, artifacts={"model": args.model})

@@ -37,6 +37,10 @@ from .errors import ConfigError, DataError, NumericError
 from .numerics import gen_sym_eig, solve_spd, sym_eig
 
 METHODS = ("rd", "pca", "dca", "bcd", "abd")
+# the optional fields each method's map reads, in `_apply_part`'s order
+_MAP_FIELDS = {"rd": (), "pca": ("transform",), "dca": ("transform",),
+               "bcd": ("feature_order", "transform"),
+               "abd": ("feature_order", "block_size", "transform")}
 DEFAULT_MAX_DENSE_FEATURES = 4096
 
 
@@ -61,6 +65,18 @@ class SubspaceDecomposition:
     block_size: Optional[int] = None
     eigenvalues: Optional[NDArray[np.float64]] = None
     fit_stats: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # `_apply_part` reads the fields, not the name, and a model file is
+        # outside input: its fields must be those of the method it names
+        if self.method not in _MAP_FIELDS:
+            raise ConfigError(f"unknown decomposition method {self.method!r}")
+        present = tuple(name for name in ("feature_order", "block_size",
+                                          "transform")
+                        if getattr(self, name) is not None)
+        if present != _MAP_FIELDS[self.method]:
+            raise ConfigError(f"a {self.method} part sets {present}, not "
+                              f"{_MAP_FIELDS[self.method]}")
 
     @property
     def n_subspaces(self):
@@ -102,16 +118,19 @@ def _as_matrix(x):
     """
     if not sp.issparse(x):
         return np.asarray(x, dtype=np.float64)
-    csc = x.tocsc()
-    m, n = csc.shape
-    if 8 * m * n <= csc.data.nbytes + csc.indices.nbytes + csc.indptr.nbytes:
-        return _densify(csc)
+    m, n = x.shape
+    # CSC and CSR share nnz and index width: count without converting
+    counted = x if x.format in ("csc", "csr") else x.tocsc()
+    index = counted.indices.itemsize
+    if 8 * m * n <= counted.nnz * (counted.data.itemsize + index) + (n + 1) * index:
+        return _densify(x)
     return x
 
 
 def _densify(x):
-    """Dense float64 copy of a sparse matrix (the gate's one conversion)."""
-    return x.toarray().astype(np.float64, copy=False)
+    """Dense float64 copy of a sparse matrix (the gate's one conversion),
+    column-major as a CSC matrix densifies, whatever the input format."""
+    return np.asfortranarray(x.toarray(), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -445,33 +464,22 @@ def abd_dense_transform(part):
 
 
 def _apply_part(part, x):
-    sparse = sp.issparse(x)
-    if part.method == "rd":
-        rows = x.tocsr() if sparse else x
-        return [rows[g] for g in part.index_groups]
-    if part.method in ("pca", "dca"):
-        w = part.transform
-        y = (x.T @ w.T).T if sparse else w @ x
-        return [y[g] for g in part.index_groups]
-    if part.method == "bcd":
-        xr = _padded_rearranged(x, part.feature_order, part.n_features_out)
-        w = part.transform
-        y = (xr.T @ w.T).T if sp.issparse(xr) else w @ xr
-        return [y[g] for g in part.index_groups]
-    if part.method == "abd":
-        xr = _padded_rearranged(x, part.feature_order, part.n_features_out)
-        size = part.block_size
-        v = part.transform
-        count = len(part.index_groups)
-        blocks = [xr[j * size:(j + 1) * size] for j in range(count)]
-        views = []
-        for i in range(count):
-            acc = blocks[0] * v[0, i]
-            for j in range(1, count):
-                acc = acc + blocks[j] * v[j, i]
-            views.append(acc)
-        return views
-    raise ConfigError(f"unknown decomposition method {part.method!r}")
+    """The views of one part, read off the part's own fields: re-arrange
+    and pad the rows (bcd, abd), then mix whole blocks (abd) or multiply
+    by the transform (pca, dca, bcd), then slice the groups."""
+    if part.feature_order is not None:
+        x = _padded_rearranged(x, part.feature_order, part.n_features_out)
+    if part.block_size is not None:  # view i is sum_j V[j, i] * block j
+        size, v = part.block_size, part.transform
+        blocks = [x[j * size:(j + 1) * size] for j in range(len(v))]
+        return [sum((blocks[j] * v[j, i] for j in range(1, len(v))),
+                    blocks[0] * v[0, i]) for i in range(len(v))]
+    if part.transform is not None:
+        t = part.transform
+        x = (x.T @ t.T).T if sp.issparse(x) else t @ x
+    elif sp.issparse(x):
+        x = x.tocsr()
+    return [x[g] for g in part.index_groups]
 
 
 def check_feature_count(comp: CompositeDecomposition, x):
@@ -500,50 +508,32 @@ def apply_decomposition(comp: CompositeDecomposition, x):
     return views
 
 
-def _pull_back_part(part, weights):
-    """Input-feature vectors a_k with a_k . x = w_k . view_k(x), one per
-    group of `part`, for weight vectors over its views."""
-    m = part.n_features_in
-    out = []
-    for i, (g, w) in enumerate(zip(part.index_groups, weights)):
-        if part.method == "rd":
-            u = np.zeros(m)
-            u[g] = w
-        elif part.method in ("pca", "dca", "bcd"):
-            u = w @ part.transform[g]
-        elif part.method == "abd":
-            u = np.concatenate([part.transform[j, i] * w
-                                for j in range(len(part.index_groups))])
-        else:
-            raise ConfigError(f"unknown decomposition method {part.method!r}")
-        if part.feature_order is not None:
-            # coordinate c of the rearranged space is padded input row
-            # feature_order[c]; padding rows (>= m) only ever meet zeros
-            padded = np.empty(part.n_features_out)
-            padded[part.feature_order] = u
-            u = padded[:m]
-        out.append(u)
-    return out
-
-
 def linear_pullback(comp: CompositeDecomposition, weights):
     """The M x h matrix whose column k maps input features to view k's
     linear score: column k . x == weights[k] . (view k of x), for weight
     vectors in view order (as `apply_decomposition` returns the views).
 
-    Every method is linear, so this folds the decomposition into the
-    linear locals once: rd scatters w into its group's rows, pca/dca take
-    w @ T[g], bcd does the same over the rearranged padded coordinates
-    and abd weights each block j by V[j, i]; both scatter back through
-    `feature_order` and drop the padding rows. C-contiguous, so that
-    `x.T @ at` runs on contiguous rows for one sparse column.
+    Every map is linear and defined only in `_apply_part`: view k of a
+    basis E with E·Eᵀ = I is P_k·E, so column k is E·(P_k·E)ᵀ·weights[k].
+    E is the sparse identity, or for bcd/abd the transpose of their row
+    re-arrangement of it, so that each sum runs over the padded output
+    coordinates in their order (BLAS sums the trailing entries of a
+    product differently, so an entry's bits depend on its position).
+    pca/dca/bcd project E into a dense n_out x n_out transient, which the
+    dense-features guard bounds. C-contiguous, so that `x.T @ at` runs on
+    contiguous rows for one sparse column.
     """
     if len(weights) != comp.h:
         raise DataError(f"{len(weights)} weight vectors but {comp.h} subspaces")
-    cols, start = [], 0
+    eye = sp.identity(comp.n_features_in, format="csc")
+    cols = []
     for part in comp.parts:
-        cols.extend(_pull_back_part(part, weights[start:start + part.n_subspaces]))
-        start += part.n_subspaces
+        basis = eye
+        if part.feature_order is not None:
+            basis = _padded_rearranged(eye, part.feature_order,
+                                       part.n_features_out).T
+        for view in _apply_part(part, basis):
+            cols.append(basis @ (view.T @ weights[len(cols)]))
     return np.ascontiguousarray(np.column_stack(cols))
 
 

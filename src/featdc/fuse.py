@@ -12,12 +12,13 @@ each local runs on one thread, so pools never nest.
 the scoring it would spread). Every decomposition method is a linear map,
 so when every local is linear the h local scores of a query are one
 affine map of its features, R = Aᵀx + b: `DcModel` derives the M x h
-matrix A (`at`) and b once, after training and after loading, and predict
-takes one product instead of building h subspace views. Models with TRBF
-locals replay the views. Both routes then replay the stored row
-standardization and the global; the final label is sign(global score)
-with sign(0) = +1. Training's R still comes from the views, which exist
-there anyway.
+matrix A (`at`) and b once, after training and after loading, from the
+views of the identity (`decompose.linear_pullback`), so each map is
+defined only where the views are built; predict takes one product
+instead of building h subspace views. Models with TRBF locals replay the
+views. Both routes then replay the stored row standardization and the
+global; the final label is sign(global score) with sign(0) = +1.
+Training's R still comes from the views, which exist there anyway.
 
 R carries continuous local scores rather than hard labels so the global
 learner sees margins. Row standardization (zero mean, unit variance over
@@ -190,17 +191,17 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
         rs = apply_standardization(r, shift, scale)
         global_model = train_learner(global_, rs, y, guards,
                                      _role_seed(seed, "global", 0), threads)
+        model = DcModel(  # derives the collapsed scorer
+            decomposition=comp,
+            locals=local_models,
+            global_model=global_model,
+            r_shift=shift,
+            r_scale=scale,
+            config_snapshot=dict(config_snapshot or {}),
+            fit_timings=timings,
+        )
     timings["fusion"] = time.perf_counter() - t0
-
-    return DcModel(
-        decomposition=comp,
-        locals=local_models,
-        global_model=global_model,
-        r_shift=shift,
-        r_scale=scale,
-        config_snapshot=dict(config_snapshot or {}),
-        fit_timings=timings,
-    )
+    return model
 
 
 def local_scores(model, x):

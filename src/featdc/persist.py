@@ -69,7 +69,8 @@ def _dec(obj, hint):
         return hint(**{f.name: _dec(obj[f.name], _hints(hint)[f.name])
                        for f in dataclasses.fields(hint)})
     if hint == FloatArray:
-        flat = np.array([float.fromhex(s) for s in obj["hex"]], dtype=np.float64)
+        hexes = obj["hex"]
+        flat = np.fromiter(map(float.fromhex, hexes), np.float64, len(hexes))
         return flat.reshape(obj["shape"])
     if hint == IntArray:
         return np.asarray(obj, dtype=np.int64)
@@ -103,7 +104,7 @@ def _write(kind, payload, path):
     doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
            "kind": kind, "payload": payload}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # one-shot: the C encoder, same bytes
         fh.write("\n")
 
 

@@ -236,6 +236,28 @@ def test_train_timings_cover_the_total(tmp_path):
     assert method_sum <= t["fit_decomposition"] + 1e-9
 
 
+def test_eval_timings_cover_the_total(tmp_path):
+    # big enough that untimed bookkeeping is negligible next to the stages
+    write_blob_file(tmp_path / "train.libsvm", n=3000, n_features=24, seed=1,
+                    separation=2.0)
+    cfg = base_config(tmp_path, split=None, plan=[
+        {"method": "rd", "n_subspaces": 3, "group_size": 8},
+        {"method": "pca", "n_subspaces": 3, "group_size": 8},
+        {"method": "bcd", "n_subspaces": 3, "group_size": 8},
+        {"method": "abd", "n_subspaces": 3, "group_size": 8},
+    ])
+    assert main(["train", "--config", str(cfg)]) == 0
+    rc = main(["eval", "--model", str(tmp_path / "out" / "model.json"),
+               "--test", str(tmp_path / "train.libsvm"),
+               "--out", str(tmp_path / "evalout")])
+    assert rc == 0
+    t = json.loads((tmp_path / "evalout" / "eval_report.json").read_text())[
+        "timings_s"]
+    assert list(t) == ["load", "parse", "prediction", "total"]
+    stage_sum = t["load"] + t["parse"] + t["prediction"]
+    assert abs(stage_sum - t["total"]) <= 0.05 * t["total"]
+
+
 def test_report_table_lists_timings_in_recorded_order(tmp_path, capsys):
     write_blob_file(tmp_path / "train.libsvm")
     cfg = base_config(tmp_path, plan=[
@@ -348,6 +370,20 @@ def test_thread_override_must_be_positive(tmp_path, capsys, command):
         rc = main(args + ["--threads", threads])
         assert rc == 2
         assert "--threads must be >= 1" in capsys.readouterr().err
+
+
+def test_eval_of_unknown_method_exits_3(tmp_path, capsys):
+    doc = json.loads(FIXTURE_MODEL.read_text())
+    doc["payload"]["decomposition"]["parts"][0]["method"] = "fft"
+    model_path = tmp_path / "fft.json"
+    model_path.write_text(json.dumps(doc))
+    ds = make_blobs(50, n_features=6, separation=2.0, seed=3)
+    save_libsvm(ds, tmp_path / "test6.libsvm")
+    rc = main(["eval", "--model", str(model_path),
+               "--test", str(tmp_path / "test6.libsvm"),
+               "--out", str(tmp_path / "evalout")])
+    assert rc == 3
+    assert "unknown decomposition method 'fft'" in capsys.readouterr().err
 
 
 def test_malformed_model_file_is_data_error(tmp_path, capsys):

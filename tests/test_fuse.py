@@ -8,7 +8,7 @@ import featdc.classify as classify
 from featdc.classify import label_from_score, train_linear
 from featdc.dataio import Dataset
 from featdc.datasets import make_blobs
-from featdc.decompose import apply_decomposition
+from featdc.decompose import _as_matrix, apply_decomposition
 from featdc.errors import ConfigError, DataError, NumericError
 from featdc.fuse import (DcModel, Guards, LearnerSpec, apply_standardization,
                          build_r, evaluate, local_scores, predict_dc,
@@ -319,6 +319,72 @@ def test_collapsed_r_matches_the_views(plan, data):
         assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(predict_dc(model, q)[0],
                               predict_dc(per_view(model), q)[0])
+
+
+def pulled_back(comp, weights):
+    """Reference pullback, one formula per method, written independently
+    of `apply_decomposition`: rd scatters w into its group's rows,
+    pca/dca/bcd take w @ T[g], abd weights block j by V[j, i], and bcd/abd
+    scatter back through `feature_order` and drop the padding rows."""
+    m, cols, k = comp.n_features_in, [], 0
+    for part in comp.parts:
+        for i, g in enumerate(part.index_groups):
+            w = weights[k]
+            k += 1
+            if part.method == "rd":
+                u = np.zeros(m)
+                u[g] = w
+            elif part.method == "abd":
+                u = np.concatenate([part.transform[j, i] * w
+                                    for j in range(part.n_subspaces)])
+            else:
+                u = w @ part.transform[g]
+            if part.feature_order is not None:
+                padded = np.empty(part.n_features_out)
+                padded[part.feature_order] = u
+                u = padded[:m]
+            cols.append(u)
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("data", ["dense", "sparse"])
+@pytest.mark.parametrize("plan", COLLAPSE_PLANS)
+def test_collapsed_map_equals_the_per_method_formulas(plan, data):
+    ds = (blob_dataset(n=120, n_features=11, seed=4, separation=3.0)
+          if data == "dense" else sparse_dataset(seed=4))
+    model = train_dc(ds, COLLAPSE_PLANS[plan], seed=6)
+    ref = pulled_back(model.decomposition, [m.weights for m in model.locals])
+    assert model.at.dtype == ref.dtype and model.at.shape == ref.shape
+    assert model.at.tobytes() == ref.tobytes()
+
+
+def test_csr_query_scores_like_its_csc_form_without_converting(monkeypatch):
+    # the gate counts a CSR query's CSC bytes without building its CSC form
+    plan = COLLAPSE_PLANS["mixed"]
+    on_sparse = train_dc(sparse_dataset(seed=4), plan, seed=6)
+    on_dense = train_dc(blob_dataset(n=120, n_features=11, seed=4,
+                                     separation=3.0), plan, seed=6)
+    cases = [(on_sparse, sparse_dataset(seed=5).X, False),
+             (on_dense, blob_dataset(n=40, n_features=11, seed=5).X[:, [7]],
+              True)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("CSR query converted to CSC")
+
+    for model, q, densified in cases:
+        assert q.format == "csc"
+        ref = predict_dc(model, q)[1]
+        csr = sp.csr_array(q)
+        with monkeypatch.context() as patch:
+            patch.setattr(sp.csr_array, "tocsc", refuse)
+            assert sp.issparse(_as_matrix(q)) != densified
+            got = _as_matrix(csr)
+            if densified:
+                assert got.flags.f_contiguous
+                assert np.array_equal(got, q.toarray())
+            else:
+                assert got is csr
+            assert predict_dc(model, csr)[1].tobytes() == ref.tobytes()
 
 
 def test_predict_dc_builds_views_only_for_trbf_locals(monkeypatch):

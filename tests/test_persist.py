@@ -177,6 +177,9 @@ def test_header_keys_required(tmp_path):
             load_model_file(path)
 
 
+FIXTURE = Path(__file__).parent / "fixtures" / "model_v1.json"
+
+
 def test_version_1_fixture_loads_and_resaves_unchanged(tmp_path):
     # a `featdc train` model.json kept from before the schema-driven
     # encoder: every method, linear locals, TRBF global, scaled features
@@ -202,3 +205,32 @@ def test_version_1_fixture_predicts_through_the_collapsed_map():
     ref_labels, ref_scores = predict_dc(twin, ds)
     assert np.array_equal(labels, ref_labels)
     assert np.max(np.abs(scores - ref_scores)) <= 1e-12 * np.max(np.abs(ref_scores))
+
+
+def rename_rd_to_fft(parts):
+    parts[0]["method"] = "fft"
+
+
+def drop_pca_transform(parts):
+    parts[1]["transform"] = None
+
+
+def give_rd_a_transform(parts):
+    parts[0]["transform"] = parts[1]["transform"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (rename_rd_to_fft, "unknown decomposition method 'fft'"),
+    (drop_pca_transform, r"a pca part sets \(\), not \('transform',\)"),
+    (give_rd_a_transform, r"a rd part sets \('transform',\), not \(\)"),
+])
+def test_part_that_is_not_its_method_refused(tmp_path, edit, message):
+    # parts are applied by their fields, so the name and fields must agree
+    doc = json.loads(FIXTURE.read_text())
+    parts = doc["payload"]["decomposition"]["parts"]
+    assert [p["method"] for p in parts[:2]] == ["rd", "pca"]
+    edit(parts)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=message):
+        load_dc_model(path)
