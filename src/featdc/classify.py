@@ -37,6 +37,9 @@ EXPAND_CHUNK = 2048
 # task with one writer and the partition ignores `threads`, so the Gram has
 # the same bits for every thread count.
 GRAM_BLOCK = 256
+# Rows (CSR) or columns (CSC) per block when the LSMR route squares a
+# sparse view's entries, which bounds the squared copy it holds at once.
+SUMSQ_BLOCK = 1024
 
 
 def default_lam(n_instances):
@@ -117,10 +120,11 @@ def train_linear(x, y, lam=None, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Minimize sum_n (w.x_n + b - y_n)^2 + lam ||w||^2 (bias unpenalized).
 
     Features up to `max_dense` go through the dense normal equations via
-    a Cholesky solve; larger dimensions use the damped LSMR least-squares
-    iteration on the centered operator, which minimizes the identical
-    objective. Both routes must leave a relative normal-equation residual
-    of at most 1e-8.
+    a Cholesky solve; larger dimensions use LSMR on the centered operator,
+    column-scaled by D = diag(X_c X_c^T + lam I)^(-1/2) (solving for v in
+    w = D v), which minimizes the identical objective. Both routes must
+    leave a relative normal-equation residual of at most 1e-8, read on
+    the unscaled weights w.
     """
     x = _as_2d(x)
     _check_finite_features(x)
@@ -155,14 +159,62 @@ def train_linear(x, y, lam=None, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     return LinearModel(weights=w, bias=bias, lam=float(lam), solver=solver)
 
 
-def _lsmr_weights(x, mu, yc, lam, rhs):
-    op = _centering_operator(x, mu)
+def _row_sumsq(x):
+    """Sum of squares of each row of x.
+
+    A CSR or CSC matrix is read once, a block of rows (CSR) or columns
+    (CSC) at a time, so only one block's squared entries exist at once and
+    the matrix itself is never copied; other sparse formats go through CSR.
+    """
+    if not sp.issparse(x):
+        return np.einsum("ij,ij->i", x, x)
+    if x.format not in ("csr", "csc"):
+        x = x.tocsr()
     d = x.shape[0]
-    w = None
+    out = np.zeros(d)
+    major = len(x.indptr) - 1
+    for lo in range(0, major, SUMSQ_BLOCK):
+        hi = min(lo + SUMSQ_BLOCK, major)
+        start, stop = x.indptr[lo], x.indptr[hi]
+        sq = np.square(x.data[start:stop], dtype=np.float64)
+        if x.format == "csr":
+            rows = np.repeat(np.arange(hi - lo), np.diff(x.indptr[lo:hi + 1]))
+            out[lo:hi] = np.bincount(rows, weights=sq, minlength=hi - lo)
+        else:
+            out += np.bincount(x.indices[start:stop], weights=sq, minlength=d)
+    return out
+
+
+def _lsmr_weights(x, mu, yc, lam, rhs):
+    """Column-scaled LSMR: solve for v in w = D v, where
+    D = diag(X_c X_c^T + lam I)^(-1/2), as the undamped least-squares
+    problem [X_c^T D; sqrt(lam) D] v ~ [y_c; 0], whose minimizer gives the
+    same w. The residual is measured on the unscaled w."""
+    op = _centering_operator(x, mu)
+    d, n = x.shape
+    # Cancellation can leave a constant row's centered square sum slightly
+    # below zero; the clamp keeps the diagonal at least lam.
+    diag = np.maximum(_row_sumsq(x) - n * mu * mu, 0.0) + lam
+    scale = 1.0 / np.sqrt(diag)
+    root_lam = math.sqrt(lam)
+
+    def matvec(v):
+        w = scale * np.asarray(v).ravel()
+        return np.concatenate([op.matvec(w), root_lam * w])
+
+    def rmatvec(u):
+        u = np.asarray(u).ravel()
+        return scale * (op.rmatvec(u[:n]) + root_lam * u[n:])
+
+    scaled = LinearOperator((n + d, d), matvec=matvec, rmatvec=rmatvec,
+                            dtype=np.float64)
+    target = np.concatenate([yc, np.zeros(d)])
+    v = None
     for maxiter in (max(4 * d, 2000), max(40 * d, 20000)):
-        result = lsmr(op, yc, damp=math.sqrt(lam), atol=1e-12, btol=1e-12,
-                      conlim=1e14, maxiter=maxiter, x0=w)
-        w = result[0]
+        result = lsmr(scaled, target, damp=0.0, atol=1e-12, btol=1e-12,
+                      conlim=1e14, maxiter=maxiter, x0=v)
+        v = result[0]
+        w = scale * v
         resid = np.linalg.norm(op.rmatvec(op.matvec(w)) + lam * w - rhs)
         if resid / (1.0 + np.linalg.norm(rhs)) <= 1e-8:
             break

@@ -80,6 +80,64 @@ def test_train_linear_lsmr_matches_dense():
     assert abs(dense.bias - tall.bias) <= 1e-7
 
 
+def normal_equation_residual(x, y, model):
+    """Relative residual of (X_c X_c^T + lam I) w = X_c y_c, read on the
+    model's (unscaled) weights with dense arithmetic."""
+    x = x.toarray() if sp.issparse(x) else np.asarray(x, dtype=np.float64)
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean()
+    rhs = xc @ yc
+    w = model.weights
+    r = xc @ (xc.T @ w) + model.lam * w - rhs
+    return np.linalg.norm(r) / (1.0 + np.linalg.norm(rhs))
+
+
+def test_train_linear_lsmr_matches_dense_on_badly_scaled_rows():
+    # feature rows scaled from 1e-3 to 1e3: the column-scaled LSMR route
+    # still lands on the Cholesky solution and passes the residual gate
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(30, 200)) * (rng.random((30, 200)) < 0.3)
+    x *= np.logspace(-3, 3, 30)[:, None]
+    y = np.where(rng.random(200) < 0.5, 1.0, -1.0)
+    dense = train_linear(x, y, lam=2.0, max_dense=4096)
+    for xs in (sp.csc_array(x), sp.csr_array(x)):
+        tall = train_linear(xs, y, lam=2.0, max_dense=8)
+        assert tall.solver == "lsmr" and dense.solver == "dense"
+        assert np.allclose(dense.weights, tall.weights, atol=1e-7)
+        assert abs(dense.bias - tall.bias) <= 1e-7
+        assert normal_equation_residual(xs, y, tall) <= 1e-8
+
+
+def test_train_linear_lsmr_degenerate_rows():
+    rng = np.random.default_rng(13)
+    n, lam = 200, 0.1
+    x = rng.normal(size=(12, n)) * (rng.random((12, n)) < 0.4)
+    x[3] = 0.0               # all-zero row: its diagonal is lam alone
+    x[7] = 1e6 + 0.3         # constant row: its centered square sum cancels
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    xs = sp.csr_array(x)
+    # the cancellation lands below -lam, so the diagonal needs the clamp
+    centered = classify._row_sumsq(xs) - n * np.asarray(xs.mean(axis=1)) ** 2
+    assert centered[7] < -lam
+    for data in (xs, sp.csc_array(x), x):  # x: the dense einsum branch
+        model = train_linear(data, y, lam=lam, max_dense=4)
+        assert model.solver == "lsmr"
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+        assert model.weights[3] == 0.0
+        assert normal_equation_residual(x, y, model) <= 1e-8
+
+
+def test_row_sumsq_matches_dense_across_blocks(monkeypatch):
+    monkeypatch.setattr(classify, "SUMSQ_BLOCK", 3)
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(11, 7)) * (rng.random((11, 7)) < 0.5)
+    x[4] = 0.0
+    expected = np.einsum("ij,ij->i", x, x)
+    for fmt in (sp.csr_array, sp.csc_array, sp.coo_array):
+        assert np.allclose(classify._row_sumsq(fmt(x)), expected,
+                           rtol=1e-15, atol=0.0)
+
+
 def test_train_linear_ridge_shrinks_weights():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 60))
