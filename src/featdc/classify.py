@@ -40,6 +40,10 @@ GRAM_BLOCK = 256
 # Rows (CSR) or columns (CSC) per block when the LSMR route squares a
 # sparse view's entries, which bounds the squared copy it holds at once.
 SUMSQ_BLOCK = 1024
+# Largest J·n (output cells) that `trbf_expand` fills one degree at a
+# time: below it the run fill's per-call cost dominates, above it the
+# level fill's gathered copies do.
+LEVEL_CELLS = 1 << 16
 
 
 def default_lam(n_instances):
@@ -241,30 +245,36 @@ def trbf_indices(m, p):
 
 @functools.lru_cache(maxsize=32)
 def _trbf_tables(m, p):
-    """Row coefficients and fill runs of the order-p map on m inputs.
+    """Row coefficients, parents, last coordinates and fill runs of the
+    order-p map on m inputs.
 
     Row r of the map (before the envelope) is coef[r] times the product
-    of u over the coordinates of multi-index r, i.e. its parent row times
-    u[last]. In graded lexicographic order the children c + (k,), k from
-    c[-1] to m-1, of each multi-index c with |c| < p sit on consecutive
-    rows, so each run (parent, lo, first) fills rows first .. first+m-lo-1
-    with z[parent] * u[lo:]. Cached per (m, p); `coef` is read-only.
+    of u over the coordinates of multi-index r, i.e. row parent[r] (the
+    multi-index without its last coordinate) times u[last[r]]; row 0, the
+    constant, has parent 0 and last 0. In graded lexicographic order the
+    rows of degree d form the block dim(m, d-1) .. dim(m, d)-1, and the
+    children c + (k,), k from c[-1] to m-1, of each multi-index c with
+    |c| < p sit on consecutive rows, so each run (parent, lo, first) fills
+    rows first .. first+m-lo-1 with z[parent] * u[lo:]. A run starts at
+    each row whose last coordinate equals its parent's. Cached per
+    (m, p); the arrays are read-only.
     """
     combos = trbf_indices(m, p)
     coef = np.empty(len(combos))
+    parent = np.zeros(len(combos), dtype=np.intp)
+    last = np.zeros(len(combos), dtype=np.intp)
     coef[0] = 1.0
     row_of = {(): 0}
-    runs = []
     for r, c in enumerate(combos[1:], start=1):
-        parent = c[:-1]
-        last = c[-1]
-        pr = row_of[parent]
-        coef[r] = coef[pr] / math.sqrt(c.count(last))
+        parent[r] = row_of[c[:-1]]
+        last[r] = c[-1]
+        coef[r] = coef[parent[r]] / math.sqrt(c.count(c[-1]))
         row_of[c] = r
-        if last == (parent[-1] if parent else 0):
-            runs.append((pr, last, r))
-    coef.flags.writeable = False
-    return coef, tuple(runs)
+    for table in (coef, parent, last):
+        table.flags.writeable = False
+    starts = np.flatnonzero(last[1:] == last[parent[1:]]) + 1
+    runs = tuple((int(parent[r]), int(last[r]), int(r)) for r in starts)
+    return coef, parent, last, runs
 
 
 def trbf_expand(x, sigma, p):
@@ -278,6 +288,14 @@ def trbf_expand(x, sigma, p):
     kernel's exponential series. Accepts a vector (m,) or a batch (m, n);
     the output is (J,) or (J, n) with J = C(m+p, p), coordinates in
     graded lexicographic multi-index order.
+
+    Every row is its parent row times one u coordinate (`_trbf_tables`),
+    filled by one of two loops chosen from the input size alone. When
+    J·n <= LEVEL_CELLS each degree's row block takes one gathered
+    product, p calls in all, which suits single queries and small
+    batches. Larger chunks fill each run of consecutive rows with one
+    product, which avoids the gather's copies. Each element is the same
+    product either way, so both fills give the same bits.
     """
     if sigma <= 0:
         raise ConfigError(f"sigma must be positive, got {sigma}")
@@ -292,11 +310,19 @@ def trbf_expand(x, sigma, p):
     m, n = x.shape
     u = x / sigma
     envelope = np.exp(-0.5 * np.einsum("ij,ij->j", u, u))
-    coef, runs = _trbf_tables(m, p)
-    z = np.empty((coef.shape[0], n))
+    coef, parent, last, runs = _trbf_tables(m, p)
+    j = coef.shape[0]
+    z = np.empty((j, n))
     z[0] = 1.0
-    for parent, lo, first in runs:
-        np.multiply(z[parent], u[lo:], out=z[first:first + m - lo])
+    if j * n <= LEVEL_CELLS:
+        lo = 1
+        for d in range(1, p + 1):
+            hi = trbf_dim(m, d)
+            np.multiply(z[parent[lo:hi]], u[last[lo:hi]], out=z[lo:hi])
+            lo = hi
+    else:
+        for row, k, first in runs:
+            np.multiply(z[row], u[k:], out=z[first:first + m - k])
     z *= coef[:, None]
     z *= envelope[None, :]
     return z[:, 0] if single else z

@@ -129,7 +129,18 @@ def _as_matrix(x):
 
 def _densify(x):
     """Dense float64 copy of a sparse matrix (the gate's one conversion),
-    column-major as a CSC matrix densifies, whatever the input format."""
+    column-major as a CSC matrix densifies, whatever the input format.
+
+    A single float64 CSC column (one query) is summed straight into its
+    dense column in storage order, as `toarray` sums duplicates. Its
+    (M, 1) output is both C- and F-contiguous, so `toarray` would first
+    convert it to CSR; a CSR column already densifies without conversion.
+    """
+    m, n = x.shape
+    if x.format == "csc" and n == 1 and x.dtype == np.float64:
+        end = x.indptr[1]
+        column = np.bincount(x.indices[:end], weights=x.data[:end], minlength=m)
+        return column[:, None]
     return np.asfortranarray(x.toarray(), dtype=np.float64)
 
 

@@ -277,13 +277,40 @@ def same_bits(a, b):
                                                  b.view(np.uint64))
 
 
+class MultiplySpy:
+    """Stands in for numpy inside `classify` and records the rank of the
+    first factor of each `np.multiply`: 2 for a level fill's gathered
+    parent rows, 1 for a run fill's single parent row."""
+
+    def __init__(self):
+        self.ranks = set()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, a, b, out=None):
+        self.ranks.add(np.ndim(a))
+        return np.multiply(a, b, out=out)
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 20])
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_trbf_expand_matches_row_loop_bitwise(m, p):
+def test_trbf_expand_matches_row_loop_bitwise(m, p, monkeypatch):
     rng = np.random.default_rng(100 * m + p)
     for n in (1, 3, 300):
         x = rng.normal(size=(m, n))
         assert same_bits(trbf_expand(x, 0.9, p), row_loop_expand(x, 0.9, p))
+    # the widest input of the level fill and one column past it; J·n is
+    # exactly LEVEL_CELLS where J is a power of two: (1, 1), (1, 3), (7, 1)
+    at = classify.LEVEL_CELLS // trbf_dim(m, p)
+    for n, rank in ((at, 2), (at + 1, 1)):
+        x = rng.normal(size=(m, n))
+        spy = MultiplySpy()
+        with monkeypatch.context() as patch:
+            patch.setattr(classify, "np", spy)
+            got = trbf_expand(x, 0.9, p)
+        assert spy.ranks == {rank}
+        assert same_bits(got, row_loop_expand(x, 0.9, p))
     v = rng.normal(size=m)
     assert same_bits(trbf_expand(v, 1.7, p), row_loop_expand(v, 1.7, p))
     xs = sp.random(m, 9, density=0.4, format="csc", random_state=m + p)
@@ -298,11 +325,15 @@ def test_trbf_tables_built_once_per_shape():
     trbf_expand(x, 1.0, 3)
     info = classify._trbf_tables.cache_info()
     assert (info.misses, info.hits) == (2, 2)
-    coef, runs = classify._trbf_tables(3, 2)
-    assert not coef.flags.writeable
-    assert coef.shape == (trbf_dim(3, 2),)
+    coef, parent, last, runs = classify._trbf_tables(3, 2)
+    for table in (coef, parent, last):
+        assert not table.flags.writeable
+        assert table.shape == (trbf_dim(3, 2),)
+    # rows (), (0,), (1,), (2,), (0,0), (0,1), (0,2), (1,1), (1,2), (2,2)
+    assert parent.tolist() == [0, 0, 0, 0, 1, 1, 1, 2, 2, 3]
+    assert last.tolist() == [0, 0, 1, 2, 0, 1, 2, 1, 2, 2]
     # one run per multi-index of degree < p: 1 + 3 here
-    assert len(runs) == 4
+    assert runs == ((0, 0, 1), (1, 0, 4), (2, 1, 7), (3, 2, 9))
 
 
 def test_trbf_expand_validation():

@@ -514,6 +514,40 @@ def test_gate_densifies_exactly_up_to_the_byte_rule():
     assert np.array_equal(_as_matrix(dense), dense)
 
 
+def test_gate_densifies_one_column_like_toarray(monkeypatch):
+    # row 4 holds three duplicates whose sum depends on the order:
+    # (1e16 - 1e16) + 1 is 1 in storage order, (1 - 1e16) + 1e16 is 0
+    data = np.array([1e16, 0.5, -1e16, -2.0, 1.0])
+    rows = np.array([4, 1, 4, 0, 4], dtype=np.int32)
+    non_canonical = sp.csc_array((data, rows, np.array([0, 5], dtype=np.int32)),
+                                 shape=(6, 1))
+    order = np.argsort(rows, kind="stable")
+    csr = sp.csr_array((data[order], np.zeros(5, dtype=np.int32),
+                        np.searchsorted(rows[order], np.arange(7))),
+                       shape=(6, 1))
+    canonical = sp.csc_array(np.random.default_rng(32).normal(size=(6, 1)))
+    cases = [non_canonical, csr, canonical, sp.csr_array(canonical)]
+    refs = [np.asfortranarray(x.toarray(), dtype=np.float64) for x in cases]
+    assert refs[0][4, 0] == 1.0 and refs[1][4, 0] == 1.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("CSC column converted to CSR")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sp.csc_array, "tocsr", refuse)
+        for x, ref in zip(cases, refs):
+            got = _as_matrix(x)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.flags.f_contiguous
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    # a float32 column keeps toarray's float32 sums: (1 + 1e-8) - 1 is 0
+    single = sp.csc_array((np.array([1.0, 0.5, 1e-8, -2.0, -1.0], np.float32),
+                           rows, non_canonical.indptr), shape=(6, 1))
+    ref = np.asfortranarray(single.toarray(), dtype=np.float64)
+    assert ref[4, 0] == 0.0
+    assert _as_matrix(single).tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_dense_route_views_match_dense_input_bits(method):
     rng = np.random.default_rng(31)

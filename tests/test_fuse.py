@@ -254,12 +254,14 @@ def test_predict_dc_sparse_and_dense_query_same_bits():
     ds = blob_dataset(n=90, n_features=8, seed=13, separation=3.0)
     model = train_dc(ds, [("rd", 2, 4), ("pca", 2, 4), ("abd", 2, 4)],
                      seed=2)
-    for k in (0, 41, 89):
-        column = ds.X[:, [k]]
-        assert sp.issparse(column)
-        sparse_scores = predict_dc(model, column)[1]
-        dense_scores = predict_dc(model, column.toarray())[1]
-        assert sparse_scores.tobytes() == dense_scores.tobytes()
+    # single columns (n = 1) and the whole set, as CSC and as CSR
+    for query in [ds.X[:, [k]] for k in (0, 41, 89)] + [ds.X]:
+        assert query.format == "csc"
+        dense_scores = predict_dc(model, query.toarray())[1]
+        assert dense_scores.shape == (query.shape[1],)
+        for form in (query, sp.csr_array(query)):
+            sparse_scores = predict_dc(model, form)[1]
+            assert sparse_scores.tobytes() == dense_scores.tobytes()
 
 
 def test_train_dc_rejects_bad_input():
