@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from numpy.typing import NDArray
 from scipy.sparse.linalg import LinearOperator, lsmr
 
-from .decompose import DEFAULT_MAX_DENSE_FEATURES, feature_scatter
+from .decompose import DEFAULT_MAX_DENSE_FEATURES, class_moments
 from .errors import ConfigError, DataError, NumericError
 from .numerics import solve_spd
 
@@ -141,17 +141,19 @@ def train_linear(x, y, lam=None, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     if lam <= 0:
         raise ConfigError(f"ridge parameter must be positive, got {lam}")
 
-    mu = _row_means(x)
     ybar = float(y.mean())
     yc = y - ybar
     rhs = np.asarray(x @ yc).ravel()  # X_c y_c = X y_c since y_c sums to 0
 
     if d <= max_dense:
-        a = feature_scatter(x, center=True) + lam * np.eye(d)
+        moments = class_moments(x)  # the means and the scatter, one pass
+        mu = moments.mean()
+        a = moments.scatter(center=True) + lam * np.eye(d)
         w = solve_spd(a, rhs)
         resid = np.linalg.norm(a @ w - rhs)
         solver = "dense"
     else:
+        mu = _row_means(x)
         w, resid = _lsmr_weights(x, mu, yc, lam, rhs)
         solver = "lsmr"
     rel = resid / (1.0 + np.linalg.norm(rhs))

@@ -23,6 +23,17 @@ abd  block-level gram matrix (sum of elementwise products per block pair),
 bcd and abd rearrange features and may pad the feature space with zero
 rows so the block grid is exact; padding is recorded and re-applied to
 held-out data automatically.
+
+pca, dca and bcd read the data only through its moments
+(`class_moments`: the Gram G = X Xᵀ, the row sums, and the row sums and
+count of each class): pca diagonalizes the centered scatter derived from
+them, dca also the within-class scatter, and bcd eliminates the
+re-arranged, zero-padded G. `fit_plan` takes the moments once for all
+of a plan's pca, dca and bcd entries; an entry handed the data matrix
+takes the same moments itself, so a part's bits do not depend on the
+plan around it.
+abd sums its block-pair gram over the blocks of the data (`block_gram`),
+which also serves sparse data of any width.
 """
 
 import time
@@ -42,6 +53,8 @@ _MAP_FIELDS = {"rd": (), "pca": ("transform",), "dca": ("transform",),
                "bcd": ("feature_order", "transform"),
                "abd": ("feature_order", "block_size", "transform")}
 DEFAULT_MAX_DENSE_FEATURES = 4096
+# the methods whose fit reads the dense M x M Gram (`class_moments`)
+_GRAM_METHODS = ("pca", "dca", "bcd")
 
 
 @dataclass
@@ -210,45 +223,106 @@ def _padded_rearranged(x, order, n_padded):
         xp = sp.csc_array((csc.data, csc.indices, csc.indptr),
                           shape=(n_padded, n))
         return sp.csr_array(xp.tocsr()[order])
-    xp = np.zeros((n_padded, n))
-    xp[:m] = x
-    return xp[order]
+    xr = np.zeros((n_padded, n))
+    xr[_rows_of(order)[:m]] = x  # one copy
+    return xr
+
+
+def _rows_of(order):
+    """The inverse permutation: feature f lands on row `_rows_of(order)[f]`
+    of the rearranged matrix."""
+    rows = np.empty(len(order), dtype=np.intp)
+    rows[order] = np.arange(len(order))
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# scatter matrices
+# class moments and the scatters derived from them
+
+
+@dataclass
+class ClassMoments:
+    """Moments of an n_features x N data matrix X, from one product each.
+
+    The Gram G = X Xᵀ, the row sums s and the count N; with labels, also
+    each class c's row sums s_c and count n_c (labels sorted). The
+    centered scatter is Ĝ = G − s sᵀ/N and the within-class scatter is
+    S_w = Σ_c (G_c − s_c s_cᵀ/n_c) = G − Σ_c s_c s_cᵀ/n_c, so no
+    per-class Gram is needed. G and s do not depend on the labels, so a
+    fit reads the same bits from the moments with or without them.
+    Overflow is not trapped here: non-finite entries are rejected by the
+    solvers that read them, with a NumericError naming the failing stage.
+    """
+
+    gram: NDArray[np.float64]
+    total: NDArray[np.float64]
+    n_instances: int
+    labels: Optional[NDArray[np.float64]] = None
+    sums: Optional[NDArray[np.float64]] = None
+    counts: Optional[NDArray[np.int64]] = None
+
+    @property
+    def shape(self):
+        """(n_features, N) of the matrix the moments were taken from, so a
+        fit reads its feature count alike from either input."""
+        return self.gram.shape[0], self.n_instances
+
+    def mean(self):
+        """The feature means s/N."""
+        return self.total / self.n_instances
+
+    def scatter(self, center):
+        """G, or Ĝ = G − s sᵀ/N when centered, symmetrized."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self.gram
+            if center:
+                g = g - np.outer(self.total, self.total) / self.n_instances
+            return (g + g.T) / 2.0
+
+    def within_scatter(self):
+        """S_w = G − Σ_c s_c s_cᵀ/n_c, symmetrized (two classes
+        expected)."""
+        if self.labels is None or self.labels.size < 2:
+            raise DataError("within-class scatter needs both classes present")
+        with np.errstate(over="ignore", invalid="ignore"):
+            sw = self.gram - sum(np.outer(s, s) / n
+                                 for s, n in zip(self.sums, self.counts))
+            return (sw + sw.T) / 2.0
+
+
+def class_moments(x, y=None):
+    """The `ClassMoments` of a raw (sparse or dense) n_features x N matrix,
+    with the per-class sums of the labels y when given: one product for G,
+    one for the class sums (X times the class indicator), no column
+    copies. Moments passed in come back unchanged, so a fit takes
+    either."""
+    if isinstance(x, ClassMoments):
+        return x
+    x = _as_matrix(x)
+    n = x.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x @ x.T
+        moments = ClassMoments(g.toarray() if sp.issparse(g) else g,
+                               np.asarray(x.sum(axis=1)).ravel(), n)
+        if y is not None:
+            y = np.asarray(y, dtype=np.float64).ravel()
+            labels, which, counts = np.unique(y, return_inverse=True,
+                                              return_counts=True)
+            indicator = np.zeros((n, labels.size))
+            indicator[np.arange(n), which] = 1.0
+            moments.labels, moments.counts = labels, counts
+            moments.sums = np.asarray(x @ indicator).T
+    return moments
 
 
 def feature_scatter(x, center):
-    """Dense feature scatter X X^T, optionally after centering each row.
-
-    Overflow is not trapped here: non-finite entries are rejected by the
-    eigensolvers with a NumericError naming the failing stage.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if sp.issparse(x):
-            s = (x @ x.T).toarray()
-            mu = np.asarray(x.mean(axis=1)).ravel()
-        else:
-            s = x @ x.T
-            mu = x.mean(axis=1)
-        if center:
-            s = s - x.shape[1] * np.outer(mu, mu)
-        return (s + s.T) / 2.0
+    """Dense feature scatter X Xᵀ, optionally after centering each row."""
+    return class_moments(x).scatter(center)
 
 
 def within_class_scatter(x, y):
     """Sum over classes of the class-centered scatter (two classes expected)."""
-    labels = np.unique(np.asarray(y))
-    if labels.size < 2:
-        raise DataError("within-class scatter needs both classes present")
-    m = x.shape[0]
-    sw = np.zeros((m, m))
-    for label in labels:
-        idx = np.flatnonzero(np.asarray(y) == label)
-        xl = x[:, idx]
-        sw += feature_scatter(xl, center=True)
-    return (sw + sw.T) / 2.0
+    return class_moments(x, y).within_scatter()
 
 
 def _guard_dense(m, max_dense, method):
@@ -280,11 +354,11 @@ def make_rd(n_features, n_subspaces, group_size, seed):
 def fit_pca(x, n_subspaces, group_size, seed=0,
             max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Principal-component transform; groups drawn over the rotated
-    coordinates with the same seeded scheme as rd."""
-    x = _as_matrix(x)
-    m = x.shape[0]
+    coordinates with the same seeded scheme as rd. x is the data matrix or
+    its `class_moments`."""
+    m = np.shape(x)[0]
     _guard_dense(m, max_dense, "pca")
-    scatter = feature_scatter(x, center=True)
+    scatter = class_moments(x).scatter(center=True)
     values, vectors = sym_eig(scatter)
     rng = np.random.default_rng(seed)
     groups = overlapping_groups(m, n_subspaces, group_size, rng)
@@ -311,14 +385,16 @@ def default_dca_ridge(sw, scatter):
 def fit_dca(x, y, rho=None, n_subspaces=1, group_size=None, seed=0,
             max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Discriminant transform: generalized eigenvectors of the centered
-    scatter against the ridged within-class scatter, descending eigenvalue."""
-    x = _as_matrix(x)
-    m = x.shape[0]
+    scatter against the ridged within-class scatter, descending eigenvalue.
+    x is the data matrix, or its `class_moments` taken with the labels
+    y."""
+    m = np.shape(x)[0]
     _guard_dense(m, max_dense, "dca")
     if group_size is None:
         group_size = m
-    scatter = feature_scatter(x, center=True)
-    sw = within_class_scatter(x, y)
+    moments = class_moments(x, y)
+    scatter = moments.scatter(center=True)
+    sw = moments.within_scatter()
     if rho is None:
         rho = default_dca_ridge(sw, scatter)
     if rho <= 0:
@@ -356,20 +432,25 @@ def _solve_pivot(pivot, rhs_t, scatter_norm):
 def fit_bcd(x, index_groups, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Blocked Doolittle elimination of the feature gram.
 
-    index_groups must disjointly partition the (possibly padded) feature
-    index range; `disjoint_groups` builds such a partition from a plan
-    entry. Each eliminator is built against the current gram, so the
-    accumulated transform is the product B_h ... B_1 and the final gram is
+    x is the data matrix or its `class_moments`. index_groups must
+    disjointly partition the (possibly padded) feature index range;
+    `disjoint_groups` builds such a partition from a plan entry. The gram
+    is G re-arranged by the groups, zero on the padding rows. Each
+    eliminator is built against the current gram, so the accumulated
+    transform is the product B_h ... B_1 and the final gram is
     block-diagonal up to roundoff. The gram, its working copy and the
     transform are dense over the padded range, so that count is what
     `max_dense` bounds.
     """
-    x = _as_matrix(x)
+    m = np.shape(x)[0]
     n_padded = _check_partition(index_groups, equal_sizes=False)
     _guard_dense(n_padded, max_dense, "bcd")
+    if n_padded < m:
+        raise ConfigError(f"padded size {n_padded} smaller than feature count {m}")
     order = np.concatenate(index_groups)
-    xr = _padded_rearranged(x, order, n_padded)
-    scatter = feature_scatter(xr, center=False)
+    padded = np.zeros((n_padded, n_padded))
+    padded[:m, :m] = class_moments(x).scatter(center=False)
+    scatter = padded[np.ix_(order, order)]
     scatter_norm = float(np.linalg.norm(scatter))
 
     offsets = np.cumsum([0] + [len(g) for g in index_groups])
@@ -391,7 +472,7 @@ def fit_bcd(x, index_groups, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     off_norm = _offdiag_block_norm(s, offsets)
     return SubspaceDecomposition(
         method="bcd",
-        n_features_in=x.shape[0],
+        n_features_in=m,
         n_features_out=n_padded,
         index_groups=out_groups,
         transform=w,
@@ -419,15 +500,15 @@ def block_gram(x, index_groups):
     xr = _padded_rearranged(x, order, n_padded)
     size = len(index_groups[0])
     count = len(index_groups)
+    if not sp.issparse(xr):
+        # block i is row i of the C-ordered rows laid end to end
+        flat = xr.reshape(count, size * xr.shape[1])
+        return flat @ flat.T, xr, order, size
     gram = np.zeros((count, count))
     blocks = [xr[i * size:(i + 1) * size] for i in range(count)]
     for i in range(count):
         for j in range(i, count):
-            if sp.issparse(xr):
-                value = blocks[i].multiply(blocks[j]).sum()
-            else:
-                value = float(np.sum(blocks[i] * blocks[j]))
-            gram[i, j] = gram[j, i] = value
+            gram[i, j] = gram[j, i] = blocks[i].multiply(blocks[j]).sum()
     return gram, xr, order, size
 
 
@@ -437,7 +518,8 @@ def fit_abd(x, index_groups):
     Eigendecomposes the block-pair gram and mixes whole blocks with the
     eigenvector weights: output block i is sum_j V[j, i] * block_j, i.e.
     the effective transform is kron(V.T, I_blocksize), orthogonal because
-    V is. Requires disjoint equal-size groups (zero-pad first).
+    V is. Requires disjoint equal-size groups (zero-pad first). Reads the
+    data matrix, of any width, through `block_gram`.
     """
     x = _as_matrix(x)
     gram, _, order, size = block_gram(x, index_groups)
@@ -478,10 +560,23 @@ def _apply_part(part, x):
     """The views of one part, read off the part's own fields: re-arrange
     and pad the rows (bcd, abd), then mix whole blocks (abd) or multiply
     by the transform (pca, dca, bcd), then slice the groups."""
+    if part.block_size is None and part.feature_order is not None \
+            and not sp.issparse(x):
+        # bcd on dense data: the zero padding rows add nothing to the
+        # product, so only the transform's columns of real rows are read
+        t = part.transform[:, _rows_of(part.feature_order)[:x.shape[0]]]
+        x = t @ x
+        # a fitted bcd's groups are consecutive runs: slices, not copies
+        return [x[g[0]:g[0] + len(g)]
+                if np.array_equal(g, np.arange(g[0], g[0] + len(g))) else x[g]
+                for g in part.index_groups]
     if part.feature_order is not None:
         x = _padded_rearranged(x, part.feature_order, part.n_features_out)
     if part.block_size is not None:  # view i is sum_j V[j, i] * block j
         size, v = part.block_size, part.transform
+        if not sp.issparse(x):  # one product over the C-ordered blocks
+            mixed = v.T @ x.reshape(len(v), size * x.shape[1])
+            return [row.reshape(size, x.shape[1]) for row in mixed]
         blocks = [x[j * size:(j + 1) * size] for j in range(len(v))]
         return [sum((blocks[j] * v[j, i] for j in range(1, len(v))),
                     blocks[0] * v[0, i]) for i in range(len(v))]
@@ -560,9 +655,10 @@ def part_seed(run_seed, part_index):
 
 def fit_plan_entry(x, y, entry, child_seed,
                    max_dense=DEFAULT_MAX_DENSE_FEATURES, dca_ridge=None):
-    """Fit a single plan entry with an already-derived child seed."""
-    x = _as_matrix(x)
-    m = x.shape[0]
+    """Fit a single plan entry with an already-derived child seed. x is
+    the data matrix, or for rd, pca, dca and bcd also its
+    `class_moments` (with the labels' class sums for dca)."""
+    m = np.shape(x)[0]
     method, n_sub, size = _plan_triple(entry)
     if method == "rd":
         return make_rd(m, n_sub, size, child_seed)
@@ -586,16 +682,27 @@ def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
 
     plan is a sequence of (method, n_subspaces, group_size) triples (or
     objects with those attributes). Each entry gets a child seed derived
-    from (seed, entry position). bcd/abd entries build their disjoint
-    padded partition with that child seed; a bcd/abd plan whose
-    n_subspaces * group_size falls short of the feature count gets larger
-    groups so real features are always covered. A `timings` dict gains
-    each entry's seconds under `fit_<method>`, summed per method.
+    from (seed, entry position). When the plan has a pca, dca or bcd
+    entry and x has at most `max_dense` features, one pass takes the
+    `class_moments` of x that those entries all read; each part is the
+    one `fit_plan_entry` fits from x alone, to the bit. bcd/abd entries
+    build their disjoint padded partition with that child seed; a bcd/abd
+    plan whose n_subspaces * group_size falls short of the feature count
+    gets larger groups so real features are always covered. A `timings`
+    dict gains each entry's seconds under `fit_<method>`, summed per
+    method.
     """
+    methods = {_plan_triple(entry)[0] for entry in plan}
+    moments = None
+    if np.shape(x)[0] <= max_dense and methods & set(_GRAM_METHODS):
+        # only dca reads the class sums
+        moments = class_moments(x, y if "dca" in methods else None)
     parts = []
     for i, entry in enumerate(plan):
         t0 = time.perf_counter()
-        parts.append(fit_plan_entry(x, y, entry, part_seed(seed, i),
+        reads_gram = _plan_triple(entry)[0] in _GRAM_METHODS
+        source = moments if moments is not None and reads_gram else x
+        parts.append(fit_plan_entry(source, y, entry, part_seed(seed, i),
                                     max_dense=max_dense, dca_ridge=dca_ridge))
         if timings is not None:
             key = f"fit_{parts[-1].method}"

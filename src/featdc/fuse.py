@@ -1,12 +1,19 @@
 """Divide-and-conquer pipeline: local models per subspace, stacked fusion.
 
-`train_dc` fits the decomposition plan, trains one local classifier per
-subspace view (concurrently when asked — tasks are pure and merged by
-subspace index, so results are identical for any thread count), collects
-the h x N local-output matrix R on the training instances, standardizes
-its rows, and trains the global classifier on (R, y). `threads` is the
-only parallelism: it spreads the locals, then the TRBF global's Gram;
-each local runs on one thread, so pools never nest.
+`train_dc` fits the decomposition plan (`decompose.fit_plan`, whose pca,
+dca and bcd entries share one pass over X for its moments), builds the
+subspace views, trains one local classifier per view and scores it on
+its view, for the h x N local-output matrix R on the training instances,
+standardizes the rows of R, and trains the global classifier on (R, y).
+Training is exactly its public stages composed — `fit_plan_entry` per
+entry, `apply_decomposition`, `train_learner` per view, `build_r`,
+`standardize_rows`, `train_learner` for the global — so a replay of
+those stages reproduces its model to the bit. `threads` is the only
+parallelism: it spreads the locals, which train and score while the
+calling thread builds the next part's views (tasks are pure and merged
+by subspace index, so results are identical for any thread count), then
+the TRBF global's Gram; each local runs on one thread, so pools never
+nest.
 
 `predict_dc` scores on the calling thread (a worker pool costs more than
 the scoring it would spread). Every decomposition method is a linear map,
@@ -18,7 +25,6 @@ defined only where the views are built; predict takes one product
 instead of building h subspace views. Models with TRBF locals replay the
 views. Both routes then replay the stored row standardization and the
 global; the final label is sign(global score) with sign(0) = +1.
-Training's R still comes from the views, which exist there anyway.
 
 R carries continuous local scores rather than hard labels so the global
 learner sees margins. Row standardization (zero mean, unit variance over
@@ -39,7 +45,7 @@ import scipy.sparse as sp
 from .classify import (LEARNERS, LinearModel, label_from_score, train_linear,
                        train_trbf_krr)
 from .dataio import Dataset
-from .decompose import (DEFAULT_MAX_DENSE_FEATURES, _as_matrix,
+from .decompose import (DEFAULT_MAX_DENSE_FEATURES, _apply_part, _as_matrix,
                         apply_decomposition, check_feature_count, fit_plan,
                         linear_pullback)
 from .errors import ConfigError, DataError, FeatdcError, NumericError
@@ -111,12 +117,25 @@ def train_learner(spec, x, y, guards, seed, threads=1):
                           seed=seed, threads=threads)
 
 
-def _map_indexed(fn, count, threads):
-    """Run fn(i) for i in 0..count-1, merged by index; pure tasks only."""
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
+def _map_views(comp, x, fn, threads):
+    """[fn(i, view i) for every view of x], the views as
+    `apply_decomposition` builds them (x has comp's width); fn must be
+    pure, as results merge by index. With threads > 1 the calling thread
+    builds the views part by part while a pool of `threads` workers runs
+    fn on those already built; the views are allocated on the calling
+    thread alone, so the workers' heaps stay small. No view outlives the
+    call."""
+    results = []
+    if threads <= 1:
+        for part in comp.parts:
+            for view in _apply_part(part, x):
+                results.append(fn(len(results), view))
+        return results
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for part in comp.parts:
+            for view in _apply_part(part, x):
+                results.append(pool.submit(fn, len(results), view))
+        return [future.result() for future in results]
 
 
 def build_r(local_models, views):
@@ -175,18 +194,18 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
 
     t0 = time.perf_counter()
     with _stage("local training"):
-        views = apply_decomposition(comp, x)
+        def fit(i, view):
+            model = train_learner(local, view, y, guards,
+                                  _role_seed(seed, "local", i))
+            return model, build_r([model], [view])  # its row of R
 
-        def task(i):
-            return train_learner(local, views[i], y, guards,
-                                 _role_seed(seed, "local", i))
-
-        local_models = _map_indexed(task, len(views), threads)
+        fitted = _map_views(comp, x, fit, threads)
+        local_models = [model for model, _ in fitted]
     timings["local_training"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     with _stage("fusion"):
-        r = build_r(local_models, views)
+        r = np.vstack([row for _, row in fitted])
         shift, scale = standardize_rows(r)
         rs = apply_standardization(r, shift, scale)
         global_model = train_learner(global_, rs, y, guards,

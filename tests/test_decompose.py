@@ -139,6 +139,7 @@ def test_fit_pca_dimension_guard(method, monkeypatch):
         raise AssertionError("dense scatter built past the guard")
 
     monkeypatch.setattr(decompose, "feature_scatter", no_scatter)
+    monkeypatch.setattr(decompose, "class_moments", no_scatter)
     x = np.ones((5, 3))
     y = np.array([1, -1, 1])
     with pytest.raises(ConfigError, match="rd or abd"):
@@ -561,3 +562,107 @@ def test_dense_route_views_match_dense_input_bits(method):
     for a, b in zip(from_sparse, from_dense):
         assert isinstance(a, np.ndarray)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+def test_class_moments_match_direct_sums(form):
+    rng = np.random.default_rng(17)
+    xd = rng.normal(size=(7, 50)) * (rng.random(size=(7, 50)) < 0.6)
+    x = sp.csc_array(xd) if form == "sparse" else xd
+    y = np.where(rng.random(50) < 0.4, 1, -1)
+    stats = decompose.class_moments(x, y)
+    assert stats.shape == (7, 50) and decompose.class_moments(stats) is stats
+    assert np.array_equal(stats.labels, [-1.0, 1.0])
+    assert np.allclose(stats.gram, xd @ xd.T, rtol=0, atol=1e-12)
+    assert np.allclose(stats.total, xd.sum(axis=1), rtol=0, atol=1e-12)
+    for c, label in enumerate((-1, 1)):
+        xc = xd[:, y == label]
+        assert stats.counts[c] == xc.shape[1]
+        assert np.allclose(stats.sums[c], xc.sum(axis=1), rtol=0, atol=1e-12)
+    xc = xd - xd.mean(axis=1, keepdims=True)
+    assert np.allclose(stats.scatter(center=True), xc @ xc.T, atol=1e-12)
+    assert np.allclose(stats.scatter(center=False), xd @ xd.T, atol=1e-12)
+    assert np.allclose(stats.mean(), xd.mean(axis=1), atol=1e-15)
+    sw = sum((xd[:, y == l] - xd[:, y == l].mean(axis=1, keepdims=True))
+             @ (xd[:, y == l] - xd[:, y == l].mean(axis=1, keepdims=True)).T
+             for l in (-1, 1))
+    assert np.allclose(stats.within_scatter(), sw, atol=1e-12)
+    # G and s do not depend on the labels
+    unlabelled = decompose.class_moments(x)
+    assert unlabelled.labels is None and unlabelled.shape == (7, 50)
+    assert unlabelled.gram.tobytes() == stats.gram.tobytes()
+    assert unlabelled.total.tobytes() == stats.total.tobytes()
+    with pytest.raises(DataError, match="both classes"):
+        unlabelled.within_scatter()
+
+
+FIVE_METHODS = [("rd", 2, 4), ("pca", 2, 4), ("dca", 2, 4), ("bcd", 3, 4),
+                ("abd", 3, 4)]
+
+
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+def test_fit_plan_parts_are_the_entries_fitted_alone(form):
+    # 11 features in 3 groups of 4: bcd/abd pad one coordinate. Each
+    # part must be the one its entry fits from the data alone, to the bit,
+    # although fit_plan hands pca, dca and bcd one shared moments pass
+    rng = np.random.default_rng(23)
+    xd = rng.normal(size=(11, 40)) * (rng.random(size=(11, 40)) < 0.7)
+    x = sp.csc_array(xd) if form == "sparse" else xd
+    y = np.where(rng.random(40) < 0.5, 1, -1)
+    comp = fit_plan(x, y, FIVE_METHODS, seed=4)
+    for i, (part, entry) in enumerate(zip(comp.parts, FIVE_METHODS)):
+        alone = decompose.fit_plan_entry(x, y, entry,
+                                         decompose.part_seed(4, i))
+        assert part.method == alone.method
+        for name in ("transform", "feature_order", "eigenvalues"):
+            a, b = getattr(part, name), getattr(alone, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        assert all(np.array_equal(g, h) for g, h in
+                   zip(part.index_groups, alone.index_groups))
+
+
+def test_fit_plan_takes_the_moments_once(monkeypatch):
+    calls = []
+    moments = decompose.class_moments
+
+    def counting(x, y=None):
+        if not isinstance(x, decompose.ClassMoments):  # a pass over x
+            calls.append(y is not None)
+        return moments(x, y)
+
+    monkeypatch.setattr(decompose, "class_moments", counting)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(11, 40))
+    y = np.where(rng.random(40) < 0.5, 1, -1)
+    fit_plan(x, y, FIVE_METHODS, seed=4)
+    assert calls == [True]
+    # only dca reads the class sums
+    calls.clear()
+    fit_plan(x, y, [("pca", 2, 4), ("bcd", 3, 4)], seed=4)
+    assert calls == [False]
+    # rd and abd read no Gram: no moments pass
+    calls.clear()
+    fit_plan(x, y, [("rd", 2, 4), ("abd", 3, 4)], seed=4)
+    assert calls == []
+    # wider than the dense guard: no pass, and the guard names the method
+    with pytest.raises(ConfigError, match="pca needs dense"):
+        fit_plan(x, y, [("pca", 2, 4)], seed=4, max_dense=10)
+    assert calls == []
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_block_gram_dense_matches_sparse(size):
+    # the dense route sums in one product, the sparse one block pair by
+    # block pair; 10 features in groups of 4 pad two coordinates
+    rng = np.random.default_rng(size)
+    xd = rng.normal(size=(10, 30)) * (rng.random(size=(10, 30)) < 0.5)
+    groups, _ = disjoint_groups(10, 3, size, rng)
+    dense, _, order, got = block_gram(xd, groups)
+    sparse, _, order_s, _ = block_gram(sp.csc_array(xd), groups)
+    assert got == len(groups[0]) and np.array_equal(order, order_s)
+    assert np.allclose(dense, sparse, rtol=0, atol=1e-12)
+    padded = np.zeros((len(order), 30))
+    padded[:10] = xd
+    blocks = padded[order].reshape(len(groups), got, 30)
+    assert np.allclose(dense, np.einsum("ikn,jkn->ij", blocks, blocks),
+                       rtol=0, atol=1e-12)

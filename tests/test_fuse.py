@@ -8,7 +8,8 @@ import featdc.classify as classify
 from featdc.classify import label_from_score, train_linear
 from featdc.dataio import Dataset
 from featdc.datasets import make_blobs
-from featdc.decompose import _as_matrix, apply_decomposition
+from featdc.decompose import (METHODS, CompositeDecomposition, _as_matrix,
+                              apply_decomposition, fit_plan_entry, part_seed)
 from featdc.errors import ConfigError, DataError, NumericError
 from featdc.fuse import (DcModel, Guards, LearnerSpec, apply_standardization,
                          build_r, evaluate, local_scores, predict_dc,
@@ -437,3 +438,76 @@ def test_predict_dc_refuses_non_finite_queries(global_):
                            match="prediction: query features contain "
                                  "non-finite values"):
             predict_dc(model, q)
+
+
+# ---------------------------------------------------------------------------
+# train_dc as the composition of its public stages
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("plan", COLLAPSE_PLANS)
+def test_train_dc_is_its_stages_composed(plan, threads):
+    # each stage run on its own through the public functions, as a stage
+    # replay runs them, gives train_dc's model to the bit
+    from featdc.fuse import _role_seed, train_learner
+
+    ds = blob_dataset(n=120, n_features=11, seed=4, separation=3.0)
+    y = ds.y.astype(np.float64)
+    local, global_ = LearnerSpec(type="linear"), LearnerSpec(type="trbf")
+    model = train_dc(ds, COLLAPSE_PLANS[plan], local=local, global_=global_,
+                     seed=6, threads=threads)
+    guards = Guards()
+    comp = CompositeDecomposition([
+        fit_plan_entry(ds.X, y, entry, part_seed(6, i))
+        for i, entry in enumerate(COLLAPSE_PLANS[plan])])
+    views = apply_decomposition(comp, ds.X)
+    locals_ = [train_learner(local, v, y, guards, _role_seed(6, "local", i))
+               for i, v in enumerate(views)]
+    r = build_r(locals_, views)
+    shift, scale = standardize_rows(r)
+    glob = train_learner(global_, apply_standardization(r, shift, scale), y,
+                         guards, _role_seed(6, "global", 0))
+    replay = DcModel(comp, locals_, glob, shift, scale)
+    for got, ref in zip(model.decomposition.parts, comp.parts):
+        for name in ("transform", "feature_order"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    for got, ref in zip(model.locals, locals_):
+        assert got.weights.tobytes() == ref.weights.tobytes()
+        assert got.bias == ref.bias and got.solver == ref.solver == "dense"
+    assert model.r_shift.tobytes() == shift.tobytes()
+    assert model.r_scale.tobytes() == scale.tobytes()
+    assert predict_dc(model, ds)[1].tobytes() == \
+        predict_dc(replay, ds)[1].tobytes()
+
+
+def one_class(ds):
+    return Dataset(ds.X, np.ones(ds.n_instances, dtype=np.int64))
+
+
+@pytest.mark.parametrize("method", ["rd", "pca", "bcd"])
+def test_one_class_labels_train_and_predict(method):
+    ds = blob_dataset(n=60, n_features=8, seed=3)
+    model = train_dc(one_class(ds), [(method, 2, 4)], seed=0)
+    for m in model.locals:
+        assert np.array_equal(m.weights, np.zeros(4)) and m.bias == 1.0
+    labels, scores = predict_dc(model, ds)
+    assert np.all(np.isfinite(scores))
+
+
+def test_one_class_dca_is_a_tagged_data_error():
+    ds = one_class(blob_dataset(n=60, n_features=8, seed=3))
+    with pytest.raises(DataError, match="decomposition fitting: within-class "
+                                        "scatter needs both classes"):
+        train_dc(ds, [("dca", 2, 4)], seed=0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_all_zero_features_train_every_method(method):
+    ds = blob_dataset(n=60, n_features=8, seed=5)
+    zero = Dataset(sp.csc_array(ds.X.shape), ds.y)
+    model = train_dc(zero, [(method, 2, 4)], seed=0)
+    for m in model.locals:
+        assert np.array_equal(m.weights, np.zeros(4))
+    for data in (zero, ds):
+        assert np.all(np.isfinite(predict_dc(model, data)[1]))
