@@ -30,8 +30,7 @@ from .errors import (ConfigError, DataError, FeatdcError, NumericError,
 from .fuse import (DcModel, Guards, LearnerSpec, build_r, evaluate,
                    predict_dc, standardize_rows, train_dc)
 from .numerics import EigResult, gen_sym_eig, solve_spd, sym_eig
-from .persist import (load_dc_model, load_decomposition, load_model_file,
-                      save_dc_model, save_decomposition)
+from .persist import load_dc_model, save_dc_model
 
 __version__ = "0.1.0"
 
@@ -43,11 +42,10 @@ __all__ = [
     "abd_dense_transform", "apply_decomposition", "apply_feature_scale",
     "block_gram", "build_r", "disjoint_groups", "evaluate",
     "feature_scatter", "fit_abd", "fit_bcd", "fit_dca", "fit_pca",
-    "fit_plan", "gen_sym_eig", "load_dc_model", "load_decomposition",
-    "load_libsvm", "load_model_file", "make_blobs", "make_quadratic_band",
-    "make_rd", "make_sparse_planted", "max_abs_scale", "overlapping_groups",
-    "parse_libsvm", "predict_dc", "within_class_scatter",
-    "save_dc_model", "save_decomposition",
+    "fit_plan", "gen_sym_eig", "load_dc_model", "load_libsvm",
+    "make_blobs", "make_quadratic_band", "make_rd", "make_sparse_planted",
+    "max_abs_scale", "overlapping_groups", "parse_libsvm", "predict_dc",
+    "within_class_scatter", "save_dc_model",
     "save_libsvm", "select_instances", "serialize_libsvm", "sigma_heuristic",
     "solve_spd", "split", "standardize_rows", "sym_eig", "train_dc",
     "train_linear", "train_trbf_krr", "trbf_dim", "trbf_expand",

@@ -375,6 +375,13 @@ class TrbfModel:
     lam: float
     n_features: int
 
+    def __post_init__(self):
+        j = trbf_dim(self.n_features, self.p)
+        if np.shape(self.weights) != (j,):
+            raise DataError(f"a degree-{self.p} map of {self.n_features} "
+                            f"features has {j} weights, not "
+                            f"{np.shape(self.weights)}")
+
     @property
     def intrinsic_dim(self):
         return self.weights.shape[0]

@@ -4,7 +4,7 @@ Commands: `train` (fit a model from a config, persist it, report),
 `eval` (score a saved model on a test file), `bench` (train the
 divide-and-conquer pipeline and an undecomposed baseline on identical
 splits and report the error reduction), `inspect` (dump decomposition
-diagnostics from a saved file).
+diagnostics from a saved model).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
@@ -21,7 +21,7 @@ from .config import config_echo, load_config
 from .dataio import apply_feature_scale, load_libsvm, max_abs_scale, split
 from .errors import ConfigError, DataError, FeatdcError, NumericError
 from .fuse import LearnerSpec, evaluate, predict_dc, train_dc, train_learner
-from .persist import load_dc_model, load_model_file, save_dc_model
+from .persist import load_dc_model, save_dc_model
 from .report import build_report, format_report, write_report
 
 
@@ -50,8 +50,7 @@ def _build_parser():
     pe.add_argument("--out", default=None, help="output directory")
     training(sub.add_parser("bench", help="pipeline vs. undecomposed baseline"))
     pi = sub.add_parser("inspect", help="dump decomposition diagnostics")
-    pi.add_argument("--model", required=True, help="saved model or "
-                                                   "decomposition file")
+    pi.add_argument("--model", required=True, help="saved model file")
     return parser
 
 
@@ -206,9 +205,9 @@ def _spectrum_line(values, limit=8):
 
 
 def cmd_inspect(args):
-    kind, obj = load_model_file(args.model)
-    comp = obj if kind == "decomposition" else obj.decomposition
-    print(f"kind: {kind}")
+    model = load_dc_model(args.model)
+    comp = model.decomposition
+    print("kind: dc_model")
     print(f"features in: {comp.n_features_in}   subspaces h: {comp.h}")
     for k, part in enumerate(comp.parts):
         print(f"part {k}: {part.method}  "
@@ -219,23 +218,22 @@ def cmd_inspect(args):
             print(f"  eigenvalues: {_spectrum_line(part.eigenvalues)}")
         for name, value in part.fit_stats.items():
             print(f"  {name}: {value:.6g}")
-    if kind == "dc_model":
-        locals_desc = {}
-        for m in obj.locals:
-            key = type(m).__name__
-            locals_desc[key] = locals_desc.get(key, 0) + 1
-        print(f"locals: " + ", ".join(f"{n} x {t}" for t, n
-                                      in sorted(locals_desc.items())))
-        g = obj.global_model
-        print(f"global: {type(g).__name__} on {obj.h} fused inputs")
-        if obj.at is None:
-            print("scoring: per-view (trbf locals)")
-        else:
-            print(f"scoring: linear map {obj.h} x {comp.n_features_in}")
-        print(f"fusion row shift range: [{obj.r_shift.min():.6g}, "
-              f"{obj.r_shift.max():.6g}]")
-        print(f"fusion row scale range: [{obj.r_scale.min():.6g}, "
-              f"{obj.r_scale.max():.6g}]")
+    locals_desc = {}
+    for m in model.locals:
+        key = type(m).__name__
+        locals_desc[key] = locals_desc.get(key, 0) + 1
+    print(f"locals: " + ", ".join(f"{n} x {t}" for t, n
+                                  in sorted(locals_desc.items())))
+    g = model.global_model
+    print(f"global: {type(g).__name__} on {model.h} fused inputs")
+    if model.at is None:
+        print("scoring: per-view (trbf locals)")
+    else:
+        print(f"scoring: linear map {model.h} x {comp.n_features_in}")
+    print(f"fusion row shift range: [{model.r_shift.min():.6g}, "
+          f"{model.r_shift.max():.6g}]")
+    print(f"fusion row scale range: [{model.r_scale.min():.6g}, "
+          f"{model.r_scale.max():.6g}]")
     return 0
 
 

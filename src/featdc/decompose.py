@@ -547,8 +547,8 @@ def fit_abd(x, index_groups):
 
 
 def abd_dense_transform(part):
-    """Materialized effective transform of an abd part (tests, persistence,
-    small dimensions only)."""
+    """Materialized effective transform of an abd part, kron(V.T, I), for
+    checks at small dimensions; the pipeline never builds it."""
     return np.kron(part.transform.T, np.eye(part.block_size))
 
 

@@ -88,6 +88,21 @@ class DcModel:
     b: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        # a model file is outside input: its parts must fit together
+        widths = [len(g) for part in self.decomposition.parts
+                  for g in part.index_groups]
+        local_widths = [m.n_features for m in self.locals]
+        if local_widths != widths:
+            raise DataError(f"locals read {local_widths} features, but the "
+                            f"subspace views have {widths}")
+        for name, rows in (("r_shift", self.r_shift),
+                           ("r_scale", self.r_scale)):
+            if np.shape(rows) != (self.h,):
+                raise DataError(f"{name} has shape {np.shape(rows)}, not "
+                                f"({self.h},)")
+        if self.global_model.n_features != self.h:
+            raise DataError(f"the global reads {self.global_model.n_features} "
+                            f"inputs, not the {self.h} local scores")
         self.at = self.b = None
         if all(isinstance(m, LinearModel) for m in self.locals):
             self.at = linear_pullback(self.decomposition,
@@ -265,6 +280,8 @@ def evaluate(labels_pred, labels_true):
             f"prediction length {pred.shape[0]} != truth length {true.shape[0]}"
         )
     n = pred.shape[0]
+    if n == 0:
+        raise DataError("no predictions to evaluate")
     mism = int(np.sum(pred != true))
     return {
         "n": n,

@@ -1,12 +1,13 @@
-"""Versioned structured-text persistence for decompositions and models.
+"""Versioned structured-text persistence of trained models.
 
-Files are JSON documents with a fixed header (format name, version, kind)
-and a payload. Dataclasses are stored field by field, as their type
-hints say: every floating-point value as its hexadecimal float literal
-(`float.hex()`), so a save/load round trip is bit-exact; float arrays as
-`{shape, hex}`; integer arrays as plain integer lists. Loading refuses
-files whose format name or version does not match, and reports a payload
-that does not fit the schema as a DataError.
+A model file is a JSON document with a fixed header (format name,
+version, kind "dc_model") and a payload. Dataclasses are stored field by
+field, as their type hints say: every floating-point value as its
+hexadecimal float literal (`float.hex()`), so a save/load round trip is
+bit-exact; float arrays as `{shape, hex}`; integer arrays as plain
+integer lists. Loading refuses files whose format name, version or kind
+does not match, and reports a payload that does not fit the schema, or
+whose parts do not fit together, as a DataError naming the file.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ from .fuse import DcModel
 
 FORMAT_NAME = "featdc-model"
 FORMAT_VERSION = 1
+KIND = "dc_model"  # the one document kind: a trained model
 
 FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
@@ -97,12 +99,20 @@ def _dec_learner(obj):
 
 
 # ---------------------------------------------------------------------------
-# top-level documents
+# the model document
 
 
-def _write(kind, payload, path):
+def save_dc_model(model, path):
+    payload = {
+        "decomposition": _enc(model.decomposition, CompositeDecomposition),
+        "locals": [_enc_learner(m) for m in model.locals],
+        "global": _enc_learner(model.global_model),
+        "r_shift": _enc(model.r_shift, FloatArray),
+        "r_scale": _enc(model.r_scale, FloatArray),
+        "config_snapshot": model.config_snapshot,
+    }
     doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
-           "kind": kind, "payload": payload}
+           "kind": KIND, "payload": payload}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))  # one-shot: the C encoder, same bytes
         fh.write("\n")
@@ -121,38 +131,13 @@ def _check_header(doc, path):
             f"{path}: file version {doc['version']} does not match "
             f"supported version {FORMAT_VERSION}; refusing to load"
         )
+    if doc["kind"] != KIND:
+        raise DataError(f"{path}: document kind {doc['kind']!r} is not "
+                        f"{KIND!r}; refusing to load")
 
 
-def save_decomposition(comp, path):
-    _write("decomposition", _enc(comp, CompositeDecomposition), path)
-
-
-def save_dc_model(model, path):
-    _write("dc_model", {
-        "decomposition": _enc(model.decomposition, CompositeDecomposition),
-        "locals": [_enc_learner(m) for m in model.locals],
-        "global": _enc_learner(model.global_model),
-        "r_shift": _enc(model.r_shift, FloatArray),
-        "r_scale": _enc(model.r_scale, FloatArray),
-        "config_snapshot": model.config_snapshot,
-    }, path)
-
-
-def _dec_payload(kind, p):
-    if kind == "decomposition":
-        return _dec(p, CompositeDecomposition)
-    return DcModel(
-        decomposition=_dec(p["decomposition"], CompositeDecomposition),
-        locals=[_dec_learner(m) for m in p["locals"]],
-        global_model=_dec_learner(p["global"]),
-        r_shift=_dec(p["r_shift"], FloatArray),
-        r_scale=_dec(p["r_scale"], FloatArray),
-        config_snapshot=p.get("config_snapshot", {}),
-    )
-
-
-def load_model_file(path):
-    """Load any persisted document; returns (kind, object)."""
+def load_dc_model(path):
+    """The DcModel saved at path (its collapsed scorer derived anew)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -161,26 +146,17 @@ def load_model_file(path):
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid structured text: {exc}") from exc
     _check_header(doc, path)
-    kind = doc["kind"]
-    if kind not in ("decomposition", "dc_model"):
-        raise DataError(f"{path}: unknown document kind {kind!r}")
+    p = doc["payload"]
     try:
-        return kind, _dec_payload(kind, doc["payload"])
+        return DcModel(
+            decomposition=_dec(p["decomposition"], CompositeDecomposition),
+            locals=[_dec_learner(m) for m in p["locals"]],
+            global_model=_dec_learner(p["global"]),
+            r_shift=_dec(p["r_shift"], FloatArray),
+            r_scale=_dec(p["r_scale"], FloatArray),
+            config_snapshot=p.get("config_snapshot", {}),
+        )
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
-            ConfigError) as exc:
-        raise DataError(f"{path}: malformed {kind} payload "
+            ConfigError, DataError) as exc:
+        raise DataError(f"{path}: malformed {KIND} payload "
                         f"({type(exc).__name__}: {exc})") from exc
-
-
-def load_decomposition(path):
-    kind, obj = load_model_file(path)
-    if kind != "decomposition":
-        raise DataError(f"{path}: expected a decomposition file, got {kind}")
-    return obj
-
-
-def load_dc_model(path):
-    kind, obj = load_model_file(path)
-    if kind != "dc_model":
-        raise DataError(f"{path}: expected a trained model file, got {kind}")
-    return obj

@@ -386,6 +386,36 @@ def test_eval_of_unknown_method_exits_3(tmp_path, capsys):
     assert "unknown decomposition method 'fft'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["inspect", "eval"])
+def test_other_document_kind_exits_3(tmp_path, capsys, command):
+    doc = json.loads(FIXTURE_MODEL.read_text())
+    doc["kind"] = "decomposition"
+    model_path = tmp_path / "kind.json"
+    model_path.write_text(json.dumps(doc))
+    save_libsvm(make_blobs(50, n_features=6, seed=3), tmp_path / "t.libsvm")
+    args = {"inspect": [], "eval": ["--test", str(tmp_path / "t.libsvm"),
+                                    "--out", str(tmp_path / "evalout")]}
+    rc = main([command, "--model", str(model_path)] + args[command])
+    assert rc == 3
+    assert "document kind 'decomposition'" in capsys.readouterr().err
+
+
+def test_eval_of_model_whose_parts_do_not_fit_exits_3(tmp_path, capsys):
+    # one fusion row short: refused at load, before any numpy broadcast
+    doc = json.loads(FIXTURE_MODEL.read_text())
+    r_shift = doc["payload"]["r_shift"]
+    r_shift["hex"].pop()
+    r_shift["shape"] = [6]
+    model_path = tmp_path / "short.json"
+    model_path.write_text(json.dumps(doc))
+    save_libsvm(make_blobs(50, n_features=6, seed=3), tmp_path / "t.libsvm")
+    rc = main(["eval", "--model", str(model_path),
+               "--test", str(tmp_path / "t.libsvm"),
+               "--out", str(tmp_path / "evalout")])
+    assert rc == 3
+    assert "r_shift has shape (6,), not (7,)" in capsys.readouterr().err
+
+
 def test_malformed_model_file_is_data_error(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"format": "featdc-model", "version": 1,

@@ -73,6 +73,15 @@ def test_evaluate_oracles():
         evaluate(np.array([1, -1]), np.array([1, -1, 1]))
 
 
+def test_evaluate_of_no_queries_is_data_error():
+    ds = make_blobs(60, n_features=6, separation=3.0, seed=2)
+    model = train_dc(ds, [("rd", 2, 3)], seed=1)
+    labels, scores = predict_dc(model, np.zeros((6, 0)))
+    assert labels.shape == scores.shape == (0,)
+    with pytest.raises(DataError, match="no predictions to evaluate"):
+        evaluate(labels, np.zeros(0))
+
+
 def test_learner_spec_rejects_unknown_type():
     with pytest.raises(ConfigError):
         LearnerSpec(type="svm")

@@ -7,22 +7,37 @@ import pytest
 import scipy.sparse as sp
 
 from featdc.classify import LinearModel, TrbfModel
+from featdc.cli import main
+from featdc.dataio import Dataset, save_libsvm
 from featdc.datasets import make_blobs
-from featdc.decompose import METHODS, apply_decomposition, fit_plan
+from featdc.decompose import METHODS, apply_decomposition
 from featdc.errors import DataError
 from featdc.fuse import LearnerSpec, predict_dc, train_dc
-from featdc.persist import (FORMAT_VERSION, load_dc_model,
-                            load_decomposition, load_model_file,
-                            save_dc_model, save_decomposition)
+from featdc.persist import FORMAT_VERSION, load_dc_model, save_dc_model
+
+FULL_PLAN = [("rd", 2, 12), ("pca", 2, 12), ("dca", 2, 12), ("bcd", 2, 12),
+             ("abd", 2, 12)]
 
 
-def full_plan_composition(seed=0):
+def full_plan_model(seed=0):
+    """(x, model) for a model trained on every decomposition method."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(24, 60))
     y = np.where(rng.random(60) < 0.5, 1, -1)
-    plan = [("rd", 2, 12), ("pca", 2, 12), ("dca", 2, 12), ("bcd", 2, 12),
-            ("abd", 2, 12)]
-    return x, fit_plan(x, y, plan, seed=seed)
+    return x, train_dc(Dataset(sp.csc_array(x), y), FULL_PLAN, seed=seed)
+
+
+def saved(model, path):
+    save_dc_model(model, path)
+    return path
+
+
+def edited(path, edit):
+    """Apply edit to the JSON document at path, in place."""
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def parts_identical(a, b):
@@ -50,10 +65,9 @@ def parts_identical(a, b):
 
 
 def test_decomposition_round_trip_all_methods(tmp_path):
-    x, comp = full_plan_composition(seed=3)
-    path = tmp_path / "decomp.json"
-    save_decomposition(comp, path)
-    back = load_decomposition(path)
+    x, model = full_plan_model(seed=3)
+    comp = model.decomposition
+    back = load_dc_model(saved(model, tmp_path / "m.json")).decomposition
     assert back.h == comp.h
     for pa, pb in zip(comp.parts, back.parts):
         parts_identical(pa, pb)
@@ -67,11 +81,9 @@ def test_decomposition_round_trip_all_methods(tmp_path):
 
 def test_round_trip_is_bit_exact_many_times(tmp_path):
     # serialize -> load -> serialize again must be byte-stable
-    _, comp = full_plan_composition(seed=8)
-    p1 = tmp_path / "a.json"
-    p2 = tmp_path / "b.json"
-    save_decomposition(comp, p1)
-    save_decomposition(load_decomposition(p1), p2)
+    _, model = full_plan_model(seed=8)
+    p1 = saved(model, tmp_path / "a.json")
+    p2 = saved(load_dc_model(p1), tmp_path / "b.json")
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -109,62 +121,59 @@ def test_dc_model_linear_global_round_trip(tmp_path):
 
 
 def test_awkward_floats_survive(tmp_path):
-    _, comp = full_plan_composition(seed=1)
-    # plant pathological values straight into a stored transform
+    _, model = full_plan_model(seed=1)
+    # plant pathological values straight into a stored transform and a
+    # stored scalar
     weird = np.array([5e-324, -0.0, 1.7976931348623157e308, 1e-308,
                       -2.2250738585072014e-308, 0.1])
-    comp.parts[1].transform[0, :6] = weird
-    path = tmp_path / "w.json"
-    save_decomposition(comp, path)
-    back = load_decomposition(path)
-    got = back.parts[1].transform[0, :6]
+    model.decomposition.parts[1].transform[0, :6] = weird
+    model.locals[0].bias = -0.0
+    back = load_dc_model(saved(model, tmp_path / "w.json"))
+    got = back.decomposition.parts[1].transform[0, :6]
     assert np.array_equal(got, weird)
     assert np.signbit(got[1])  # -0.0 keeps its sign bit
+    assert np.signbit(back.locals[0].bias)
 
 
 def test_version_mismatch_refused(tmp_path):
-    _, comp = full_plan_composition(seed=0)
-    path = tmp_path / "v.json"
-    save_decomposition(comp, path)
-    doc = json.loads(path.read_text())
-    doc["version"] = FORMAT_VERSION + 1
-    path.write_text(json.dumps(doc))
+    _, model = full_plan_model(seed=0)
+    path = edited(saved(model, tmp_path / "v.json"),
+                  lambda doc: doc.update(version=FORMAT_VERSION + 1))
     with pytest.raises(DataError, match="refusing"):
-        load_decomposition(path)
+        load_dc_model(path)
 
 
 def test_wrong_format_name_refused(tmp_path):
-    _, comp = full_plan_composition(seed=0)
-    path = tmp_path / "f.json"
-    save_decomposition(comp, path)
-    doc = json.loads(path.read_text())
-    doc["format"] = "other-model"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(DataError):
-        load_decomposition(path)
+    _, model = full_plan_model(seed=0)
+    path = edited(saved(model, tmp_path / "f.json"),
+                  lambda doc: doc.update(format="other-model"))
+    with pytest.raises(DataError, match="unknown format 'other-model'"):
+        load_dc_model(path)
 
 
 def test_wrong_kind_refused(tmp_path):
-    _, comp = full_plan_composition(seed=0)
-    path = tmp_path / "k.json"
-    save_decomposition(comp, path)
-    with pytest.raises(DataError, match="kind"):
+    # the only document kind is a trained model; a file of the former
+    # decomposition-only kind is refused
+    _, model = full_plan_model(seed=0)
+    path = edited(saved(model, tmp_path / "k.json"),
+                  lambda doc: doc.update(kind="decomposition"))
+    with pytest.raises(DataError, match="k.json: document kind "
+                                        "'decomposition' is not 'dc_model'"):
         load_dc_model(path)
 
 
 def test_truncated_file_refused(tmp_path):
-    _, comp = full_plan_composition(seed=0)
-    path = tmp_path / "t.json"
-    save_decomposition(comp, path)
+    _, model = full_plan_model(seed=0)
+    path = saved(model, tmp_path / "t.json")
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(DataError):
-        load_decomposition(path)
+    with pytest.raises(DataError, match="t.json: not valid structured text"):
+        load_dc_model(path)
 
 
 def test_missing_file_refused(tmp_path):
     with pytest.raises(DataError):
-        load_model_file(tmp_path / "nope.json")
+        load_dc_model(tmp_path / "nope.json")
 
 
 def test_header_keys_required(tmp_path):
@@ -174,7 +183,7 @@ def test_header_keys_required(tmp_path):
                  "payload": {}}):
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="h.json"):
-            load_model_file(path)
+            load_dc_model(path)
 
 
 FIXTURE = Path(__file__).parent / "fixtures" / "model_v1.json"
@@ -234,3 +243,83 @@ def test_part_that_is_not_its_method_refused(tmp_path, edit, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=message):
         load_dc_model(path)
+
+
+def cut_last(array):
+    array["hex"].pop()
+    array["shape"] = [len(array["hex"])]
+
+
+def cut_r_shift(payload):
+    cut_last(payload["r_shift"])
+
+
+def cut_r_scale(payload):
+    cut_last(payload["r_scale"])
+
+
+def drop_a_local(payload):
+    payload["locals"].pop()
+
+
+def narrow_a_local(payload):
+    cut_last(payload["locals"][4]["weights"])
+
+
+def cut_global_weights(payload):
+    cut_last(payload["global"]["weights"])
+
+
+def retag_global_width(payload):
+    payload["global"]["n_features"] = 8
+
+
+def widen_global(payload):
+    # a consistent degree-2 map of 8 inputs, where the model has 7 locals
+    retag_global_width(payload)
+    payload["global"]["weights"]["hex"] += ["0x0.0p+0"] * 9
+    payload["global"]["weights"]["shape"] = [45]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (cut_r_shift, r"r_shift has shape \(6,\), not \(7,\)"),
+    (cut_r_scale, r"r_scale has shape \(6,\), not \(7,\)"),
+    (drop_a_local, r"locals read \[3, 3, 3, 3, 3, 3\] features, but the "
+                   r"subspace views have \[3, 3, 3, 3, 3, 3, 3\]"),
+    (narrow_a_local, r"locals read \[3, 3, 3, 3, 2, 3, 3\] features"),
+    (cut_global_weights,
+     r"a degree-2 map of 7 features has 36 weights, not \(35,\)"),
+    (retag_global_width,
+     r"a degree-2 map of 8 features has 45 weights, not \(36,\)"),
+    (widen_global, "the global reads 8 inputs, not the 7 local scores"),
+])
+def test_model_whose_parts_do_not_fit_refused(tmp_path, edit, message):
+    # locals, fusion rows and global must agree with the views, or the
+    # model fails only when it scores
+    doc = json.loads(FIXTURE.read_text())
+    edit(doc["payload"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="edited.json: malformed dc_model "
+                                        "payload .*" + message):
+        load_dc_model(path)
+
+
+def test_trbf_locals_round_trip_and_eval(tmp_path, capsys):
+    # models with TRBF locals score through their views, not a collapsed map
+    ds = make_blobs(120, n_features=10, separation=3.0, seed=4)
+    model = train_dc(ds, [("rd", 2, 5), ("pca", 2, 5), ("abd", 2, 5)],
+                     local=LearnerSpec(type="trbf", p=2), seed=7)
+    assert all(isinstance(m, TrbfModel) for m in model.locals)
+    path = saved(model, tmp_path / "model.json")
+    back = load_dc_model(path)
+    assert back.at is None
+    la, sa = predict_dc(model, ds)
+    lb, sb = predict_dc(back, ds)
+    assert sa.tobytes() == sb.tobytes()
+    assert np.array_equal(la, lb)
+    save_libsvm(ds, tmp_path / "test.libsvm")
+    assert main(["eval", "--model", str(path),
+                 "--test", str(tmp_path / "test.libsvm"),
+                 "--out", str(tmp_path / "evalout")]) == 0
+    assert "error rate:" in capsys.readouterr().out
