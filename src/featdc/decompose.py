@@ -81,15 +81,36 @@ class SubspaceDecomposition:
 
     def __post_init__(self):
         # `_apply_part` reads the fields, not the name, and a model file is
-        # outside input: its fields must be those of the method it names
-        if self.method not in _MAP_FIELDS:
-            raise ConfigError(f"unknown decomposition method {self.method!r}")
+        # outside input: its fields must be those of the method it names,
+        # with the sizes its map reads
+        method, n = self.method, self.n_features_out
+        if method not in _MAP_FIELDS:
+            raise ConfigError(f"unknown decomposition method {method!r}")
         present = tuple(name for name in ("feature_order", "block_size",
                                           "transform")
                         if getattr(self, name) is not None)
-        if present != _MAP_FIELDS[self.method]:
-            raise ConfigError(f"a {self.method} part sets {present}, not "
-                              f"{_MAP_FIELDS[self.method]}")
+        if present != _MAP_FIELDS[method]:
+            raise ConfigError(f"a {method} part sets {present}, not "
+                              f"{_MAP_FIELDS[method]}")
+        padded = self.feature_order is not None  # bcd, abd
+        if (n < self.n_features_in) if padded else (n != self.n_features_in):
+            raise ConfigError(f"a {method} part maps {self.n_features_in} "
+                              f"features to {n}")
+        if padded and not np.array_equal(np.sort(self.feature_order),
+                                         np.arange(n)):
+            raise ConfigError(f"a {method} part's feature_order is not a "
+                              f"permutation of its {n} output rows")
+        side = n if self.block_size is None else len(self.index_groups)
+        if self.transform is not None and np.shape(self.transform) != (side, side):
+            raise ConfigError(f"a {method} part's transform has shape "
+                              f"{np.shape(self.transform)}, not {(side, side)}")
+        if self.block_size is not None and self.block_size * side != n:
+            raise ConfigError(f"a {method} part's {side} blocks of "
+                              f"{self.block_size} are not its {n} output rows")
+        for g in self.index_groups:
+            if len(g) and (np.min(g) < 0 or np.max(g) >= n):
+                raise ConfigError(f"a {method} part's index group reaches "
+                                  f"outside its {n} output coordinates")
 
     @property
     def n_subspaces(self):

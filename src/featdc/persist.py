@@ -2,17 +2,26 @@
 
 A model file is a JSON document with a fixed header (format name,
 version, kind "dc_model") and a payload. Dataclasses are stored field by
-field, as their type hints say: every floating-point value as its
-hexadecimal float literal (`float.hex()`), so a save/load round trip is
-bit-exact; float arrays as `{shape, hex}`; integer arrays as plain
-integer lists. Loading refuses files whose format name, version or kind
-does not match, and reports a payload that does not fit the schema, or
-whose parts do not fit together, as a DataError naming the file.
+field, as their type hints say, and every value keeps its bits through a
+save/load round trip. Version 2, the one written, stores a float array
+as `{"shape": [...], "f8": <base64 of its little-endian float64 bytes>}`
+and an integer array as `{"i4": <base64 of its little-endian int32
+bytes>}` (base64 as RFC 4648 defines it); a float scalar is its
+hexadecimal float literal (`float.hex()`) and an integer scalar a JSON
+number. Version 1 files, whose float arrays are `{shape, hex}` lists of
+`float.hex()` strings and whose integer arrays are integer lists, still
+load. Saving refuses an integer array with a value outside int32.
+Loading refuses files whose format name, version or kind does not match,
+and reports a payload that does not fit the schema (an array payload of
+the wrong byte count or not base64 included), or whose parts do not fit
+together, as a DataError naming the file.
 """
 
+import base64
 import dataclasses
 import functools
 import json
+import math
 import typing
 
 import numpy as np
@@ -24,11 +33,13 @@ from .errors import ConfigError, DataError
 from .fuse import DcModel
 
 FORMAT_NAME = "featdc-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READ_VERSIONS = (1, 2)  # v1: arrays as hex strings and integer lists
 KIND = "dc_model"  # the one document kind: a trained model
 
 FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
+_I4 = np.iinfo(np.int32)
 
 
 @functools.cache
@@ -36,8 +47,26 @@ def _hints(cls):
     return typing.get_type_hints(cls)
 
 
+def _b64(a, dtype):
+    """Base64 text of a's little-endian bytes as dtype."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype).tobytes()).decode("ascii")
+
+
+def _unb64(text, dtype):
+    """The read-only dtype array whose little-endian bytes are base64 text."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise DataError(f"array payload is not base64 ({exc})") from exc
+    size = np.dtype(dtype).itemsize
+    if len(raw) % size:
+        raise DataError(f"{dtype} array payload of {len(raw)} bytes is not "
+                        f"a whole number of {size}-byte values")
+    return np.frombuffer(raw, dtype)
+
+
 def _enc(value, hint):
-    """JSON form of value, chosen by its type hint."""
+    """JSON form of value, chosen by its type hint (format version 2)."""
     if value is None:
         return None
     if typing.get_origin(hint) is typing.Union:  # Optional[X]
@@ -47,9 +76,13 @@ def _enc(value, hint):
                 for f in dataclasses.fields(hint)}
     if hint == FloatArray:
         a = np.asarray(value, dtype=np.float64)
-        return {"shape": list(a.shape), "hex": [v.hex() for v in a.ravel().tolist()]}
+        return {"shape": list(a.shape), "f8": _b64(a, "<f8")}
     if hint == IntArray:
-        return np.asarray(value).astype(int).tolist()
+        a = np.asarray(value).ravel()
+        if a.size and (a.min() < _I4.min or a.max() > _I4.max):
+            raise DataError(f"cannot persist integer array: values "
+                            f"{a.min()}..{a.max()} exceed the int32 range")
+        return {"i4": _b64(a, "<i4")}
     if hint is float:
         return float(value).hex()
     if hint is int:
@@ -61,27 +94,37 @@ def _enc(value, hint):
     return value
 
 
-def _dec(obj, hint):
-    """Inverse of `_enc`."""
+def _dec(obj, hint, version):
+    """Inverse of `_enc`, for a file of the given format version."""
     if obj is None:
         return None
     if typing.get_origin(hint) is typing.Union:
         hint = typing.get_args(hint)[0]
     if dataclasses.is_dataclass(hint):
-        return hint(**{f.name: _dec(obj[f.name], _hints(hint)[f.name])
+        return hint(**{f.name: _dec(obj[f.name], _hints(hint)[f.name], version)
                        for f in dataclasses.fields(hint)})
     if hint == FloatArray:
-        hexes = obj["hex"]
-        flat = np.fromiter(map(float.fromhex, hexes), np.float64, len(hexes))
-        return flat.reshape(obj["shape"])
+        shape = tuple(obj["shape"])
+        if version == 1:
+            hexes = obj["hex"]
+            flat = np.fromiter(map(float.fromhex, hexes), np.float64, len(hexes))
+        else:
+            flat = _unb64(obj["f8"], "<f8").astype(np.float64)  # writable copy
+            if flat.size != math.prod(shape):
+                raise DataError(f"float array of shape {shape} needs "
+                                f"{8 * math.prod(shape)} bytes, not {8 * flat.size}")
+        return flat.reshape(shape)
     if hint == IntArray:
-        return np.asarray(obj, dtype=np.int64)
+        if version == 1:
+            return np.asarray(obj, dtype=np.int64)
+        return _unb64(obj["i4"], "<i4").astype(np.int64)
     if hint is float:
         return float.fromhex(obj)
     if typing.get_origin(hint) is list:
-        return [_dec(v, typing.get_args(hint)[0]) for v in obj]
+        return [_dec(v, typing.get_args(hint)[0], version) for v in obj]
     if typing.get_origin(hint) is dict:
-        return {k: _dec(v, typing.get_args(hint)[1]) for k, v in obj.items()}
+        return {k: _dec(v, typing.get_args(hint)[1], version)
+                for k, v in obj.items()}
     return obj
 
 
@@ -92,10 +135,10 @@ def _enc_learner(model):
     raise DataError(f"cannot persist learner of type {type(model).__name__}")
 
 
-def _dec_learner(obj):
+def _dec_learner(obj, version):
     if obj["type"] not in LEARNERS:
         raise DataError(f"unknown learner type {obj['type']!r} in model file")
-    return _dec(obj, LEARNERS[obj["type"]])
+    return _dec(obj, LEARNERS[obj["type"]], version)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +169,10 @@ def _check_header(doc, path):
             raise DataError(f"{path}: not a model file (missing {key!r})")
     if doc["format"] != FORMAT_NAME:
         raise DataError(f"{path}: unknown format {doc['format']!r}")
-    if doc["version"] != FORMAT_VERSION:
+    if type(doc["version"]) is not int or doc["version"] not in READ_VERSIONS:
         raise DataError(
-            f"{path}: file version {doc['version']} does not match "
-            f"supported version {FORMAT_VERSION}; refusing to load"
+            f"{path}: file version {doc['version']} is not one of the "
+            f"supported versions {READ_VERSIONS}; refusing to load"
         )
     if doc["kind"] != KIND:
         raise DataError(f"{path}: document kind {doc['kind']!r} is not "
@@ -146,14 +189,15 @@ def load_dc_model(path):
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid structured text: {exc}") from exc
     _check_header(doc, path)
-    p = doc["payload"]
+    p, version = doc["payload"], doc["version"]
     try:
         return DcModel(
-            decomposition=_dec(p["decomposition"], CompositeDecomposition),
-            locals=[_dec_learner(m) for m in p["locals"]],
-            global_model=_dec_learner(p["global"]),
-            r_shift=_dec(p["r_shift"], FloatArray),
-            r_scale=_dec(p["r_scale"], FloatArray),
+            decomposition=_dec(p["decomposition"], CompositeDecomposition,
+                               version),
+            locals=[_dec_learner(m, version) for m in p["locals"]],
+            global_model=_dec_learner(p["global"], version),
+            r_shift=_dec(p["r_shift"], FloatArray, version),
+            r_scale=_dec(p["r_scale"], FloatArray, version),
             config_snapshot=p.get("config_snapshot", {}),
         )
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,

@@ -416,6 +416,34 @@ def test_eval_of_model_whose_parts_do_not_fit_exits_3(tmp_path, capsys):
     assert "r_shift has shape (6,), not (7,)" in capsys.readouterr().err
 
 
+def flatten_abd_transform(parts):
+    parts[4]["transform"]["shape"] = [1, 4]
+
+
+def index_past_the_end(parts):
+    parts[0]["index_groups"][0][-1] = 6
+
+
+@pytest.mark.parametrize("command", ["inspect", "eval"])
+@pytest.mark.parametrize("edit, message", [
+    (flatten_abd_transform, "a abd part's transform has shape (1, 4)"),
+    (index_past_the_end, "a rd part's index group reaches outside"),
+])
+def test_part_of_the_wrong_shape_exits_3(tmp_path, capsys, command, edit,
+                                         message):
+    # refused at load with the part named, before any numpy broadcast
+    doc = json.loads(FIXTURE_MODEL.read_text())
+    edit(doc["payload"]["decomposition"]["parts"])
+    model_path = tmp_path / "shape.json"
+    model_path.write_text(json.dumps(doc))
+    save_libsvm(make_blobs(50, n_features=6, seed=3), tmp_path / "t.libsvm")
+    args = {"inspect": [], "eval": ["--test", str(tmp_path / "t.libsvm"),
+                                    "--out", str(tmp_path / "evalout")]}
+    rc = main([command, "--model", str(model_path)] + args[command])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+
+
 def test_malformed_model_file_is_data_error(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"format": "featdc-model", "version": 1,

@@ -666,3 +666,26 @@ def test_block_gram_dense_matches_sparse(size):
     blocks = padded[order].reshape(len(groups), got, 30)
     assert np.allclose(dense, np.einsum("ikn,jkn->ij", blocks, blocks),
                        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+def test_every_fitted_part_has_the_shapes_its_map_reads(form):
+    # a part's fields are checked against each other when it is built;
+    # every method fits one, on either route. 61 features in 8 groups of 8:
+    # bcd/abd pad three coordinates. The sparse input stays sparse at the
+    # `_as_matrix` gate
+    rng = np.random.default_rng(31)
+    xd = rng.normal(size=(61, 50)) * (rng.random(size=(61, 50)) < 0.1)
+    x = sp.csc_array(xd) if form == "sparse" else xd
+    assert sp.issparse(_as_matrix(x)) == (form == "sparse")
+    y = np.where(np.arange(50) % 2 == 0, 1, -1)
+    plan = [("rd", 3, 8), ("pca", 3, 8), ("dca", 3, 8), ("bcd", 8, 8),
+            ("abd", 8, 8)]
+    comp = fit_plan(x, y, plan, seed=2)
+    assert [p.method for p in comp.parts] == list(METHODS)
+    for part in comp.parts[3:]:
+        assert part.n_features_out == 64 and len(part.feature_order) == 64
+    assert comp.parts[4].transform.shape == (8, 8)
+    assert comp.parts[3].transform.shape == (64, 64)
+    views = apply_decomposition(comp, x)
+    assert len(views) == comp.h == 25

@@ -1,4 +1,6 @@
+import base64
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -137,10 +139,11 @@ def test_awkward_floats_survive(tmp_path):
 
 def test_version_mismatch_refused(tmp_path):
     _, model = full_plan_model(seed=0)
-    path = edited(saved(model, tmp_path / "v.json"),
-                  lambda doc: doc.update(version=FORMAT_VERSION + 1))
-    with pytest.raises(DataError, match="refusing"):
-        load_dc_model(path)
+    for version in (FORMAT_VERSION + 1, 0, True, 1.0, "2"):
+        path = edited(saved(model, tmp_path / "v.json"),
+                      lambda doc: doc.update(version=version))
+        with pytest.raises(DataError, match="refusing"):
+            load_dc_model(path)
 
 
 def test_wrong_format_name_refused(tmp_path):
@@ -187,6 +190,7 @@ def test_header_keys_required(tmp_path):
 
 
 FIXTURE = Path(__file__).parent / "fixtures" / "model_v1.json"
+FIXTURE_V2 = FIXTURE.with_name("model_v2.json")
 
 
 def test_version_1_fixture_loads_and_resaves_unchanged(tmp_path):
@@ -200,7 +204,98 @@ def test_version_1_fixture_loads_and_resaves_unchanged(tmp_path):
     assert "feature_scale" in model.config_snapshot
     path = tmp_path / "resaved.json"
     save_dc_model(model, path)
-    assert path.read_bytes() == fixture.read_bytes()
+    # a re-save writes the current version: the committed v2 fixture
+    assert path.read_bytes() == FIXTURE_V2.read_bytes()
+
+
+def assert_same_bits(a, b):
+    """a and b hold the same values to the bit, field by field; every
+    array is a native, writable copy."""
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.dtype.isnative
+        assert a.flags.writeable and b.flags.writeable
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    elif dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_same_bits(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for u, v in zip(a, b):
+            assert_same_bits(u, v)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            assert_same_bits(a[k], b[k])
+    elif isinstance(a, float):
+        assert a.hex() == b.hex()
+    else:
+        assert a == b
+
+
+def test_version_2_fixture_holds_the_bits_of_version_1(tmp_path):
+    assert json.loads(FIXTURE_V2.read_text())["version"] == 2 == FORMAT_VERSION
+    v1, v2 = load_dc_model(FIXTURE), load_dc_model(FIXTURE_V2)
+    assert v2.at is not None
+    assert_same_bits(v1, v2)  # `at` included
+    path = saved(v2, tmp_path / "again.json")
+    assert path.read_bytes() == FIXTURE_V2.read_bytes()
+
+
+def cut_last_value(payload):
+    # r_shift's bytes one float short of its shape
+    array = payload["r_shift"]
+    array["f8"] = base64.b64encode(base64.b64decode(array["f8"])[:-8]).decode()
+
+
+def ragged_ints(payload):
+    group = payload["decomposition"]["parts"][0]["index_groups"][0]
+    group["i4"] = base64.b64encode(base64.b64decode(group["i4"]) + b"\0\0").decode()
+
+
+def not_base64(payload):
+    weights = payload["locals"][0]["weights"]
+    weights["f8"] = "*" + weights["f8"][1:]
+
+
+def not_ascii(payload):
+    weights = payload["global"]["weights"]
+    weights["f8"] = "\u00e9" + weights["f8"][1:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (cut_last_value, r"float array of shape \(7,\) needs 56 bytes, not 48"),
+    (ragged_ints, "<i4 array payload of 14 bytes is not a whole number of "
+                  "4-byte values"),
+    (not_base64, "array payload is not base64"),
+    (not_ascii, "array payload is not base64"),
+])
+def test_malformed_version_2_payload_refused(tmp_path, capsys, edit, message):
+    doc = json.loads(FIXTURE_V2.read_text())
+    edit(doc["payload"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="edited.json: malformed dc_model "
+                                        "payload .*" + message):
+        load_dc_model(path)
+    ds = make_blobs(50, n_features=6, seed=3)
+    save_libsvm(ds, tmp_path / "t.libsvm")
+    assert main(["eval", "--model", str(path),
+                 "--test", str(tmp_path / "t.libsvm"),
+                 "--out", str(tmp_path / "evalout")]) == 3
+    assert "malformed dc_model payload" in capsys.readouterr().err
+
+
+def test_save_refuses_an_index_outside_int32(tmp_path):
+    # integer arrays are stored as int32: a wider value is refused, never
+    # wrapped
+    _, model = full_plan_model(seed=0)
+    model.decomposition.parts[0].index_groups[0] = np.array([0, 2**31])
+    path = tmp_path / "wide.json"
+    with pytest.raises(DataError, match=r"values 0\.\.2147483648 exceed the "
+                                        "int32 range"):
+        save_dc_model(model, path)
+    assert not path.exists()
 
 
 def test_version_1_fixture_predicts_through_the_collapsed_map():
@@ -228,10 +323,57 @@ def give_rd_a_transform(parts):
     parts[0]["transform"] = parts[1]["transform"]
 
 
+def flatten_abd_transform(parts):
+    parts[4]["transform"]["shape"] = [1, 4]
+
+
+def widen_pca_transform(parts):
+    parts[1]["transform"]["hex"] *= 2
+    parts[1]["transform"]["shape"] = [6, 12]
+
+
+def index_past_the_end(parts):
+    parts[0]["index_groups"][0][-1] = 6
+
+
+def negative_index(parts):
+    parts[4]["index_groups"][1][0] = -1
+
+
+def short_feature_order(parts):
+    parts[3]["feature_order"].pop()
+
+
+def repeated_feature_order(parts):
+    parts[4]["feature_order"][0] = parts[4]["feature_order"][1]
+
+
+def shrink_abd_blocks(parts):
+    parts[4]["block_size"] = 2
+
+
+def pca_of_other_width(parts):
+    parts[1]["n_features_out"] = 5
+
+
 @pytest.mark.parametrize("edit, message", [
     (rename_rd_to_fft, "unknown decomposition method 'fft'"),
     (drop_pca_transform, r"a pca part sets \(\), not \('transform',\)"),
     (give_rd_a_transform, r"a rd part sets \('transform',\), not \(\)"),
+    (flatten_abd_transform,
+     r"a abd part's transform has shape \(1, 4\), not \(2, 2\)"),
+    (widen_pca_transform,
+     r"a pca part's transform has shape \(6, 12\), not \(6, 6\)"),
+    (index_past_the_end,
+     "a rd part's index group reaches outside its 6 output coordinates"),
+    (negative_index,
+     "a abd part's index group reaches outside its 6 output coordinates"),
+    (short_feature_order,
+     "a bcd part's feature_order is not a permutation of its 6 output rows"),
+    (repeated_feature_order,
+     "a abd part's feature_order is not a permutation of its 6 output rows"),
+    (shrink_abd_blocks, "a abd part's 2 blocks of 2 are not its 6 output rows"),
+    (pca_of_other_width, "a pca part maps 6 features to 5"),
 ])
 def test_part_that_is_not_its_method_refused(tmp_path, edit, message):
     # parts are applied by their fields, so the name and fields must agree
