@@ -98,28 +98,6 @@ def label_from_score(scores):
     return np.where(np.asarray(scores) >= 0.0, 1, -1).astype(np.int64)
 
 
-def _centering_operator(x, mu):
-    """Matrix-free X_c^T = (X - mu 1^T)^T as an (N x d) operator."""
-    d, n = x.shape
-
-    def matvec(w):
-        w = np.asarray(w).ravel()
-        return np.asarray(x.T @ w).ravel() - float(mu @ w)
-
-    def rmatvec(v):
-        v = np.asarray(v).ravel()
-        return np.asarray(x @ v).ravel() - mu * float(v.sum())
-
-    return LinearOperator((n, d), matvec=matvec, rmatvec=rmatvec,
-                          dtype=np.float64)
-
-
-def _row_means(x):
-    if sp.issparse(x):
-        return np.asarray(x.mean(axis=1)).ravel()
-    return x.mean(axis=1)
-
-
 def train_linear(x, y, lam=None, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Minimize sum_n (w.x_n + b - y_n)^2 + lam ||w||^2 (bias unpenalized).
 
@@ -153,7 +131,7 @@ def train_linear(x, y, lam=None, max_dense=DEFAULT_MAX_DENSE_FEATURES):
         resid = np.linalg.norm(a @ w - rhs)
         solver = "dense"
     else:
-        mu = _row_means(x)
+        mu = np.asarray(x.mean(axis=1)).ravel()
         w, resid = _lsmr_weights(x, mu, yc, lam, rhs)
         solver = "lsmr"
     rel = resid / (1.0 + np.linalg.norm(rhs))
@@ -195,8 +173,8 @@ def _lsmr_weights(x, mu, yc, lam, rhs):
     """Column-scaled LSMR: solve for v in w = D v, where
     D = diag(X_c X_c^T + lam I)^(-1/2), as the undamped least-squares
     problem [X_c^T D; sqrt(lam) D] v ~ [y_c; 0], whose minimizer gives the
-    same w. The residual is measured on the unscaled w."""
-    op = _centering_operator(x, mu)
+    same w. X_c = X - mu 1^T is never formed. The residual is measured on
+    the unscaled w."""
     d, n = x.shape
     # Cancellation can leave a constant row's centered square sum slightly
     # below zero; the clamp keeps the diagonal at least lam.
@@ -204,13 +182,19 @@ def _lsmr_weights(x, mu, yc, lam, rhs):
     scale = 1.0 / np.sqrt(diag)
     root_lam = math.sqrt(lam)
 
+    def centered_t(w):  # X_c^T w
+        return np.asarray(x.T @ w).ravel() - float(mu @ w)
+
+    def centered(u):  # X_c u
+        return np.asarray(x @ u).ravel() - mu * float(u.sum())
+
     def matvec(v):
         w = scale * np.asarray(v).ravel()
-        return np.concatenate([op.matvec(w), root_lam * w])
+        return np.concatenate([centered_t(w), root_lam * w])
 
     def rmatvec(u):
         u = np.asarray(u).ravel()
-        return scale * (op.rmatvec(u[:n]) + root_lam * u[n:])
+        return scale * (centered(u[:n]) + root_lam * u[n:])
 
     scaled = LinearOperator((n + d, d), matvec=matvec, rmatvec=rmatvec,
                             dtype=np.float64)
@@ -221,7 +205,7 @@ def _lsmr_weights(x, mu, yc, lam, rhs):
                       conlim=1e14, maxiter=maxiter, x0=v)
         v = result[0]
         w = scale * v
-        resid = np.linalg.norm(op.rmatvec(op.matvec(w)) + lam * w - rhs)
+        resid = np.linalg.norm(centered(centered_t(w)) + lam * w - rhs)
         if resid / (1.0 + np.linalg.norm(rhs)) <= 1e-8:
             break
     return w, resid

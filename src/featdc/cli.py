@@ -17,9 +17,9 @@ import time
 
 import numpy as np
 
-from .config import config_echo, load_config
+from .config import RULES, config_echo, load_config
 from .dataio import apply_feature_scale, load_libsvm, max_abs_scale, split
-from .errors import ConfigError, DataError, FeatdcError, NumericError
+from .errors import ConfigError, DataError, FeatdcError
 from .fuse import LearnerSpec, evaluate, predict_dc, train_dc, train_learner
 from .persist import load_dc_model, save_dc_model
 from .report import build_report, format_report, write_report
@@ -55,12 +55,14 @@ def _build_parser():
 
 
 def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        cfg.threads = args.threads
+    """Each given flag, checked by its config key's rule."""
+    for flag in ("seed", "threads"):
+        value = getattr(args, flag)
+        if value is not None:
+            problem = RULES[f"RunConfig.{flag}"](value)
+            if problem:
+                raise ConfigError(f"--{flag} {problem}")
+            setattr(cfg, flag, value)
     if args.out is not None:
         cfg.out_dir = args.out
 
@@ -141,7 +143,6 @@ def cmd_train(args):
         timings["baseline"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    os.makedirs(cfg.out_dir, exist_ok=True)
     model_path = os.path.join(cfg.out_dir, "model.json")
     save_dc_model(model, model_path)
     report = build_report(args.command, cfg.seed, timings, config_echo(cfg),
@@ -175,7 +176,11 @@ def cmd_eval(args):
         positive_label=snap.get("positive_label"),
     )
     if "feature_scale" in snap:
-        scale = np.array([float.fromhex(s) for s in snap["feature_scale"]])
+        try:
+            scale = np.array([float.fromhex(s) for s in snap["feature_scale"]])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{args.model}: malformed feature_scale ({exc})"
+                            ) from exc
         test = apply_feature_scale(test, scale)
     parse_s = time.perf_counter() - t0
 
@@ -244,18 +249,11 @@ def main(argv=None):
                 "inspect": cmd_inspect}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except FeatdcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except FeatdcError as exc:  # base-class fallback
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        # NumericError and any other FeatdcError: 4
+        return (2 if isinstance(exc, ConfigError)
+                else 3 if isinstance(exc, DataError) else 4)
 
 
 if __name__ == "__main__":

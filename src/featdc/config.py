@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .classify import LEARNERS
-from .dataio import SplitSpec
+from .dataio import SplitSpec, read_text
 from .decompose import METHODS
 from .errors import ConfigError
 from .fuse import Guards, LearnerSpec
@@ -160,10 +160,7 @@ def parse_config(doc, path="<config>"):
 
 def load_config(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        doc = json.loads(read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid structured text: {exc}"
                           ) from exc

@@ -16,12 +16,14 @@ unreadable index or value text                  ParseError
 index smaller than 1                            ValidationError
 non-ascending or duplicate index within a line  ValidationError
 non-finite feature value (nan/inf)              ValidationError
-file that is not UTF-8 (`load_libsvm`)          DataError
+file that cannot be read or gunzipped           DataError
+file that is not UTF-8                          DataError
 ==============================================  =================
 
-All messages carry the 1-based line number. Labels are mapped by the sign
-convention (token > 0 becomes +1, otherwise -1) unless ``positive_label``
-pins one exact raw value to +1 (used for sources labeled e.g. {1, 2}).
+Parse and validation messages carry the 1-based line number. Labels are
+mapped by the sign convention (token > 0 becomes +1, otherwise -1) unless
+``positive_label`` pins one exact raw value to +1 (used for sources
+labeled e.g. {1, 2}).
 
 Two parsers share this contract. A bulk path parses text that keeps to a
 strict grammar with numpy, in blocks of about 1 MiB cut at line ends:
@@ -39,12 +41,20 @@ Python's ``float()``/``int()`` and is the only source of the errors above,
 so their classes, messages and line numbers do not depend on the path.
 Both paths give bit-identical arrays: numpy and ``float()`` round every
 such decimal alike.
+
+Every file the package reads or writes goes through `read_text` and
+`write_text`, whose errors name the path: a dataset or model file that
+cannot be read, gunzipped or decoded raises DataError (exit 3), a config
+file ConfigError (exit 2), and an output that cannot be written
+DataError (exit 3).
 """
 
 import gzip
 import io
 import math
+import os
 import warnings
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,21 +315,38 @@ def _parse_block(block):
     return labels, values[keep], index[keep] - 1, counts, int(index.max(initial=0))
 
 
-def load_libsvm(path, n_features=None, positive_label=None) -> Dataset:
-    """Read a LIBSVM file; transparently decompresses when `path` ends in .gz.
-
-    The file is decoded as UTF-8 whole, then parsed as one string; a file
-    that cannot be read or decoded raises DataError naming `path`.
-    """
+def read_text(path, error=DataError):
+    """The text of the file at `path`, decoded as UTF-8 (universal
+    newlines), gunzipped first when `path` ends in .gz. A file that cannot
+    be read, decompressed or decoded raises `error` naming `path`."""
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
         with opener(path, "rt", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+            return handle.read()
     except UnicodeDecodeError as exc:
-        raise DataError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
-    return parse_libsvm(text, n_features=n_features, positive_label=positive_label)
+        raise error(f"cannot read {path}: not UTF-8 text ({exc})") from exc
+    except (OSError, EOFError, zlib.error) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path, text):
+    """Write `text` to `path` as UTF-8, gzipped when `path` ends in .gz,
+    creating its directory first; a failure raises DataError naming
+    `path`."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with opener(path, "wt", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def load_libsvm(path, n_features=None, positive_label=None) -> Dataset:
+    """Read a LIBSVM file through `read_text` (a .gz file is gunzipped)
+    and parse it as one string."""
+    return parse_libsvm(read_text(path), n_features=n_features,
+                        positive_label=positive_label)
 
 
 def train_size(n_instances, fraction):
@@ -380,9 +407,7 @@ def serialize_libsvm(ds: Dataset) -> str:
 
 
 def save_libsvm(ds: Dataset, path):
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wt", encoding="utf-8") as handle:
-        handle.write(serialize_libsvm(ds))
+    write_text(path, serialize_libsvm(ds))
 
 
 def max_abs_scale(ds: Dataset):

@@ -21,8 +21,10 @@ abd  block-level gram matrix (sum of elementwise products per block pair),
      eigenvector weights and is orthogonal by construction.
 
 bcd and abd rearrange features and may pad the feature space with zero
-rows so the block grid is exact; padding is recorded and re-applied to
-held-out data automatically.
+rows so the block grid is exact; both are recorded and re-applied to
+held-out data automatically. abd re-arranges and pads a copy of the
+data; bcd folds both into its transform's columns on the dense and the
+sparse route alike, so its views read the data as it is.
 
 pca, dca and bcd read the data only through its moments
 (`class_moments`: the Gram G = X Xᵀ, the row sums, and the row sums and
@@ -578,22 +580,13 @@ def abd_dense_transform(part):
 
 
 def _apply_part(part, x):
-    """The views of one part, read off the part's own fields: re-arrange
-    and pad the rows (bcd, abd), then mix whole blocks (abd) or multiply
-    by the transform (pca, dca, bcd), then slice the groups."""
-    if part.block_size is None and part.feature_order is not None \
-            and not sp.issparse(x):
-        # bcd on dense data: the zero padding rows add nothing to the
-        # product, so only the transform's columns of real rows are read
-        t = part.transform[:, _rows_of(part.feature_order)[:x.shape[0]]]
-        x = t @ x
-        # a fitted bcd's groups are consecutive runs: slices, not copies
-        return [x[g[0]:g[0] + len(g)]
-                if np.array_equal(g, np.arange(g[0], g[0] + len(g))) else x[g]
-                for g in part.index_groups]
-    if part.feature_order is not None:
-        x = _padded_rearranged(x, part.feature_order, part.n_features_out)
+    """The views of one part, read off the part's own fields: mix whole
+    blocks of the re-arranged, padded rows (abd) or multiply by the
+    transform (pca, dca, bcd), then slice the groups. bcd's padding and
+    re-arrangement are folded into its transform: the padding rows add
+    nothing to the product, so only the columns of real rows are read."""
     if part.block_size is not None:  # view i is sum_j V[j, i] * block j
+        x = _padded_rearranged(x, part.feature_order, part.n_features_out)
         size, v = part.block_size, part.transform
         if not sp.issparse(x):  # one product over the C-ordered blocks
             mixed = v.T @ x.reshape(len(v), size * x.shape[1])
@@ -603,6 +596,8 @@ def _apply_part(part, x):
                     blocks[0] * v[0, i]) for i in range(len(v))]
     if part.transform is not None:
         t = part.transform
+        if part.feature_order is not None:  # bcd
+            t = t[:, _rows_of(part.feature_order)[:x.shape[0]]]
         x = (x.T @ t.T).T if sp.issparse(x) else t @ x
     elif sp.issparse(x):
         x = x.tocsr()

@@ -28,6 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .classify import LEARNERS
+from .dataio import read_text, write_text
 from .decompose import CompositeDecomposition
 from .errors import ConfigError, DataError
 from .fuse import DcModel
@@ -156,9 +157,7 @@ def save_dc_model(model, path):
     }
     doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
            "kind": KIND, "payload": payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))  # one-shot: the C encoder, same bytes
-        fh.write("\n")
+    write_text(path, json.dumps(doc) + "\n")  # one-shot: the C encoder
 
 
 def _check_header(doc, path):
@@ -182,10 +181,7 @@ def _check_header(doc, path):
 def load_dc_model(path):
     """The DcModel saved at path (its collapsed scorer derived anew)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid structured text: {exc}") from exc
     _check_header(doc, path)

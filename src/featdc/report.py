@@ -10,6 +10,8 @@ import hashlib
 import json
 import os
 
+from .dataio import write_text
+
 
 def sha256_file(path):
     digest = hashlib.sha256()
@@ -38,11 +40,8 @@ def build_report(command, seed, timings, config_echo=None, metrics=None,
 
 
 def write_report(report, out_dir, name):
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(report, indent=2) + "\n")
     return path
 
 

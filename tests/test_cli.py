@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import json
 import re
@@ -11,7 +12,7 @@ import pytest
 import featdc.classify as classify
 from featdc.cli import main
 from featdc.config import config_echo, parse_config
-from featdc.dataio import save_libsvm, select_instances
+from featdc.dataio import save_libsvm, select_instances, serialize_libsvm
 from featdc.datasets import make_blobs
 from featdc.errors import ConfigError
 from featdc.fuse import LearnerSpec
@@ -451,6 +452,96 @@ def test_malformed_model_file_is_data_error(tmp_path, capsys):
     rc = main(["inspect", "--model", str(path)])
     assert rc == 3
     assert "m.json" in capsys.readouterr().err
+
+
+def truncated_gzip(text):
+    return gzip.compress(text.encode())[:-20]
+
+
+def corrupt_gzip(text):
+    # a valid header, then a deflate block of the reserved type
+    return gzip.compress(text.encode())[:10] + b"\xff" * 16
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("damage", [truncated_gzip, corrupt_gzip])
+def test_damaged_gzip_dataset_exits_3(tmp_path, capsys, command, damage):
+    ds = make_blobs(200, n_features=6, separation=2.0, seed=3)
+    path = tmp_path / "data.libsvm.gz"
+    path.write_bytes(damage(serialize_libsvm(ds)))
+    if command == "train":
+        args = ["train", "--config",
+                str(base_config(tmp_path, train_path=str(path)))]
+    else:
+        args = ["eval", "--model", str(FIXTURE_MODEL), "--test", str(path),
+                "--out", str(tmp_path / "evalout")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "data.libsvm.gz" in err and "Traceback" not in err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"train_path": "caf\xe9"}')
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "latin.json" in err and "UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["inspect", "eval"])
+def test_non_utf8_model_exits_3(tmp_path, capsys, command):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"format": "caf\xe9"}')
+    save_libsvm(make_blobs(50, n_features=6, seed=3), tmp_path / "t.libsvm")
+    args = {"inspect": [], "eval": ["--test", str(tmp_path / "t.libsvm"),
+                                    "--out", str(tmp_path / "evalout")]}
+    assert main([command, "--model", str(path)] + args[command]) == 3
+    err = capsys.readouterr().err
+    assert "latin.json" in err and "UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_output_below_a_regular_file_exits_3(tmp_path, capsys, command):
+    write_blob_file(tmp_path / "train.libsvm", n_features=6)
+    (tmp_path / "blocker").write_text("a file, not a directory\n")
+    out = str(tmp_path / "blocker" / "out")
+    if command == "train":
+        args = ["train", "--config", str(base_config(tmp_path))]
+    else:
+        args = ["eval", "--model", str(FIXTURE_MODEL),
+                "--test", str(tmp_path / "train.libsvm")]
+    assert main(args + ["--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "cannot write" in err and out in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_flag_overrides_are_checked_by_their_config_rules(tmp_path, capsys,
+                                                          command):
+    write_blob_file(tmp_path / "train.libsvm")
+    args = [command, "--config", str(base_config(tmp_path))]
+    for flag, value, message in (
+            ("--seed", "-1", "--seed must be >= 0, got -1"),
+            ("--threads", "0", "--threads must be >= 1, got 0")):
+        assert main(args + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale", [["zz"] * 6, 1.5])
+def test_malformed_feature_scale_exits_3(tmp_path, capsys, scale):
+    doc = json.loads(FIXTURE_MODEL.read_text())
+    doc["payload"]["config_snapshot"]["feature_scale"] = scale
+    model_path = tmp_path / "scale.json"
+    model_path.write_text(json.dumps(doc))
+    save_libsvm(make_blobs(50, n_features=6, seed=3), tmp_path / "t.libsvm")
+    rc = main(["eval", "--model", str(model_path),
+               "--test", str(tmp_path / "t.libsvm"),
+               "--out", str(tmp_path / "evalout")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "scale.json" in err and "feature_scale" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

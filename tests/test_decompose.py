@@ -689,3 +689,28 @@ def test_every_fitted_part_has_the_shapes_its_map_reads(form):
     assert comp.parts[3].transform.shape == (64, 64)
     views = apply_decomposition(comp, x)
     assert len(views) == comp.h == 25
+
+
+def test_bcd_views_read_the_data_without_a_padded_copy(monkeypatch):
+    # 61 features in 8 groups of 8 pad three coordinates; the sparse input
+    # stays sparse at the gate. bcd's padding and re-arrangement live in its
+    # transform's columns, so neither route builds a padded copy, and the
+    # two routes agree
+    rng = np.random.default_rng(41)
+    xd = rng.normal(size=(61, 50)) * (rng.random(size=(61, 50)) < 0.1)
+    xs = sp.csc_array(xd)
+    assert sp.issparse(_as_matrix(xs))
+    groups, padded = disjoint_groups(61, 8, 8, np.random.default_rng(3))
+    comp = CompositeDecomposition([fit_bcd(xd, groups)])
+    assert padded == 64
+
+    def refuse(*args):
+        raise AssertionError("bcd built a padded copy of its input")
+
+    monkeypatch.setattr(decompose, "_padded_rearranged", refuse)
+    from_sparse = apply_decomposition(comp, xs)
+    from_dense = apply_decomposition(comp, xd)
+    assert len(from_sparse) == len(from_dense) == 8
+    for a, b in zip(from_sparse, from_dense):
+        assert isinstance(a, np.ndarray) and a.shape == b.shape == (8, 50)
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
