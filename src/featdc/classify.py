@@ -10,7 +10,9 @@ Two model families cover both roles in the pipeline:
   J = C(m + p, p).
 
 Both produce continuous decision scores; sign(score) is the label, with
-sign(0) = +1.
+sign(0) = +1. Every matrix a learner, `trbf_expand` or `sigma_heuristic`
+receives passes the `decompose._as_matrix` gate, so the same data held
+sparse or dense takes one route and gives the same bits.
 """
 
 import functools
@@ -26,7 +28,7 @@ import scipy.sparse as sp
 from numpy.typing import NDArray
 from scipy.sparse.linalg import LinearOperator, lsmr
 
-from .decompose import DEFAULT_MAX_DENSE_FEATURES, class_moments
+from .decompose import DEFAULT_MAX_DENSE_FEATURES, _as_matrix, class_moments
 from .errors import ConfigError, DataError, NumericError
 from .numerics import solve_spd
 
@@ -57,15 +59,6 @@ def _check_finite_features(x):
         raise NumericError("training features contain non-finite values")
 
 
-def _as_2d(x):
-    if sp.issparse(x):
-        return x
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[:, None]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # linear model
 
@@ -82,7 +75,7 @@ class LinearModel:
         return self.weights.shape[0]
 
     def decision_function(self, x):
-        x = _as_2d(x)
+        x = _as_matrix(x)
         if x.shape[0] != self.n_features:
             raise DataError(
                 f"model expects {self.n_features} features, got {x.shape[0]}"
@@ -108,7 +101,7 @@ def train_linear(x, y, lam=None, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     leave a relative normal-equation residual of at most 1e-8, read on
     the unscaled weights w.
     """
-    x = _as_2d(x)
+    x = _as_matrix(x)
     _check_finite_features(x)
     y = np.asarray(y, dtype=np.float64).ravel()
     d, n = x.shape
@@ -288,7 +281,7 @@ def trbf_expand(x, sigma, p):
     if p < 1:
         raise ConfigError(f"order p must be at least 1, got {p}")
     single = np.ndim(x) == 1 and not sp.issparse(x)
-    x = _as_2d(x)
+    x = _as_matrix(x)
     if sp.issparse(x):
         x = x.toarray()
     if not np.all(np.isfinite(x)):
@@ -329,7 +322,7 @@ def sigma_heuristic(x, seed=0):
     """Median pairwise distance over a seeded subsample of at most 256
     instances (the usual kernel-bandwidth rule of thumb); falls back to
     1.0 when the median is degenerate."""
-    x = _as_2d(x)
+    x = _as_matrix(x)
     n = x.shape[1]
     rng = np.random.default_rng(seed)
     take = min(n, 256)
@@ -360,6 +353,9 @@ class TrbfModel:
     n_features: int
 
     def __post_init__(self):
+        if not (self.sigma > 0 and self.p >= 1):
+            raise DataError(f"a TRBF model needs sigma > 0 and p >= 1, got "
+                            f"sigma {self.sigma} and p {self.p}")
         j = trbf_dim(self.n_features, self.p)
         if np.shape(self.weights) != (j,):
             raise DataError(f"a degree-{self.p} map of {self.n_features} "
@@ -371,7 +367,7 @@ class TrbfModel:
         return self.weights.shape[0]
 
     def decision_function(self, x):
-        x = _as_2d(x)
+        x = _as_matrix(x)
         if x.shape[0] != self.n_features:
             raise DataError(
                 f"model expects {self.n_features} features, got {x.shape[0]}"
@@ -421,7 +417,7 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None, seed=0, threads=1):
     what the guard does not measure: the data, the views, R, the locals
     and the OS.
     """
-    x = _as_2d(x)
+    x = _as_matrix(x)
     _check_finite_features(x)
     y = np.asarray(y, dtype=np.float64).ravel()
     m, n = x.shape

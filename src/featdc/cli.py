@@ -75,8 +75,7 @@ def _prepare_data(cfg):
                         positive_label=cfg.positive_label)
     test = None
     if cfg.test_path is not None:
-        n_feat = max(train.n_features, cfg.n_features_override or 1)
-        test = load_libsvm(cfg.test_path, n_features=n_feat,
+        test = load_libsvm(cfg.test_path, n_features=train.n_features,
                            positive_label=cfg.positive_label)
     parse_s = time.perf_counter() - t0
     scale = None
@@ -167,20 +166,13 @@ def cmd_eval(args):
     t_start = time.perf_counter()
     model = load_dc_model(args.model)  # derives the collapsed scorer too
     load_s = time.perf_counter() - t_start
-    snap = model.config_snapshot or {}
+    snap = model.config_snapshot  # its fields were checked at load
 
     t0 = time.perf_counter()
-    test = load_libsvm(
-        args.test,
-        n_features=model.decomposition.n_features_in,
-        positive_label=snap.get("positive_label"),
-    )
+    test = load_libsvm(args.test, n_features=model.decomposition.n_features_in,
+                       positive_label=snap.get("positive_label"))
     if "feature_scale" in snap:
-        try:
-            scale = np.array([float.fromhex(s) for s in snap["feature_scale"]])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{args.model}: malformed feature_scale ({exc})"
-                            ) from exc
+        scale = np.array([float.fromhex(s) for s in snap["feature_scale"]])
         test = apply_feature_scale(test, scale)
     parse_s = time.perf_counter() - t0
 

@@ -25,6 +25,11 @@ mapped by the sign convention (token > 0 becomes +1, otherwise -1) unless
 ``positive_label`` pins one exact raw value to +1 (used for sources
 labeled e.g. {1, 2}).
 
+A line iterable (a text file object, a list of lines) is parsed as its
+text, one element per line: each element's trailing line ends become
+one, and an inner line end reads as a space. So an iterable and its
+text take the same path, with the same errors.
+
 Two parsers share this contract. A bulk path parses text that keeps to a
 strict grammar with numpy, in blocks of about 1 MiB cut at line ends:
 
@@ -117,7 +122,9 @@ def _map_label(raw, positive_label):
 def parse_libsvm(source, n_features=None, positive_label=None) -> Dataset:
     """Parse LIBSVM-format text into a Dataset.
 
-    `source` may be a string, a text file object, or any iterable of lines.
+    `source` is a string, or a text file object or any other iterable of
+    lines, which is parsed as its text: each element is one line, its
+    trailing line ends dropped and any inner line end read as a space.
     `n_features` overrides the feature count upward so that files drawn
     from the same source (train/test) agree on the dimension; the final
     count is the larger of the override and the maximum index seen.
@@ -126,15 +133,11 @@ def parse_libsvm(source, n_features=None, positive_label=None) -> Dataset:
     Text that keeps to the bulk grammar (module docstring) is parsed
     block-wise with numpy; anything else goes, whole, to the line loop.
     """
-    if isinstance(source, str):
-        text = source
-    else:
-        source = list(source)
-        text = _joined_lines(source)
-    parsed = _parse_bulk(text) if text is not None else None
-    if parsed is None:
-        parsed = _parse_lines(io.StringIO(source) if isinstance(source, str) else source)
-    raw_labels, data, indices, indptr, max_index = parsed
+    if not isinstance(source, str):
+        source = "".join(line.rstrip("\n").replace("\n", " ") + "\n"
+                         for line in source)
+    raw_labels, data, indices, indptr, max_index = (_parse_bulk(source)
+                                                    or _parse_lines(source))
 
     if raw_labels.size == 0:
         raise ParseError("empty input: no instances found")
@@ -146,8 +149,9 @@ def parse_libsvm(source, n_features=None, positive_label=None) -> Dataset:
     return Dataset(x, np.asarray(mapped, dtype=np.int64)[inverse])
 
 
-def _parse_lines(lines):
-    """The reference line loop, and the only source of parse errors.
+def _parse_lines(text):
+    """The reference line loop over the lines of `text` (split after each
+    line feed only), and the only source of parse errors.
 
     Returns (raw labels, data, 0-based indices, indptr, max index).
     """
@@ -155,7 +159,7 @@ def _parse_lines(lines):
     labels = []
     max_index = 0
 
-    for line_no, raw_line in enumerate(lines, start=1):
+    for line_no, raw_line in enumerate(io.StringIO(text), start=1):
         line = raw_line.strip()
         if not line:
             continue
@@ -200,19 +204,6 @@ def _parse_lines(lines):
             np.asarray(indices, dtype=np.int64),
             np.asarray(indptr, dtype=np.int64),
             max_index)
-
-
-def _joined_lines(lines):
-    """The text whose split after each '\\n' gives back exactly `lines`,
-    or None when there is no such text."""
-    try:
-        text = "".join(lines)
-    except TypeError:
-        return None
-    breaks = len(lines) - 1 + text.endswith("\n")
-    if text.count("\n") != breaks or not all(line.endswith("\n") for line in lines[:-1]):
-        return None
-    return text
 
 
 BULK_BLOCK_CHARS = 1 << 20  # a block ends at the last line end before this

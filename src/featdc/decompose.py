@@ -143,9 +143,10 @@ class CompositeDecomposition:
 
 def _as_matrix(x):
     """The matrix the pipeline works on, from a raw (sparse or dense)
-    n_features x n matrix.
+    n_features x n matrix, or a dense vector read as one column.
 
-    This is the one gate between the sparse and the dense route. A sparse
+    This is the one gate between the sparse and the dense route: every
+    decomposition, learner and predict input passes it. A sparse
     matrix whose dense float64 form takes no more bytes than its CSC
     arrays (8·M·N <= data + indices + indptr bytes) comes back as a dense
     ndarray; any other sparse matrix comes back unchanged. The rule reads
@@ -153,7 +154,8 @@ def _as_matrix(x):
     products while bag-of-words data keeps its sparse products.
     """
     if not sp.issparse(x):
-        return np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
+        return x[:, None] if x.ndim == 1 else x
     m, n = x.shape
     # CSC and CSR share nnz and index width: count without converting
     counted = x if x.format in ("csc", "csr") else x.tocsc()
@@ -517,10 +519,11 @@ def _offdiag_block_norm(s, offsets):
 
 def block_gram(x, index_groups):
     """Block-pair gram: entry (i, j) is the sum of the elementwise product
-    of row-blocks i and j of the rearranged matrix."""
+    of row-blocks i and j of the rearranged matrix (x passes the
+    `_as_matrix` gate)."""
     n_padded = _check_partition(index_groups, equal_sizes=True)
     order = np.concatenate(index_groups)
-    xr = _padded_rearranged(x, order, n_padded)
+    xr = _padded_rearranged(_as_matrix(x), order, n_padded)
     size = len(index_groups[0])
     count = len(index_groups)
     if not sp.issparse(xr):
@@ -544,7 +547,6 @@ def fit_abd(x, index_groups):
     V is. Requires disjoint equal-size groups (zero-pad first). Reads the
     data matrix, of any width, through `block_gram`.
     """
-    x = _as_matrix(x)
     gram, _, order, size = block_gram(x, index_groups)
     values, vectors = sym_eig(gram)
     regram = vectors.T @ gram @ vectors
@@ -555,7 +557,7 @@ def fit_abd(x, index_groups):
                   for i in range(count)]
     return SubspaceDecomposition(
         method="abd",
-        n_features_in=x.shape[0],
+        n_features_in=np.shape(x)[0],
         n_features_out=count * size,
         index_groups=out_groups,
         transform=vectors,

@@ -100,6 +100,8 @@ class DcModel:
             if np.shape(rows) != (self.h,):
                 raise DataError(f"{name} has shape {np.shape(rows)}, not "
                                 f"({self.h},)")
+        if not np.all(self.r_scale > 0):
+            raise DataError("r_scale holds a value that is not positive")
         if self.global_model.n_features != self.h:
             raise DataError(f"the global reads {self.global_model.n_features} "
                             f"inputs, not the {self.h} local scores")
@@ -246,8 +248,6 @@ def local_scores(model, x):
     building a subspace view; TRBF locals score their views in order.
     """
     x = _as_matrix(x)
-    if x.ndim == 1:
-        x = x[:, None]
     if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
         raise NumericError("query features contain non-finite values")
     if model.at is None:

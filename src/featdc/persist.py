@@ -13,8 +13,9 @@ number. Version 1 files, whose float arrays are `{shape, hex}` lists of
 load. Saving refuses an integer array with a value outside int32.
 Loading refuses files whose format name, version or kind does not match,
 and reports a payload that does not fit the schema (an array payload of
-the wrong byte count or not base64 included), or whose parts do not fit
-together, as a DataError naming the file.
+the wrong byte count or not base64, a non-finite float, or a
+`config_snapshot` that is not an object included), or whose parts do not
+fit together or cannot score, as a DataError naming the file.
 """
 
 import base64
@@ -114,13 +115,19 @@ def _dec(obj, hint, version):
             if flat.size != math.prod(shape):
                 raise DataError(f"float array of shape {shape} needs "
                                 f"{8 * math.prod(shape)} bytes, not {8 * flat.size}")
+        if not np.isfinite(flat).all():
+            raise DataError(f"float array of shape {shape} holds a non-finite "
+                            "value")
         return flat.reshape(shape)
     if hint == IntArray:
         if version == 1:
             return np.asarray(obj, dtype=np.int64)
         return _unb64(obj["i4"], "<i4").astype(np.int64)
     if hint is float:
-        return float.fromhex(obj)
+        value = float.fromhex(obj)
+        if not math.isfinite(value):
+            raise DataError(f"float {obj!r} is not finite")
+        return value
     if typing.get_origin(hint) is list:
         return [_dec(v, typing.get_args(hint)[0], version) for v in obj]
     if typing.get_origin(hint) is dict:
@@ -178,6 +185,28 @@ def _check_header(doc, path):
                         f"{KIND!r}; refusing to load")
 
 
+def _check_snapshot(snapshot):
+    """DataError unless the config snapshot is an object whose fields that
+    `featdc eval` reads are usable: `positive_label` a number or null, and
+    `feature_scale` (when present) a list of hex strings of finite
+    positive floats."""
+    if not isinstance(snapshot, dict):
+        raise DataError(f"config_snapshot is {type(snapshot).__name__}, "
+                        "not an object")
+    label = snapshot.get("positive_label")
+    if label is not None and (isinstance(label, bool)
+                              or not isinstance(label, (int, float))):
+        raise DataError(f"positive_label {label!r} is neither a number nor "
+                        "null")
+    try:
+        scale = [float.fromhex(s) for s in snapshot.get("feature_scale", [])]
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed feature_scale ({exc})") from exc
+    if not all(0 < v < math.inf for v in scale):
+        raise DataError("feature_scale holds a value that is not finite and "
+                        "positive")
+
+
 def load_dc_model(path):
     """The DcModel saved at path (its collapsed scorer derived anew)."""
     try:
@@ -187,6 +216,8 @@ def load_dc_model(path):
     _check_header(doc, path)
     p, version = doc["payload"], doc["version"]
     try:
+        snapshot = p.get("config_snapshot", {})
+        _check_snapshot(snapshot)
         return DcModel(
             decomposition=_dec(p["decomposition"], CompositeDecomposition,
                                version),
@@ -194,7 +225,7 @@ def load_dc_model(path):
             global_model=_dec_learner(p["global"], version),
             r_shift=_dec(p["r_shift"], FloatArray, version),
             r_scale=_dec(p["r_scale"], FloatArray, version),
-            config_snapshot=p.get("config_snapshot", {}),
+            config_snapshot=snapshot,
         )
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             ConfigError, DataError) as exc:

@@ -11,7 +11,8 @@ from featdc.classify import (EXPAND_CHUNK, GRAM_BLOCK, default_lam,
                              label_from_score, sigma_heuristic, train_linear,
                              train_trbf_krr, trbf_dim, trbf_expand,
                              trbf_indices, truncated_rbf_kernel, TrbfModel)
-from featdc.datasets import make_blobs
+from featdc.datasets import make_blobs, make_quadratic_band
+from featdc.decompose import _as_matrix, block_gram
 from featdc.errors import ConfigError, DataError, NumericError
 from featdc.fuse import LearnerSpec, train_dc
 
@@ -248,7 +249,7 @@ def row_loop_expand(x, sigma, p):
     # the map as one Python row operation per multi-index: the reference
     # that the run-wise fill must reproduce bit for bit
     single = np.ndim(x) == 1 and not sp.issparse(x)
-    x = classify._as_2d(x)
+    x = classify._as_matrix(x)
     if sp.issparse(x):
         x = x.toarray()
     m, n = x.shape
@@ -565,3 +566,31 @@ def test_sigma_heuristic_subsamples_deterministically():
     a = sigma_heuristic(x, seed=3)
     b = sigma_heuristic(x, seed=3)
     assert a == b and a > 0
+
+
+# ---------------------------------------------------------------------------
+# one gate for every input
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_learners_take_sparse_data_through_the_dense_sparse_gate(seed):
+    # a CSC matrix that the `_as_matrix` gate densifies takes the dense
+    # route in every learner, so it gives the bits of its dense copy
+    ds = make_quadratic_band(3000, n_features=20, seed=seed)
+    csc, dense = ds.X, ds.X.toarray()
+    assert isinstance(_as_matrix(csc), np.ndarray)
+    y = ds.y.astype(np.float64)
+
+    def same_bits(fn):
+        a, b = fn(csc), fn(dense)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    same_bits(lambda x: train_linear(x, y).weights)
+    same_bits(lambda x: train_linear(x, y).bias)
+    same_bits(lambda x: train_trbf_krr(x, y).weights)
+    same_bits(lambda x: sigma_heuristic(x, seed=0))
+    linear, trbf = train_linear(dense, y), train_trbf_krr(dense, y)
+    same_bits(linear.decision_function)
+    same_bits(trbf.decision_function)
+    groups = [np.arange(k, 20, 4) for k in range(4)]
+    same_bits(lambda x: block_gram(x, groups)[0])

@@ -109,6 +109,29 @@ def test_eval_of_version_1_fixture_ignores_removed_config_keys(tmp_path,
     assert report["metrics"]["n"] == 200
 
 
+def test_scaled_run_with_a_test_file_evaluates_alike(tmp_path):
+    # train scales the training file and a separate test file by the
+    # training maxima; eval replays that scale from the model's snapshot
+    ds = make_blobs(250, n_features=8, separation=1.0, seed=5)
+    save_libsvm(select_instances(ds, np.arange(200)), tmp_path / "train.libsvm")
+    save_libsvm(select_instances(ds, np.arange(200, 250)),
+                tmp_path / "test.libsvm")
+    config = base_config(tmp_path, split=None, scale_features=True,
+                         test_path=str(tmp_path / "test.libsvm"))
+    assert main(["train", "--config", str(config)]) == 0
+    model_path = tmp_path / "out" / "model.json"
+    snapshot = json.loads(model_path.read_text())["payload"]["config_snapshot"]
+    assert len(snapshot["feature_scale"]) == 8
+    train_report = json.loads((tmp_path / "out" / "train_report.json").read_text())
+    assert main(["eval", "--model", str(model_path),
+                 "--test", str(tmp_path / "test.libsvm"),
+                 "--out", str(tmp_path / "evalout")]) == 0
+    eval_report = json.loads((tmp_path / "evalout" / "eval_report.json").read_text())
+    assert eval_report["metrics"]["n"] == 50
+    assert (eval_report["metrics"]["error_rate_pct"]
+            == train_report["metrics"]["error_rate_pct"] > 0.0)
+
+
 def test_bench_reports_zero_reduction_when_both_perfect(tmp_path, capsys):
     write_blob_file(tmp_path / "train.libsvm")
     cfg = base_config(tmp_path, baseline="linear")
@@ -541,6 +564,43 @@ def test_malformed_feature_scale_exits_3(tmp_path, capsys, scale):
     assert rc == 3
     err = capsys.readouterr().err
     assert "scale.json" in err and "feature_scale" in err
+    assert "Traceback" not in err
+
+
+def snapshot_a_list(payload):
+    payload["config_snapshot"] = ["x"]
+
+
+def positive_label_a_string(payload):
+    payload["config_snapshot"]["positive_label"] = "x"
+
+
+def zero_feature_scale(payload):
+    payload["config_snapshot"]["feature_scale"][2] = "0x0.0p+0"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (snapshot_a_list, "config_snapshot is list, not an object"),
+    (positive_label_a_string,
+     "positive_label 'x' is neither a number nor null"),
+    (zero_feature_scale,
+     "feature_scale holds a value that is not finite and positive"),
+])
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_unusable_config_snapshot_exits_3(tmp_path, capsys, edit, message,
+                                          command):
+    doc = json.loads(FIXTURE_MODEL.read_text())
+    edit(doc["payload"])
+    model_path = tmp_path / "snapshot.json"
+    model_path.write_text(json.dumps(doc))
+    save_libsvm(make_blobs(50, n_features=6, seed=3), tmp_path / "t.libsvm")
+    args = [command, "--model", str(model_path)]
+    if command == "eval":
+        args += ["--test", str(tmp_path / "t.libsvm"),
+                 "--out", str(tmp_path / "evalout")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "snapshot.json" in err and message in err
     assert "Traceback" not in err
 
 

@@ -421,6 +421,8 @@ def test_parse_reads_each_given_line_as_one_line():
         parse_libsvm(["+1 1:1\n-1 2:1\n"])
     with pytest.raises(ParseError, match="line 1: token '-1' is missing ':'"):
         parse_libsvm(["+1 1:1\n-1", " 2:1\n"])
+    with pytest.raises(ParseError, match="line 1: token '-1' is missing ':'"):
+        parse_libsvm(["+1 1:1\n-1 2:1\n", ""])
 
 
 def test_serialize_writes_repr_of_every_value():

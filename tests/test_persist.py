@@ -263,12 +263,24 @@ def not_ascii(payload):
     weights["f8"] = "\u00e9" + weights["f8"][1:]
 
 
+def infinite_r_shift(payload):
+    shift = np.frombuffer(base64.b64decode(payload["r_shift"]["f8"]), "<f8").copy()
+    shift[2] = np.inf
+    payload["r_shift"]["f8"] = base64.b64encode(shift.tobytes()).decode()
+
+
+def nan_bias(payload):
+    payload["locals"][3]["bias"] = float("nan").hex()
+
+
 @pytest.mark.parametrize("edit, message", [
     (cut_last_value, r"float array of shape \(7,\) needs 56 bytes, not 48"),
     (ragged_ints, "<i4 array payload of 14 bytes is not a whole number of "
                   "4-byte values"),
     (not_base64, "array payload is not base64"),
     (not_ascii, "array payload is not base64"),
+    (infinite_r_shift, r"float array of shape \(7,\) holds a non-finite value"),
+    (nan_bias, "float 'nan' is not finite"),
 ])
 def test_malformed_version_2_payload_refused(tmp_path, capsys, edit, message):
     doc = json.loads(FIXTURE_V2.read_text())
@@ -423,6 +435,21 @@ def widen_global(payload):
     payload["global"]["weights"]["shape"] = [45]
 
 
+def set_hex(name, index=None, value="nan"):
+    """An edit that stores `value` in the payload field at the dotted
+    `name`, or at position `index` of that stored array."""
+    def edit(payload):
+        *path, last = name.split(".")
+        for key in path:
+            payload = payload[int(key) if key.isdigit() else key]
+        if index is None:
+            payload[last] = value
+        else:
+            payload[last]["hex"][index] = value
+    edit.__name__ = f"{name}{'' if index is None else [index]}={value}"
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (cut_r_shift, r"r_shift has shape \(6,\), not \(7,\)"),
     (cut_r_scale, r"r_scale has shape \(6,\), not \(7,\)"),
@@ -434,10 +461,24 @@ def widen_global(payload):
     (retag_global_width,
      r"a degree-2 map of 8 features has 45 weights, not \(36,\)"),
     (widen_global, "the global reads 8 inputs, not the 7 local scores"),
+    # numbers that cannot score
+    (set_hex("global.sigma"), "float 'nan' is not finite"),
+    (set_hex("global.weights", 0),
+     r"float array of shape \(36,\) holds a non-finite value"),
+    (set_hex("global.sigma", value="0x0.0p+0"),
+     "a TRBF model needs sigma > 0 and p >= 1, got sigma 0.0 and p 2"),
+    (set_hex("global.sigma", value="-0x1.0p+0"), "got sigma -1.0 and p 2"),
+    (set_hex("global.p", value=0), r"got sigma 3\.4\d* and p 0"),
+    (set_hex("r_scale", 0, "0x0.0p+0"),
+     "r_scale holds a value that is not positive"),
+    (set_hex("locals.0.weights", 1),
+     r"float array of shape \(3,\) holds a non-finite value"),
+    (set_hex("r_shift", 0, "inf"),
+     r"float array of shape \(7,\) holds a non-finite value"),
 ])
-def test_model_whose_parts_do_not_fit_refused(tmp_path, edit, message):
-    # locals, fusion rows and global must agree with the views, or the
-    # model fails only when it scores
+def test_model_whose_parts_do_not_fit_refused(tmp_path, capsys, edit, message):
+    # locals, fusion rows and global must agree with the views and hold
+    # numbers that score, or the model fails only when it scores
     doc = json.loads(FIXTURE.read_text())
     edit(doc["payload"])
     path = tmp_path / "edited.json"
@@ -445,6 +486,14 @@ def test_model_whose_parts_do_not_fit_refused(tmp_path, edit, message):
     with pytest.raises(DataError, match="edited.json: malformed dc_model "
                                         "payload .*" + message):
         load_dc_model(path)
+    save_libsvm(make_blobs(50, n_features=6, seed=3), tmp_path / "t.libsvm")
+    for args in (["eval", "--model", str(path), "--test",
+                  str(tmp_path / "t.libsvm"), "--out", str(tmp_path / "out")],
+                 ["inspect", "--model", str(path)]):
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "edited.json: malformed dc_model payload" in err
+        assert "Traceback" not in err
 
 
 def test_trbf_locals_round_trip_and_eval(tmp_path, capsys):
