@@ -6,6 +6,12 @@ divide-and-conquer pipeline and an undecomposed baseline on identical
 splits and report the error reduction), `inspect` (dump decomposition
 diagnostics from a saved model).
 
+A model holds its input map, the max-abs `feature_scale` fitted on the
+whole training file and the `positive_label`: `train` and `bench` train
+on scaled features and score raw ones, and `eval` parses with the
+model's label and hands raw features to `predict_dc`. Only the bench
+baseline, a bare learner, sees scaled test features.
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
 """
@@ -68,8 +74,10 @@ def _apply_overrides(cfg, args):
 
 
 def _prepare_data(cfg):
-    """Parse the training file; scale and split per config. Returns
-    (train, test_or_none, parse_seconds, scale_or_none)."""
+    """Parse the training file, fit the max-abs scale on all of it when
+    the config scales, then split per config. Returns (train, test_or_none,
+    parse_seconds, scale_or_none), train and test unscaled: the split
+    depends only on the instance count and its seed."""
     t0 = time.perf_counter()
     train = load_libsvm(cfg.train_path, n_features=cfg.n_features_override,
                         positive_label=cfg.positive_label)
@@ -78,21 +86,10 @@ def _prepare_data(cfg):
         test = load_libsvm(cfg.test_path, n_features=train.n_features,
                            positive_label=cfg.positive_label)
     parse_s = time.perf_counter() - t0
-    scale = None
-    if cfg.scale_features:
-        train, scale = max_abs_scale(train)
-        if test is not None:
-            test = apply_feature_scale(test, scale)
+    scale = max_abs_scale(train)[1] if cfg.scale_features else None
     if test is None and cfg.split is not None:
         train, test = split(train, cfg.split)
     return train, test, parse_s, scale
-
-
-def _snapshot(cfg, scale):
-    snap = config_echo(cfg)
-    if scale is not None:
-        snap["feature_scale"] = [v.hex() for v in scale.tolist()]
-    return snap
 
 
 def _baseline(cfg, train, test, dc_metrics):
@@ -121,23 +118,28 @@ def cmd_train(args):
     train, test, parse_s, scale = _prepare_data(cfg)
     if bench and test is None:
         raise ConfigError("bench needs test data: give test_path or split")
+    if scale is not None:
+        train = apply_feature_scale(train, scale)
 
     model = train_dc(train, cfg.plan, local=cfg.local,
                      global_=cfg.global_, seed=cfg.seed, threads=cfg.threads,
-                     guards=cfg.guards, dca_ridge=cfg.dca_ridge)
-    model.config_snapshot.update(_snapshot(cfg, scale))
+                     guards=cfg.guards, dca_ridge=cfg.dca_ridge,
+                     config_snapshot=config_echo(cfg), feature_scale=scale,
+                     positive_label=cfg.positive_label)
     timings = {"parse": parse_s, **model.fit_timings}
 
     metrics = None
     t0 = time.perf_counter()
     if test is not None:
-        labels, _ = predict_dc(model, test)
+        labels, _ = predict_dc(model, test)  # raw: the model scales
         metrics = evaluate(labels, test.y)
     timings["prediction"] = time.perf_counter() - t0
 
     extra = None
     if bench:
         t0 = time.perf_counter()
+        if scale is not None:
+            test = apply_feature_scale(test, scale)
         extra = _baseline(cfg, train, test, metrics)
         timings["baseline"] = time.perf_counter() - t0
 
@@ -166,18 +168,15 @@ def cmd_eval(args):
     t_start = time.perf_counter()
     model = load_dc_model(args.model)  # derives the collapsed scorer too
     load_s = time.perf_counter() - t_start
-    snap = model.config_snapshot  # its fields were checked at load
+    snap = model.config_snapshot
 
     t0 = time.perf_counter()
     test = load_libsvm(args.test, n_features=model.decomposition.n_features_in,
-                       positive_label=snap.get("positive_label"))
-    if "feature_scale" in snap:
-        scale = np.array([float.fromhex(s) for s in snap["feature_scale"]])
-        test = apply_feature_scale(test, scale)
+                       positive_label=model.positive_label)
     parse_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    labels, _ = predict_dc(model, test)
+    labels, _ = predict_dc(model, test)  # the model applies its scale
     metrics = evaluate(labels, test.y)
     predict_s = time.perf_counter() - t0
 
@@ -223,6 +222,12 @@ def cmd_inspect(args):
                                   in sorted(locals_desc.items())))
     g = model.global_model
     print(f"global: {type(g).__name__} on {model.h} fused inputs")
+    scale = model.feature_scale
+    print("input scale: " + ("none" if scale is None else
+                             f"max-abs, {scale.size} values in "
+                             f"[{scale.min():.6g}, {scale.max():.6g}]"))
+    label = model.positive_label
+    print(f"positive label: {'sign' if label is None else f'{label:g}'}")
     if model.at is None:
         print("scoring: per-view (trbf locals)")
     else:

@@ -13,6 +13,7 @@ than stopping at the first.
 
 import dataclasses
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass, field
@@ -66,6 +67,7 @@ _POSITIVE = _check(lambda v: v > 0, "must be positive")
 # "Class.field" -> rule for a non-null value: returns None or the problem.
 RULES = {
     "RunConfig.plan": _check(bool, "must be a non-empty list of decomposition entries"),
+    "RunConfig.positive_label": _check(math.isfinite, "must be a finite number"),
     "RunConfig.n_features_override": _AT_LEAST_1,
     "RunConfig.threads": _AT_LEAST_1,
     "RunConfig.seed": _NON_NEGATIVE,

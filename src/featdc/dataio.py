@@ -415,14 +415,22 @@ def max_abs_scale(ds: Dataset):
 
 
 def apply_feature_scale(ds: Dataset, scale) -> Dataset:
-    """Divide feature row i of `ds` by scale[i].
-
-    One multiply per stored entry by the reciprocal, on X's own sparsity
-    pattern (its index arrays are shared, not copied).
-    """
+    """Divide feature row i of `ds` by scale[i] (`divide_feature_rows`)."""
     scale = np.asarray(scale, dtype=np.float64)
     if scale.shape != (ds.n_features,):
         raise DataError(f"scale vector length {scale.shape} != {ds.n_features} features")
-    x = sp.csc_array(ds.X)
-    data = x.data * (1.0 / scale)[x.indices]
-    return Dataset(sp.csc_array((data, x.indices, x.indptr), shape=x.shape), ds.y)
+    return Dataset(divide_feature_rows(ds.X, scale), ds.y)
+
+
+def divide_feature_rows(x, scale):
+    """x (features x instances, sparse or dense) with row i divided by
+    scale[i]: one multiply per stored entry by the reciprocal, so a column
+    gets the same bits either way. Sparse x comes back as CSC on its own
+    sparsity pattern (the index arrays of a CSC x are shared, not
+    copied)."""
+    inverse = 1.0 / scale
+    if not sp.issparse(x):
+        return x * inverse[:, None]
+    x = sp.csc_array(x)
+    return sp.csc_array((x.data * inverse[x.indices], x.indices, x.indptr),
+                        shape=x.shape)

@@ -23,7 +23,9 @@ matrix A (`at`) and b once, after training and after loading, from the
 views of the identity (`decompose.linear_pullback`), so each map is
 defined only where the views are built; predict takes one product
 instead of building h subspace views. Models with TRBF locals replay the
-views. Both routes then replay the stored row standardization and the
+views. Both routes first divide each feature by the model's stored
+`feature_scale` (when training saw scaled features), so a model scores
+raw features, and both then replay the stored row standardization and the
 global; the final label is sign(global score) with sign(0) = +1.
 
 R carries continuous local scores rather than hard labels so the global
@@ -33,6 +35,8 @@ rows that are constant on the training set are left untouched, and the
 same affine map is replayed at predict time.
 """
 
+import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -41,10 +45,11 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.typing import NDArray
 
 from .classify import (LEARNERS, LinearModel, label_from_score, train_linear,
                        train_trbf_krr)
-from .dataio import Dataset
+from .dataio import Dataset, divide_feature_rows
 from .decompose import (DEFAULT_MAX_DENSE_FEATURES, _apply_part, _as_matrix,
                         apply_decomposition, check_feature_count, fit_plan,
                         linear_pullback)
@@ -81,6 +86,10 @@ class DcModel:
     r_shift: np.ndarray
     r_scale: np.ndarray
     config_snapshot: dict = field(default_factory=dict)
+    # the input map from raw features: each feature divided by its scale
+    # (None: unscaled), and the raw label read as +1 (None: sign of label)
+    feature_scale: Optional[NDArray[np.float64]] = None
+    positive_label: Optional[float] = None
     fit_timings: dict = field(default_factory=dict)
     # collapsed scorer of linear locals: R = at.T @ x + b (None otherwise);
     # derived from the fields above, never persisted
@@ -105,6 +114,24 @@ class DcModel:
         if self.global_model.n_features != self.h:
             raise DataError(f"the global reads {self.global_model.n_features} "
                             f"inputs, not the {self.h} local scores")
+        if self.feature_scale is not None:
+            self.feature_scale = np.asarray(self.feature_scale, np.float64)
+            m = self.decomposition.n_features_in
+            if self.feature_scale.shape != (m,):
+                raise DataError(f"feature_scale has shape "
+                                f"{self.feature_scale.shape}, not ({m},)")
+            if not np.all((self.feature_scale > 0)
+                          & (self.feature_scale < np.inf)):
+                raise DataError("feature_scale holds a value that is not "
+                                "finite and positive")
+        label = self.positive_label
+        if label is not None:
+            if isinstance(label, bool) or not isinstance(label, numbers.Real):
+                raise DataError(f"positive_label {label!r} is neither a "
+                                "number nor null")
+            if not math.isfinite(label):
+                raise DataError(f"positive_label {label!r} is not finite")
+            self.positive_label = float(label)
         self.at = self.b = None
         if all(isinstance(m, LinearModel) for m in self.locals):
             self.at = linear_pullback(self.decomposition,
@@ -187,12 +214,16 @@ def _role_seed(seed, role, index):
 
 
 def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
-             guards=None, dca_ridge=None, config_snapshot=None):
+             guards=None, dca_ridge=None, config_snapshot=None,
+             feature_scale=None, positive_label=None):
     """Fit the full divide-and-conquer model on a training Dataset.
 
     plan is a list of (method, n_subspaces, group_size) entries (or config
     plan entries with those fields); local and global LearnerSpecs default
-    to linear locals and a TRBF global.
+    to linear locals and a TRBF global. A caller that parsed with a
+    `positive_label` or divided the features by a scale before training
+    passes them: the model records both and scores raw features (without
+    `feature_scale` it scores what it was trained on).
     """
     if not isinstance(train, Dataset):
         raise DataError("train_dc expects a Dataset")
@@ -234,6 +265,8 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
             r_shift=shift,
             r_scale=scale,
             config_snapshot=dict(config_snapshot or {}),
+            feature_scale=feature_scale,
+            positive_label=positive_label,
             fit_timings=timings,
         )
     timings["fusion"] = time.perf_counter() - t0
@@ -243,23 +276,29 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
 def local_scores(model, x):
     """The h x n local-output matrix R of a raw query matrix x.
 
-    x passes the `_as_matrix` gate and must be finite. Linear locals score
+    x passes the `_as_matrix` gate, is divided by the model's
+    `feature_scale` (`dataio.divide_feature_rows`, the arithmetic of
+    `apply_feature_scale`) and must then be finite. Linear locals score
     through the collapsed map in one product, R = at.T @ x + b, without
     building a subspace view; TRBF locals score their views in order.
     """
     x = _as_matrix(x)
+    check_feature_count(model.decomposition, x)
+    if model.feature_scale is not None:
+        x = divide_feature_rows(x, model.feature_scale)
     if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
         raise NumericError("query features contain non-finite values")
     if model.at is None:
         return build_r(model.locals, apply_decomposition(model.decomposition, x))
-    check_feature_count(model.decomposition, x)
     return np.asarray(x.T @ model.at).T + model.b[:, None]
 
 
 def predict_dc(model, test, threads=None):
     """(labels, scores) for a Dataset or raw feature matrix.
 
-    R comes from `local_scores`; then the stored standardization and the
+    The features are raw: the model applies its own `feature_scale` (a
+    test file's labels are parsed with its `positive_label`). R comes from
+    `local_scores`; then the stored standardization and the
     global model score it. Everything runs on the calling thread;
     `threads` is accepted for compatibility and ignored.
     """

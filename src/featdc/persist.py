@@ -3,17 +3,22 @@
 A model file is a JSON document with a fixed header (format name,
 version, kind "dc_model") and a payload. Dataclasses are stored field by
 field, as their type hints say, and every value keeps its bits through a
-save/load round trip. Version 2, the one written, stores a float array
+save/load round trip. Version 3, the one written, stores a float array
 as `{"shape": [...], "f8": <base64 of its little-endian float64 bytes>}`
 and an integer array as `{"i4": <base64 of its little-endian int32
 bytes>}` (base64 as RFC 4648 defines it); a float scalar is its
 hexadecimal float literal (`float.hex()`) and an integer scalar a JSON
-number. Version 1 files, whose float arrays are `{shape, hex}` lists of
-`float.hex()` strings and whose integer arrays are integer lists, still
-load. Saving refuses an integer array with a value outside int32.
-Loading refuses files whose format name, version or kind does not match,
-and reports a payload that does not fit the schema (an array payload of
-the wrong byte count or not base64, a non-finite float, or a
+number. The model's input map, `feature_scale` and `positive_label`, is
+two typed payload fields; the `config_snapshot` is an echo that loading
+only checks to be an object. Version 2 files differ only in keeping the
+input map in the snapshot (the scale as a list of `float.hex()`
+strings); version 1 files also store float arrays as `{shape, hex}`
+lists of `float.hex()` strings and integer arrays as integer lists. Both
+still load, their snapshot's input map read into the typed fields.
+Saving refuses an integer array with a value outside int32. Loading
+refuses files whose format name, version or kind does not match, and
+reports a payload that does not fit the schema (an array payload of the
+wrong byte count or not base64, a non-finite float, or a
 `config_snapshot` that is not an object included), or whose parts do not
 fit together or cannot score, as a DataError naming the file.
 """
@@ -35,8 +40,10 @@ from .errors import ConfigError, DataError
 from .fuse import DcModel
 
 FORMAT_NAME = "featdc-model"
-FORMAT_VERSION = 2
-READ_VERSIONS = (1, 2)  # v1: arrays as hex strings and integer lists
+FORMAT_VERSION = 3
+# v1: arrays as hex strings and integer lists; v1, v2: the input map in
+# the config snapshot
+READ_VERSIONS = (1, 2, 3)
 KIND = "dc_model"  # the one document kind: a trained model
 
 FloatArray = NDArray[np.float64]
@@ -68,7 +75,7 @@ def _unb64(text, dtype):
 
 
 def _enc(value, hint):
-    """JSON form of value, chosen by its type hint (format version 2)."""
+    """JSON form of value, chosen by its type hint (format version 3)."""
     if value is None:
         return None
     if typing.get_origin(hint) is typing.Union:  # Optional[X]
@@ -161,6 +168,8 @@ def save_dc_model(model, path):
         "r_shift": _enc(model.r_shift, FloatArray),
         "r_scale": _enc(model.r_scale, FloatArray),
         "config_snapshot": model.config_snapshot,
+        "feature_scale": _enc(model.feature_scale, FloatArray),
+        "positive_label": _enc(model.positive_label, float),
     }
     doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
            "kind": KIND, "payload": payload}
@@ -185,26 +194,20 @@ def _check_header(doc, path):
                         f"{KIND!r}; refusing to load")
 
 
-def _check_snapshot(snapshot):
-    """DataError unless the config snapshot is an object whose fields that
-    `featdc eval` reads are usable: `positive_label` a number or null, and
-    `feature_scale` (when present) a list of hex strings of finite
-    positive floats."""
-    if not isinstance(snapshot, dict):
-        raise DataError(f"config_snapshot is {type(snapshot).__name__}, "
-                        "not an object")
-    label = snapshot.get("positive_label")
-    if label is not None and (isinstance(label, bool)
-                              or not isinstance(label, (int, float))):
-        raise DataError(f"positive_label {label!r} is neither a number nor "
-                        "null")
-    try:
-        scale = [float.fromhex(s) for s in snapshot.get("feature_scale", [])]
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"malformed feature_scale ({exc})") from exc
-    if not all(0 < v < math.inf for v in scale):
-        raise DataError("feature_scale holds a value that is not finite and "
-                        "positive")
+def _input_map(payload, snapshot, version):
+    """(feature_scale, positive_label) of a payload; a version 1 or 2 file
+    keeps them in its snapshot, the scale as `float.hex()` strings
+    (`DcModel` checks both)."""
+    if version >= 3:
+        return (_dec(payload["feature_scale"], FloatArray, version),
+                _dec(payload["positive_label"], float, version))
+    scale = snapshot.get("feature_scale")
+    if scale is not None:
+        try:
+            scale = np.array([float.fromhex(s) for s in scale], np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed feature_scale ({exc})") from exc
+    return scale, snapshot.get("positive_label")
 
 
 def load_dc_model(path):
@@ -217,7 +220,10 @@ def load_dc_model(path):
     p, version = doc["payload"], doc["version"]
     try:
         snapshot = p.get("config_snapshot", {})
-        _check_snapshot(snapshot)
+        if not isinstance(snapshot, dict):
+            raise DataError(f"config_snapshot is {type(snapshot).__name__}, "
+                            "not an object")
+        feature_scale, positive_label = _input_map(p, snapshot, version)
         return DcModel(
             decomposition=_dec(p["decomposition"], CompositeDecomposition,
                                version),
@@ -226,6 +232,8 @@ def load_dc_model(path):
             r_shift=_dec(p["r_shift"], FloatArray, version),
             r_scale=_dec(p["r_scale"], FloatArray, version),
             config_snapshot=snapshot,
+            feature_scale=feature_scale,
+            positive_label=positive_label,
         )
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             ConfigError, DataError) as exc:

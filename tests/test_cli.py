@@ -1,3 +1,4 @@
+import base64
 import gzip
 import hashlib
 import json
@@ -10,14 +11,18 @@ import numpy as np
 import pytest
 
 import featdc.classify as classify
+import featdc.cli as cli
 from featdc.cli import main
 from featdc.config import config_echo, parse_config
-from featdc.dataio import save_libsvm, select_instances, serialize_libsvm
+from featdc.dataio import (Dataset, load_libsvm, save_libsvm, select_instances,
+                           serialize_libsvm)
 from featdc.datasets import make_blobs
 from featdc.errors import ConfigError
-from featdc.fuse import LearnerSpec
+from featdc.fuse import LearnerSpec, predict_dc
+from featdc.persist import load_dc_model
 
 FIXTURE_MODEL = Path(__file__).parent / "fixtures" / "model_v1.json"
+FIXTURE_MODEL_V3 = FIXTURE_MODEL.with_name("model_v3.json")
 
 
 def write_blob_file(path, n=200, n_features=8, seed=0, separation=8.0):
@@ -111,7 +116,7 @@ def test_eval_of_version_1_fixture_ignores_removed_config_keys(tmp_path,
 
 def test_scaled_run_with_a_test_file_evaluates_alike(tmp_path):
     # train scales the training file and a separate test file by the
-    # training maxima; eval replays that scale from the model's snapshot
+    # training maxima; the model stores that scale and applies it in eval
     ds = make_blobs(250, n_features=8, separation=1.0, seed=5)
     save_libsvm(select_instances(ds, np.arange(200)), tmp_path / "train.libsvm")
     save_libsvm(select_instances(ds, np.arange(200, 250)),
@@ -120,8 +125,9 @@ def test_scaled_run_with_a_test_file_evaluates_alike(tmp_path):
                          test_path=str(tmp_path / "test.libsvm"))
     assert main(["train", "--config", str(config)]) == 0
     model_path = tmp_path / "out" / "model.json"
-    snapshot = json.loads(model_path.read_text())["payload"]["config_snapshot"]
-    assert len(snapshot["feature_scale"]) == 8
+    payload = json.loads(model_path.read_text())["payload"]
+    assert payload["feature_scale"]["shape"] == [8]
+    assert "feature_scale" not in payload["config_snapshot"]
     train_report = json.loads((tmp_path / "out" / "train_report.json").read_text())
     assert main(["eval", "--model", str(model_path),
                  "--test", str(tmp_path / "test.libsvm"),
@@ -130,6 +136,43 @@ def test_scaled_run_with_a_test_file_evaluates_alike(tmp_path):
     assert eval_report["metrics"]["n"] == 50
     assert (eval_report["metrics"]["error_rate_pct"]
             == train_report["metrics"]["error_rate_pct"] > 0.0)
+
+
+@pytest.mark.parametrize("local", [{"type": "linear"},
+                                   {"type": "trbf", "p": 2}])
+def test_library_scoring_of_a_scaled_model_matches_eval(tmp_path, monkeypatch,
+                                                        local):
+    # features on scales 0.01..50: the model holds its max-abs scale, so
+    # load_dc_model + predict_dc on the raw parsed test file scores what
+    # `featdc eval` scores, on the collapsed map and on the per-view route
+    ds = make_blobs(250, n_features=8, separation=1.0, seed=5)
+    raw = ds.X.toarray() * np.geomspace(0.01, 50.0, 8)[:, None]
+    ds = Dataset(raw, ds.y)
+    save_libsvm(select_instances(ds, np.arange(200)), tmp_path / "train.libsvm")
+    save_libsvm(select_instances(ds, np.arange(200, 250)),
+                tmp_path / "test.libsvm")
+    config = base_config(tmp_path, split=None, scale_features=True,
+                         test_path=str(tmp_path / "test.libsvm"), local=local)
+    assert main(["train", "--config", str(config)]) == 0
+    model_path = str(tmp_path / "out" / "model.json")
+    seen = []
+
+    def spy(model, test):
+        seen.append(predict_dc(model, test))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "predict_dc", spy)
+    assert main(["eval", "--model", model_path,
+                 "--test", str(tmp_path / "test.libsvm"),
+                 "--out", str(tmp_path / "evalout")]) == 0
+    model = load_dc_model(model_path)
+    assert (model.at is None) == (local["type"] == "trbf")
+    test = load_libsvm(tmp_path / "test.libsvm",
+                       n_features=model.decomposition.n_features_in)
+    _, scores = predict_dc(model, test)
+    _, eval_scores = seen[0]
+    assert (hashlib.sha256(scores.tobytes()).hexdigest()
+            == hashlib.sha256(eval_scores.tobytes()).hexdigest())
 
 
 def test_bench_reports_zero_reduction_when_both_perfect(tmp_path, capsys):
@@ -185,6 +228,36 @@ def test_inspect_names_the_scoring_route(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", "--model", model]) == 0
     assert "scoring: per-view (trbf locals)\n" in capsys.readouterr().out
+
+
+def test_inspect_shows_the_input_map(tmp_path, capsys):
+    write_blob_file(tmp_path / "train.libsvm")
+    model = str(tmp_path / "out" / "model.json")
+    main(["train", "--config", str(base_config(tmp_path))])
+    capsys.readouterr()
+    assert main(["inspect", "--model", model]) == 0
+    out = capsys.readouterr().out
+    assert "input scale: none\n" in out and "positive label: sign\n" in out
+    main(["train", "--config", str(base_config(tmp_path, scale_features=True,
+                                               positive_label=-1))])
+    capsys.readouterr()
+    assert main(["inspect", "--model", model]) == 0
+    scale = load_dc_model(model).feature_scale
+    out = capsys.readouterr().out
+    assert (f"input scale: max-abs, 8 values in [{scale.min():.6g}, "
+            f"{scale.max():.6g}]\n") in out
+    assert "positive label: -1\n" in out
+
+
+def test_nan_positive_label_in_config_exits_2(tmp_path, capsys):
+    # Python's JSON reader takes NaN, which matches no raw label
+    write_blob_file(tmp_path / "train.libsvm")
+    config = base_config(tmp_path, positive_label=float("nan"))
+    assert "NaN" in config.read_text()
+    assert main(["train", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "positive_label: must be a finite number, got nan" in err
+    assert "Traceback" not in err
 
 
 def test_module_entry_point_runs(tmp_path):
@@ -579,12 +652,22 @@ def zero_feature_scale(payload):
     payload["config_snapshot"]["feature_scale"][2] = "0x0.0p+0"
 
 
+def nan_positive_label(payload):
+    payload["config_snapshot"]["positive_label"] = float("nan")
+
+
+def infinite_positive_label(payload):
+    payload["config_snapshot"]["positive_label"] = float("inf")
+
+
 @pytest.mark.parametrize("edit, message", [
     (snapshot_a_list, "config_snapshot is list, not an object"),
     (positive_label_a_string,
      "positive_label 'x' is neither a number nor null"),
     (zero_feature_scale,
      "feature_scale holds a value that is not finite and positive"),
+    (nan_positive_label, "positive_label nan is not finite"),
+    (infinite_positive_label, "positive_label inf is not finite"),
 ])
 @pytest.mark.parametrize("command", ["eval", "inspect"])
 def test_unusable_config_snapshot_exits_3(tmp_path, capsys, edit, message,
@@ -602,6 +685,61 @@ def test_unusable_config_snapshot_exits_3(tmp_path, capsys, edit, message,
     err = capsys.readouterr().err
     assert "snapshot.json" in err and message in err
     assert "Traceback" not in err
+
+
+def zero_scale_field(payload):
+    scale = np.frombuffer(base64.b64decode(payload["feature_scale"]["f8"]),
+                          "<f8").copy()
+    scale[2] = 0.0
+    payload["feature_scale"]["f8"] = base64.b64encode(scale.tobytes()).decode()
+
+
+def short_scale_field(payload):
+    payload["feature_scale"]["f8"] = base64.b64encode(
+        base64.b64decode(payload["feature_scale"]["f8"])[:-8]).decode()
+    payload["feature_scale"]["shape"] = [5]
+
+
+def nan_label_field(payload):
+    payload["positive_label"] = float("nan").hex()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (zero_scale_field,
+     "feature_scale holds a value that is not finite and positive"),
+    (short_scale_field, r"feature_scale has shape \(5,\), not \(6,\)"),
+    (nan_label_field, "float 'nan' is not finite"),
+])
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_unusable_input_map_field_exits_3(tmp_path, capsys, edit, message,
+                                         command):
+    # version 3 keeps the input map in typed payload fields
+    doc = json.loads(FIXTURE_MODEL_V3.read_text())
+    edit(doc["payload"])
+    model_path = tmp_path / "field.json"
+    model_path.write_text(json.dumps(doc))
+    save_libsvm(make_blobs(50, n_features=6, seed=3), tmp_path / "t.libsvm")
+    args = [command, "--model", str(model_path)]
+    if command == "eval":
+        args += ["--test", str(tmp_path / "t.libsvm"),
+                 "--out", str(tmp_path / "evalout")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "field.json: malformed dc_model payload" in err
+    assert re.search(message, err) and "Traceback" not in err
+
+
+def test_version_3_snapshot_is_only_an_echo(tmp_path, capsys):
+    # a version 3 file reads its input map from the typed fields alone
+    doc = json.loads(FIXTURE_MODEL_V3.read_text())
+    doc["payload"]["config_snapshot"].update(feature_scale=["zz"],
+                                             positive_label="x")
+    model_path = tmp_path / "echo.json"
+    model_path.write_text(json.dumps(doc))
+    model = load_dc_model(model_path)
+    assert model.feature_scale.tolist() == load_dc_model(
+        FIXTURE_MODEL_V3).feature_scale.tolist()
+    assert model.positive_label is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 
 import featdc.classify as classify
 from featdc.classify import label_from_score, train_linear
-from featdc.dataio import Dataset
+from featdc.dataio import Dataset, apply_feature_scale, max_abs_scale
 from featdc.datasets import make_blobs
 from featdc.decompose import (METHODS, CompositeDecomposition, _as_matrix,
                               apply_decomposition, fit_plan_entry, part_seed)
@@ -447,6 +448,42 @@ def test_predict_dc_refuses_non_finite_queries(global_):
                            match="prediction: query features contain "
                                  "non-finite values"):
             predict_dc(model, q)
+
+
+@pytest.mark.parametrize("local", ["linear", "trbf"])
+def test_feature_scale_scores_raw_features_as_scaled_ones(local):
+    # the model divides raw features by its scale with the arithmetic of
+    # apply_feature_scale, on either scoring route and for any query form
+    ds = blob_dataset(n=90, n_features=8, seed=7, separation=3.0)
+    scaled, scale = max_abs_scale(Dataset(ds.X * np.arange(1.0, 9.0)[:, None],
+                                          ds.y))
+    plan, spec = [("rd", 2, 4), ("pca", 2, 4)], LearnerSpec(type=local, p=2)
+    plain = train_dc(scaled, plan, local=spec, seed=3)
+    model = train_dc(scaled, plan, local=spec, seed=3, feature_scale=scale)
+    assert (model.at is None) == (local == "trbf")
+    query = blob_dataset(n=40, n_features=8, seed=8, separation=3.0)
+    ref = predict_dc(plain, apply_feature_scale(query, scale))[1]
+    assert not np.array_equal(ref, predict_dc(plain, query)[1])
+    for q in (query, query.X.toarray(), sp.csr_array(query.X)):
+        assert predict_dc(model, q)[1].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"feature_scale": np.r_[np.ones(7), np.nan]},
+     "feature_scale holds a value that is not finite and positive"),
+    ({"positive_label": True}, "positive_label True is neither a number nor "
+                               "null"),
+])
+def test_dc_model_refuses_an_unusable_input_map(change, message):
+    # what a library caller hands train_dc is checked like a model file
+    model = train_dc(blob_dataset(n=60, n_features=8, seed=2), [("rd", 2, 4)],
+                     seed=0)
+    with pytest.raises(DataError, match=message):
+        dataclasses.replace(model, **change)
+    back = dataclasses.replace(model, feature_scale=[2] * 8,
+                               positive_label=np.int64(2))
+    assert back.feature_scale.dtype == np.float64
+    assert back.positive_label == 2.0 and type(back.positive_label) is float
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from featdc.datasets import make_blobs
 from featdc.decompose import METHODS, apply_decomposition
 from featdc.errors import DataError
 from featdc.fuse import LearnerSpec, predict_dc, train_dc
-from featdc.persist import FORMAT_VERSION, load_dc_model, save_dc_model
+from featdc.persist import (FORMAT_VERSION, READ_VERSIONS, load_dc_model,
+                            save_dc_model)
 
 FULL_PLAN = [("rd", 2, 12), ("pca", 2, 12), ("dca", 2, 12), ("bcd", 2, 12),
              ("abd", 2, 12)]
@@ -190,22 +191,13 @@ def test_header_keys_required(tmp_path):
 
 
 FIXTURE = Path(__file__).parent / "fixtures" / "model_v1.json"
-FIXTURE_V2 = FIXTURE.with_name("model_v2.json")
 
 
-def test_version_1_fixture_loads_and_resaves_unchanged(tmp_path):
-    # a `featdc train` model.json kept from before the schema-driven
-    # encoder: every method, linear locals, TRBF global, scaled features
-    fixture = Path(__file__).parent / "fixtures" / "model_v1.json"
-    model = load_dc_model(fixture)
-    assert [p.method for p in model.decomposition.parts] == list(METHODS)
-    assert all(isinstance(m, LinearModel) for m in model.locals)
-    assert isinstance(model.global_model, TrbfModel)
-    assert "feature_scale" in model.config_snapshot
-    path = tmp_path / "resaved.json"
-    save_dc_model(model, path)
-    # a re-save writes the current version: the committed v2 fixture
-    assert path.read_bytes() == FIXTURE_V2.read_bytes()
+def fixture(version):
+    return FIXTURE.with_name(f"model_v{version}.json")
+
+
+FIXTURE_V2, FIXTURE_V3 = fixture(2), fixture(3)
 
 
 def assert_same_bits(a, b):
@@ -233,13 +225,25 @@ def assert_same_bits(a, b):
         assert a == b
 
 
-def test_version_2_fixture_holds_the_bits_of_version_1(tmp_path):
-    assert json.loads(FIXTURE_V2.read_text())["version"] == 2 == FORMAT_VERSION
-    v1, v2 = load_dc_model(FIXTURE), load_dc_model(FIXTURE_V2)
-    assert v2.at is not None
-    assert_same_bits(v1, v2)  # `at` included
-    path = saved(v2, tmp_path / "again.json")
-    assert path.read_bytes() == FIXTURE_V2.read_bytes()
+@pytest.mark.parametrize("version", READ_VERSIONS)
+def test_every_readable_version_has_a_fixture_with_the_same_bits(tmp_path,
+                                                                 version):
+    # model_v1.json is a `featdc train` model.json kept from before the
+    # schema-driven encoder: every method, linear locals, TRBF global,
+    # scaled features; each later fixture is its re-save
+    doc = json.loads(fixture(version).read_text())
+    assert doc["version"] == version
+    model = load_dc_model(fixture(version))
+    assert [p.method for p in model.decomposition.parts] == list(METHODS)
+    assert all(isinstance(m, LinearModel) for m in model.locals)
+    assert isinstance(model.global_model, TrbfModel)
+    assert model.at is not None
+    assert model.feature_scale.shape == (6,) and model.positive_label is None
+    assert_same_bits(model, load_dc_model(FIXTURE))  # `at`, the input map
+    # a re-save writes the current version: the committed v3 fixture
+    assert FORMAT_VERSION == 3
+    path = saved(model, tmp_path / "again.json")
+    assert path.read_bytes() == FIXTURE_V3.read_bytes()
 
 
 def cut_last_value(payload):
@@ -311,8 +315,7 @@ def test_save_refuses_an_index_outside_int32(tmp_path):
 
 
 def test_version_1_fixture_predicts_through_the_collapsed_map():
-    fixture = Path(__file__).parent / "fixtures" / "model_v1.json"
-    model = load_dc_model(fixture)
+    model = load_dc_model(FIXTURE)
     assert model.at.shape == (6, model.h)
     twin = copy.copy(model)
     twin.at = twin.b = None
