@@ -19,16 +19,16 @@ failure.
 import argparse
 import os
 import sys
-import time
 
 import numpy as np
 
 from .config import RULES, config_echo, load_config
-from .dataio import apply_feature_scale, load_libsvm, max_abs_scale, split
+from .dataio import apply_feature_scale, fit_max_abs_scale, load_libsvm, split
 from .errors import ConfigError, DataError, FeatdcError
 from .fuse import LearnerSpec, evaluate, predict_dc, train_dc, train_learner
 from .persist import load_dc_model, save_dc_model
-from .report import build_report, format_report, write_report
+from .report import (build_report, format_report, recording, timed,
+                     write_report)
 
 
 def _build_parser():
@@ -74,22 +74,21 @@ def _apply_overrides(cfg, args):
 
 
 def _prepare_data(cfg):
-    """Parse the training file, fit the max-abs scale on all of it when
-    the config scales, then split per config. Returns (train, test_or_none,
-    parse_seconds, scale_or_none), train and test unscaled: the split
-    depends only on the instance count and its seed."""
-    t0 = time.perf_counter()
-    train = load_libsvm(cfg.train_path, n_features=cfg.n_features_override,
-                        positive_label=cfg.positive_label)
-    test = None
-    if cfg.test_path is not None:
-        test = load_libsvm(cfg.test_path, n_features=train.n_features,
-                           positive_label=cfg.positive_label)
-    parse_s = time.perf_counter() - t0
-    scale = max_abs_scale(train)[1] if cfg.scale_features else None
+    """Parse the training file (`timed` as `parse`), fit the max-abs scale
+    on all of it when the config scales, then split per config. Returns
+    (train, test_or_none, scale_or_none), train and test unscaled: the
+    split depends only on the instance count and its seed."""
+    with timed("parse"):
+        train = load_libsvm(cfg.train_path, n_features=cfg.n_features_override,
+                            positive_label=cfg.positive_label)
+        test = None
+        if cfg.test_path is not None:
+            test = load_libsvm(cfg.test_path, n_features=train.n_features,
+                               positive_label=cfg.positive_label)
+    scale = fit_max_abs_scale(train) if cfg.scale_features else None
     if test is None and cfg.split is not None:
         train, test = split(train, cfg.split)
-    return train, test, parse_s, scale
+    return train, test, scale
 
 
 def _baseline(cfg, train, test, dc_metrics):
@@ -112,45 +111,39 @@ def _baseline(cfg, train, test, dc_metrics):
 def cmd_train(args):
     """`train`, and `bench`, which adds the baseline block."""
     bench = args.command == "bench"
-    t_start = time.perf_counter()
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
-    train, test, parse_s, scale = _prepare_data(cfg)
-    if bench and test is None:
-        raise ConfigError("bench needs test data: give test_path or split")
-    if scale is not None:
-        train = apply_feature_scale(train, scale)
-
-    model = train_dc(train, cfg.plan, local=cfg.local,
-                     global_=cfg.global_, seed=cfg.seed, threads=cfg.threads,
-                     guards=cfg.guards, dca_ridge=cfg.dca_ridge,
-                     config_snapshot=config_echo(cfg), feature_scale=scale,
-                     positive_label=cfg.positive_label)
-    timings = {"parse": parse_s, **model.fit_timings}
-
-    metrics = None
-    t0 = time.perf_counter()
-    if test is not None:
-        labels, _ = predict_dc(model, test)  # raw: the model scales
-        metrics = evaluate(labels, test.y)
-    timings["prediction"] = time.perf_counter() - t0
-
-    extra = None
-    if bench:
-        t0 = time.perf_counter()
+    with recording() as timings, timed("total"):
+        cfg = load_config(args.config)
+        _apply_overrides(cfg, args)
+        train, test, scale = _prepare_data(cfg)
+        if bench and test is None:
+            raise ConfigError("bench needs test data: give test_path or split")
         if scale is not None:
-            test = apply_feature_scale(test, scale)
-        extra = _baseline(cfg, train, test, metrics)
-        timings["baseline"] = time.perf_counter() - t0
+            train = apply_feature_scale(train, scale)
 
-    t0 = time.perf_counter()
-    model_path = os.path.join(cfg.out_dir, "model.json")
-    save_dc_model(model, model_path)
+        model = train_dc(train, cfg.plan, local=cfg.local, global_=cfg.global_,
+                         seed=cfg.seed, threads=cfg.threads, guards=cfg.guards,
+                         dca_ridge=cfg.dca_ridge, feature_scale=scale,
+                         config_snapshot=config_echo(cfg),
+                         positive_label=cfg.positive_label)
+
+        metrics = None
+        with timed("prediction"):
+            if test is not None:
+                labels, _ = predict_dc(model, test)  # raw: the model scales
+                metrics = evaluate(labels, test.y)
+
+        extra = None
+        if bench:
+            with timed("baseline"):
+                if scale is not None:
+                    test = apply_feature_scale(test, scale)
+                extra = _baseline(cfg, train, test, metrics)
+
+        with timed("persist"):
+            model_path = os.path.join(cfg.out_dir, "model.json")
+            save_dc_model(model, model_path)
     report = build_report(args.command, cfg.seed, timings, config_echo(cfg),
                           metrics, artifacts={"model": model_path}, extra=extra)
-    timings["persist"] = time.perf_counter() - t0
-    timings["total"] = time.perf_counter() - t_start
-    report["timings_s"] = {k: float(v) for k, v in timings.items()}
 
     path = write_report(report, cfg.out_dir, f"{args.command}_report.json")
     print(format_report(report))
@@ -165,25 +158,18 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    t_start = time.perf_counter()
-    model = load_dc_model(args.model)  # derives the collapsed scorer too
-    load_s = time.perf_counter() - t_start
+    with recording() as timings, timed("total"):
+        with timed("load"):
+            model = load_dc_model(args.model)  # derives the collapsed scorer
+        with timed("parse"):
+            test = load_libsvm(args.test, n_features=model.decomposition.n_features_in,
+                               positive_label=model.positive_label)
+        with timed("prediction"):
+            labels, _ = predict_dc(model, test)  # the model applies its scale
+            metrics = evaluate(labels, test.y)
     snap = model.config_snapshot
-
-    t0 = time.perf_counter()
-    test = load_libsvm(args.test, n_features=model.decomposition.n_features_in,
-                       positive_label=model.positive_label)
-    parse_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    labels, _ = predict_dc(model, test)  # the model applies its scale
-    metrics = evaluate(labels, test.y)
-    predict_s = time.perf_counter() - t0
-
-    timings = {"load": load_s, "parse": parse_s, "prediction": predict_s,
-               "total": time.perf_counter() - t_start}
-    report = build_report("eval", snap.get("seed", 0), timings,
-                          snap, metrics, artifacts={"model": args.model})
+    report = build_report("eval", snap.get("seed", 0), timings, snap, metrics,
+                          artifacts={"model": args.model})
     out_dir = args.out or "."
     path = write_report(report, out_dir, "eval_report.json")
     print(format_report(report))

@@ -401,16 +401,21 @@ def save_libsvm(ds: Dataset, path):
     write_text(path, serialize_libsvm(ds))
 
 
+def fit_max_abs_scale(ds: Dataset):
+    """The per-feature max-abs scale of `ds`: each feature's largest
+    absolute value, and 1 for an all-zero feature."""
+    peak = np.abs(ds.X).max(axis=1)
+    peak = np.asarray(peak.todense()).ravel() if sp.issparse(peak) else np.asarray(peak).ravel()
+    return np.where(peak > 0, peak, 1.0)
+
+
 def max_abs_scale(ds: Dataset):
     """Per-feature max-abs scaler fitted on `ds`.
 
-    Returns (scaled dataset, scale vector); entries of all-zero features
-    scale by 1. Apply the same vector to held-out data with
-    `apply_feature_scale`.
+    Returns (scaled dataset, `fit_max_abs_scale` vector). Apply the same
+    vector to held-out data with `apply_feature_scale`.
     """
-    peak = np.abs(ds.X).max(axis=1)
-    peak = np.asarray(peak.todense()).ravel() if sp.issparse(peak) else np.asarray(peak).ravel()
-    scale = np.where(peak > 0, peak, 1.0)
+    scale = fit_max_abs_scale(ds)
     return apply_feature_scale(ds, scale), scale
 
 

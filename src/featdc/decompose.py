@@ -38,7 +38,6 @@ abd sums its block-pair gram over the blocks of the data (`block_gram`),
 which also serves sparse data of any width.
 """
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,6 +47,7 @@ from numpy.typing import NDArray
 
 from .errors import ConfigError, DataError, NumericError
 from .numerics import gen_sym_eig, solve_spd, sym_eig
+from .report import timed
 
 METHODS = ("rd", "pca", "dca", "bcd", "abd")
 # the optional fields each method's map reads, in `_apply_part`'s order
@@ -695,7 +695,7 @@ def fit_plan_entry(x, y, entry, child_seed,
 
 
 def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
-             dca_ridge=None, timings=None):
+             dca_ridge=None):
     """Fit every plan entry and compose the result.
 
     plan is a sequence of (method, n_subspaces, group_size) triples (or
@@ -706,9 +706,9 @@ def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
     one `fit_plan_entry` fits from x alone, to the bit. bcd/abd entries
     build their disjoint padded partition with that child seed; a bcd/abd
     plan whose n_subspaces * group_size falls short of the feature count
-    gets larger groups so real features are always covered. A `timings`
-    dict gains each entry's seconds under `fit_<method>`, summed per
-    method.
+    gets larger groups so real features are always covered. Each entry's
+    fit is `timed` as `fit_<method>`, so an open `report.recording()`
+    gains its seconds, summed per method.
     """
     methods = {_plan_triple(entry)[0] for entry in plan}
     moments = None
@@ -717,14 +717,11 @@ def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
         moments = class_moments(x, y if "dca" in methods else None)
     parts = []
     for i, entry in enumerate(plan):
-        t0 = time.perf_counter()
-        reads_gram = _plan_triple(entry)[0] in _GRAM_METHODS
-        source = moments if moments is not None and reads_gram else x
-        parts.append(fit_plan_entry(source, y, entry, part_seed(seed, i),
-                                    max_dense=max_dense, dca_ridge=dca_ridge))
-        if timings is not None:
-            key = f"fit_{parts[-1].method}"
-            timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
+        method = _plan_triple(entry)[0]
+        source = x if moments is None or method not in _GRAM_METHODS else moments
+        with timed(f"fit_{method}"):
+            parts.append(fit_plan_entry(source, y, entry, part_seed(seed, i),
+                                        max_dense=max_dense, dca_ridge=dca_ridge))
     return CompositeDecomposition(parts)
 
 

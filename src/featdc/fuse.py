@@ -13,7 +13,9 @@ parallelism: it spreads the locals, which train and score while the
 calling thread builds the next part's views (tasks are pure and merged
 by subspace index, so results are identical for any thread count), then
 the TRBF global's Gram; each local runs on one thread, so pools never
-nest.
+nest. The three stages are `report.timed` as `fit_decomposition`,
+`local_training` and `fusion`, so an open `report.recording()` gains
+their seconds; prediction is not timed here.
 
 `predict_dc` scores on the calling thread (a worker pool costs more than
 the scoring it would spread). Every decomposition method is a linear map,
@@ -37,7 +39,6 @@ same affine map is replayed at predict time.
 
 import math
 import numbers
-import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -54,6 +55,7 @@ from .decompose import (DEFAULT_MAX_DENSE_FEATURES, _apply_part, _as_matrix,
                         apply_decomposition, check_feature_count, fit_plan,
                         linear_pullback)
 from .errors import ConfigError, DataError, FeatdcError, NumericError
+from .report import timed
 
 CONSTANT_ROW_TOL = 1e-12
 
@@ -90,7 +92,6 @@ class DcModel:
     # (None: unscaled), and the raw label read as +1 (None: sign of label)
     feature_scale: Optional[NDArray[np.float64]] = None
     positive_label: Optional[float] = None
-    fit_timings: dict = field(default_factory=dict)
     # collapsed scorer of linear locals: R = at.T @ x + b (None otherwise);
     # derived from the fields above, never persisted
     at: Optional[np.ndarray] = field(init=False, repr=False)
@@ -231,17 +232,13 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
     global_ = global_ or LearnerSpec(type="trbf")
     guards = guards or Guards()
     y = train.y.astype(np.float64)
-    timings = {}
 
-    t0 = time.perf_counter()
-    with _stage("decomposition fitting"):
+    with _stage("decomposition fitting"), timed("fit_decomposition"):
         x = _as_matrix(train.X)  # densified once here, not once per entry
         comp = fit_plan(x, y, plan, seed, max_dense=guards.max_dense_features,
-                        dca_ridge=dca_ridge, timings=timings)
-    timings["fit_decomposition"] = time.perf_counter() - t0
+                        dca_ridge=dca_ridge)
 
-    t0 = time.perf_counter()
-    with _stage("local training"):
+    with _stage("local training"), timed("local_training"):
         def fit(i, view):
             model = train_learner(local, view, y, guards,
                                   _role_seed(seed, "local", i))
@@ -249,16 +246,14 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
 
         fitted = _map_views(comp, x, fit, threads)
         local_models = [model for model, _ in fitted]
-    timings["local_training"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    with _stage("fusion"):
+    with _stage("fusion"), timed("fusion"):
         r = np.vstack([row for _, row in fitted])
         shift, scale = standardize_rows(r)
         rs = apply_standardization(r, shift, scale)
         global_model = train_learner(global_, rs, y, guards,
                                      _role_seed(seed, "global", 0), threads)
-        model = DcModel(  # derives the collapsed scorer
+        return DcModel(  # derives the collapsed scorer
             decomposition=comp,
             locals=local_models,
             global_model=global_model,
@@ -267,10 +262,7 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
             config_snapshot=dict(config_snapshot or {}),
             feature_scale=feature_scale,
             positive_label=positive_label,
-            fit_timings=timings,
         )
-    timings["fusion"] = time.perf_counter() - t0
-    return model
 
 
 def local_scores(model, x):

@@ -6,11 +6,38 @@ Everything in the JSON except the wall-clock timing fields is a pure
 function of (config, seed, input files).
 """
 
+import contextvars
 import hashlib
 import json
 import os
+import time
+from contextlib import contextmanager
 
 from .dataio import write_text
+
+_RECORDING = contextvars.ContextVar("featdc_recording", default=None)
+
+
+@contextmanager
+def recording():
+    """Collect every `timed` block that ends inside it, as {key: seconds}
+    in the order each key first ended. Each thread (each context) records
+    only its own blocks; every stage timing of a report comes from here."""
+    token = _RECORDING.set({})
+    try:
+        yield _RECORDING.get()
+    finally:
+        _RECORDING.reset(token)
+
+
+@contextmanager
+def timed(key):
+    """Add the block's wall-clock seconds to `key` of the open recording
+    (a key timed twice sums); outside a recording, keep nothing."""
+    timings, t0 = _RECORDING.get(), time.perf_counter()
+    yield
+    if timings is not None:
+        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
 
 
 def sha256_file(path):

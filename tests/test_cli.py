@@ -5,6 +5,8 @@ import json
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from featdc.datasets import make_blobs
 from featdc.errors import ConfigError
 from featdc.fuse import LearnerSpec, predict_dc
 from featdc.persist import load_dc_model
+from featdc.report import recording, timed
 
 FIXTURE_MODEL = Path(__file__).parent / "fixtures" / "model_v1.json"
 FIXTURE_MODEL_V3 = FIXTURE_MODEL.with_name("model_v3.json")
@@ -357,21 +360,53 @@ def test_eval_timings_cover_the_total(tmp_path):
 
 def test_report_table_lists_timings_in_recorded_order(tmp_path, capsys):
     write_blob_file(tmp_path / "train.libsvm")
-    cfg = base_config(tmp_path, plan=[
-        {"method": "pca", "n_subspaces": 2, "group_size": 4},
-        {"method": "rd", "n_subspaces": 2, "group_size": 4},
-    ])
-    rc = main(["train", "--config", str(cfg)])
-    assert rc == 0
-    rows = [line.split("time ", 1)[1].split(" (s)")[0]
-            for line in capsys.readouterr().out.splitlines()
-            if line.startswith("| time ")]
-    # fit_* rows follow the plan, not the method table
-    assert rows == ["parse", "fit_pca", "fit_rd", "fit_decomposition",
-                    "local_training", "fusion", "prediction", "persist",
-                    "total"]
-    report = json.loads((tmp_path / "out" / "train_report.json").read_text())
-    assert list(report["timings_s"]) == rows
+    for command in ("train", "bench"):
+        for methods in (("pca", "rd"), ("pca", "rd", "pca")):
+            cfg = base_config(tmp_path, plan=[
+                {"method": method, "n_subspaces": 2, "group_size": 4}
+                for method in methods])
+            rc = main([command, "--config", str(cfg)])
+            assert rc == 0
+            rows = [line.split("time ", 1)[1].split(" (s)")[0]
+                    for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("| time ")]
+            # fit_* rows follow the plan, not the method table; a repeated
+            # method sums into the row where it first ended
+            assert rows == (["parse", "fit_pca", "fit_rd", "fit_decomposition",
+                             "local_training", "fusion", "prediction"]
+                            + ["baseline"] * (command == "bench")
+                            + ["persist", "total"]), (command, methods)
+            report = json.loads(
+                (tmp_path / "out" / f"{command}_report.json").read_text())
+            assert list(report["timings_s"]) == rows
+
+
+def test_timed_sums_a_key_and_keeps_each_thread_apart():
+    def worker(out):
+        with timed("worker"):
+            pass  # outside any recording of its own
+        with recording() as own:
+            with timed("worker"):
+                pass
+        out.append(own)
+
+    own = []
+    with recording() as t:
+        with timed("a"):
+            time.sleep(0.01)
+        with timed("b"):
+            pass
+        thread = threading.Thread(target=worker, args=(own,))
+        thread.start()
+        thread.join(timeout=10)
+        with timed("a"):
+            time.sleep(0.01)
+    assert not thread.is_alive()
+    assert list(t) == ["a", "b"] and t["a"] >= 0.02
+    assert list(own[0]) == ["worker"]
+    with timed("a"):  # no recording open: kept nowhere
+        pass
+    assert list(t) == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------

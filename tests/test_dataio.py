@@ -8,9 +8,9 @@ import scipy.sparse as sp
 
 from featdc import dataio
 from featdc.dataio import (Dataset, SplitSpec, apply_feature_scale,
-                           load_libsvm, max_abs_scale, parse_libsvm,
-                           save_libsvm, select_instances, serialize_libsvm,
-                           split, train_size)
+                           fit_max_abs_scale, load_libsvm, max_abs_scale,
+                           parse_libsvm, save_libsvm, select_instances,
+                           serialize_libsvm, split, train_size)
 from featdc.datasets import make_quadratic_band, make_sparse_planted
 from featdc.errors import DataError, ParseError, ValidationError
 from test_acceptance import MALFORMED as CRITERION_7_MALFORMED
@@ -206,6 +206,7 @@ def test_max_abs_scale():
     ds = Dataset(x, np.array([1, -1]))
     scaled, scale = max_abs_scale(ds)
     assert np.allclose(scale, [4.0, 1.0, 1.0])
+    assert np.array_equal(fit_max_abs_scale(ds), scale)
     assert np.abs(scaled.X.toarray()).max() <= 1.0
     # zero feature row stays zero and untouched
     assert np.array_equal(scaled.X.toarray()[1], [0.0, 0.0])
@@ -459,4 +460,22 @@ def test_only_dataio_opens_files():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and _opens_a_file(node)
                   and id(node) not in allowed]
+    assert found == []
+
+
+def test_only_report_reads_the_clock():
+    # every stage timing is a `report.timed` block, so a report's
+    # `timings_s` has one source
+    clocks = {"perf_counter", "time", "monotonic"}
+    found = []
+    for path in sorted(Path(dataio.__file__).parent.glob("*.py")):
+        if path.name == "report.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in clocks
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "time"]
     assert found == []

@@ -15,6 +15,7 @@ from featdc.errors import ConfigError, DataError, NumericError
 from featdc.fuse import (DcModel, Guards, LearnerSpec, apply_standardization,
                          build_r, evaluate, local_scores, predict_dc,
                          standardize_rows, train_dc)
+from featdc.report import recording
 
 
 def blob_dataset(n=120, n_features=8, seed=0, separation=8.0):
@@ -227,12 +228,19 @@ def test_predict_dc_zero_score_maps_positive():
 
 def test_train_dc_timing_keys():
     ds = blob_dataset(n=60, n_features=8, seed=2)
-    model = train_dc(ds, [("rd", 1, 4), ("pca", 1, 4)], seed=0)
-    t = model.fit_timings
-    for key in ("fit_rd", "fit_pca", "fit_decomposition", "local_training",
-                "fusion"):
-        assert key in t and t[key] >= 0.0
+    plan = [("rd", 1, 4), ("pca", 1, 4)]
+    with recording() as t:
+        model = train_dc(ds, plan, seed=0)
+    assert list(t) == ["fit_rd", "fit_pca", "fit_decomposition",
+                       "local_training", "fusion"]
+    assert all(seconds >= 0.0 for seconds in t.values())
     assert t["fit_decomposition"] >= t["fit_rd"] + t["fit_pca"] - 1e-9
+    assert not hasattr(model, "fit_timings")
+    # outside a recording the stages keep nothing for the next one
+    train_dc(ds, plan, seed=0)
+    with recording() as later:
+        pass
+    assert later == {}
 
 
 def test_train_dc_accepts_matrix_predictions():
