@@ -267,6 +267,19 @@ def trbf_expand(x, sigma, p):
     kernel's exponential series. Accepts a vector (m,) or a batch (m, n);
     the output is (J,) or (J, n) with J = C(m+p, p), coordinates in
     graded lexicographic multi-index order.
+    """
+    if sigma <= 0:
+        raise ConfigError(f"sigma must be positive, got {sigma}")
+    if p < 1:
+        raise ConfigError(f"order p must be at least 1, got {p}")
+    single = np.ndim(x) == 1 and not sp.issparse(x)
+    z, _ = _expand(x, sigma, p)
+    return z[:, 0] if single else z
+
+
+def _expand(x, sigma, p):
+    """(z, u): the order-p map z of x (p >= 0; order 0 is the envelope
+    alone) and the scaled inputs u = x / sigma, both dense.
 
     Every row is its parent row times one u coordinate (`_trbf_tables`),
     filled by one of two loops chosen from the input size alone. When
@@ -274,13 +287,10 @@ def trbf_expand(x, sigma, p):
     product, p calls in all, which suits single queries and small
     batches. Larger chunks fill each run of consecutive rows with one
     product, which avoids the gather's copies. Each element is the same
-    product either way, so both fills give the same bits.
+    product either way, so both fills give the same bits, and the rows of
+    the order-q map are the first rows of every higher order's, bit for
+    bit.
     """
-    if sigma <= 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
-    if p < 1:
-        raise ConfigError(f"order p must be at least 1, got {p}")
-    single = np.ndim(x) == 1 and not sp.issparse(x)
     x = _as_matrix(x)
     if sp.issparse(x):
         x = x.toarray()
@@ -304,7 +314,7 @@ def trbf_expand(x, sigma, p):
             np.multiply(z[row], u[k:], out=z[first:first + m - k])
     z *= coef[:, None]
     z *= envelope[None, :]
-    return z[:, 0] if single else z
+    return z, u
 
 
 def truncated_rbf_kernel(x, y, sigma, p):
@@ -346,6 +356,21 @@ def sigma_heuristic(x, seed=0):
 
 @dataclass
 class TrbfModel:
+    """Weights over the order-p truncated-RBF map of `n_features` inputs.
+
+    Scoring never builds the map's top degree. Each degree-p row r is its
+    parent row (degree p-1) times u[last[r]] (`_trbf_tables`), so
+
+        weights . z = sum over |q| < p of z_q (weights_q + (F u)_q)
+
+    with F (J(p-1) x m, `fold`) holding weights[r] coef[r] / coef[parent[r]]
+    at (parent[r], last[r]). The rows with |q| < p are the order-(p-1) map,
+    whose J(p-1) = C(m+p-1, p-1) rows per instance (the envelope alone for
+    p = 1) are all a batch expands: 231 instead of 1771 for m = 20, p = 3.
+    F is derived from the weights at construction; it is an attribute,
+    not a field, so the model file never holds it.
+    """
+
     weights: NDArray[np.float64]
     sigma: float
     p: int
@@ -361,6 +386,12 @@ class TrbfModel:
             raise DataError(f"a degree-{self.p} map of {self.n_features} "
                             f"features has {j} weights, not "
                             f"{np.shape(self.weights)}")
+        coef, parent, last, _ = _trbf_tables(self.n_features, self.p)
+        below = trbf_dim(self.n_features, self.p - 1)  # rows of degree < p
+        top = slice(below, j)
+        self.fold = np.zeros((below, self.n_features))
+        self.fold[parent[top], last[top]] = (self.weights[top] * coef[top]
+                                             / coef[parent[top]])
 
     @property
     def intrinsic_dim(self):
@@ -373,11 +404,12 @@ class TrbfModel:
                 f"model expects {self.n_features} features, got {x.shape[0]}"
             )
         n = x.shape[1]
+        head = self.weights[:self.fold.shape[0], None]
         scores = np.empty(n)
         for lo in range(0, n, EXPAND_CHUNK):
             hi = min(lo + EXPAND_CHUNK, n)
-            z = trbf_expand(x[:, lo:hi], self.sigma, self.p)
-            scores[lo:hi] = self.weights @ z
+            z, u = _expand(x[:, lo:hi], self.sigma, self.p - 1)
+            scores[lo:hi] = np.einsum("qj,qj->j", z, self.fold @ u + head)
         return scores
 
     def predict(self, x):

@@ -84,6 +84,8 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
+        # a dense, COO or CSR X is stored as CSC; a csc_array is kept as is
+        object.__setattr__(self, "X", sp.csc_array(self.X))
         m, n = self.X.shape
         if m < 1 or n < 1:
             raise DataError(f"dataset must have at least one feature and one instance, got {m}x{n}")
@@ -404,8 +406,9 @@ def save_libsvm(ds: Dataset, path):
 def fit_max_abs_scale(ds: Dataset):
     """The per-feature max-abs scale of `ds`: each feature's largest
     absolute value, and 1 for an all-zero feature."""
-    peak = np.abs(ds.X).max(axis=1)
-    peak = np.asarray(peak.todense()).ravel() if sp.issparse(peak) else np.asarray(peak).ravel()
+    x = ds.X
+    peak = np.zeros(ds.n_features)
+    np.maximum.at(peak, x.indices, np.abs(x.data))  # no copy of the matrix
     return np.where(peak > 0, peak, 1.0)
 
 

@@ -582,20 +582,27 @@ def abd_dense_transform(part):
 
 
 def _apply_part(part, x):
-    """The views of one part, read off the part's own fields: mix whole
-    blocks of the re-arranged, padded rows (abd) or multiply by the
-    transform (pca, dca, bcd), then slice the groups. bcd's padding and
-    re-arrangement are folded into its transform: the padding rows add
-    nothing to the product, so only the columns of real rows are read."""
+    """Yield the views of one part in order, read off the part's own
+    fields: mix whole blocks of the re-arranged, padded rows (abd) or
+    multiply by the transform (pca, dca, bcd), then slice the groups. The
+    product is taken once and each view is gathered from it only when
+    asked for, so a caller that drops each view before taking the next
+    holds one at a time. bcd's padding and re-arrangement are folded into
+    its transform: the padding rows add nothing to the product, so only
+    the columns of real rows are read."""
     if part.block_size is not None:  # view i is sum_j V[j, i] * block j
         x = _padded_rearranged(x, part.feature_order, part.n_features_out)
         size, v = part.block_size, part.transform
         if not sp.issparse(x):  # one product over the C-ordered blocks
             mixed = v.T @ x.reshape(len(v), size * x.shape[1])
-            return [row.reshape(size, x.shape[1]) for row in mixed]
+            for row in mixed:
+                yield row.reshape(size, x.shape[1])
+            return
         blocks = [x[j * size:(j + 1) * size] for j in range(len(v))]
-        return [sum((blocks[j] * v[j, i] for j in range(1, len(v))),
-                    blocks[0] * v[0, i]) for i in range(len(v))]
+        for i in range(len(v)):
+            yield sum((blocks[j] * v[j, i] for j in range(1, len(v))),
+                      blocks[0] * v[0, i])
+        return
     if part.transform is not None:
         t = part.transform
         if part.feature_order is not None:  # bcd
@@ -603,7 +610,8 @@ def _apply_part(part, x):
         x = (x.T @ t.T).T if sp.issparse(x) else t @ x
     elif sp.issparse(x):
         x = x.tocsr()
-    return [x[g] for g in part.index_groups]
+    for g in part.index_groups:
+        yield x[g]
 
 
 def check_feature_count(comp: CompositeDecomposition, x):

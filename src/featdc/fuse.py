@@ -10,8 +10,8 @@ entry, `apply_decomposition`, `train_learner` per view, `build_r`,
 `standardize_rows`, `train_learner` for the global — so a replay of
 those stages reproduces its model to the bit. `threads` is the only
 parallelism: it spreads the locals, which train and score while the
-calling thread builds the next part's views (tasks are pure and merged
-by subspace index, so results are identical for any thread count), then
+calling thread builds the next view (tasks are pure and merged by
+subspace index, so results are identical for any thread count), then
 the TRBF global's Gram; each local runs on one thread, so pools never
 nest. The three stages are `report.timed` as `fit_decomposition`,
 `local_training` and `fusion`, so an open `report.recording()` gains
@@ -165,11 +165,12 @@ def train_learner(spec, x, y, guards, seed, threads=1):
 def _map_views(comp, x, fn, threads):
     """[fn(i, view i) for every view of x], the views as
     `apply_decomposition` builds them (x has comp's width); fn must be
-    pure, as results merge by index. With threads > 1 the calling thread
-    builds the views part by part while a pool of `threads` workers runs
-    fn on those already built; the views are allocated on the calling
-    thread alone, so the workers' heaps stay small. No view outlives the
-    call."""
+    pure, as results merge by index. The views are built one at a time on
+    the calling thread, so the workers' heaps stay small. With threads > 1
+    a pool of `threads` workers runs fn on the views already built, and
+    after handing on view i the calling thread waits for fn on view
+    i - threads before it builds the next. Either way at most threads + 1
+    views are alive at once, whatever h is."""
     results = []
     if threads <= 1:
         for part in comp.parts:
@@ -180,6 +181,8 @@ def _map_views(comp, x, fn, threads):
         for part in comp.parts:
             for view in _apply_part(part, x):
                 results.append(pool.submit(fn, len(results), view))
+                if len(results) > threads:
+                    results[-threads - 1].result()
         return [future.result() for future in results]
 
 

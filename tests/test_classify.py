@@ -15,6 +15,7 @@ from featdc.datasets import make_blobs, make_quadratic_band
 from featdc.decompose import _as_matrix, block_gram
 from featdc.errors import ConfigError, DataError, NumericError
 from featdc.fuse import LearnerSpec, train_dc
+from featdc.persist import load_dc_model, save_dc_model
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +523,56 @@ def test_trbf_model_zero_weights_scores_zero():
     assert np.array_equal(scores, np.zeros(5))
     assert np.array_equal(model.predict(np.ones((2, 5))),
                           np.ones(5, dtype=np.int64))
+
+
+@pytest.mark.parametrize("m", [1, 3, 20])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_trbf_model_folded_scores_match_the_full_map(m, p):
+    # scoring expands only the rows of degree < p and folds the top degree
+    # into F u; every term of weights . z is still there, summed in
+    # another order, so the scores agree to rounding and the labels match
+    rng = np.random.default_rng(10 * m + p)
+    sigma = 0.9 * math.sqrt(m)
+    model = TrbfModel(weights=rng.normal(size=trbf_dim(m, p)), sigma=sigma,
+                      p=p, lam=1.0, n_features=m)
+    assert model.fold.shape == (trbf_dim(m, p - 1), m)
+    for n in (1, 256, EXPAND_CHUNK + 5):
+        x = rng.normal(size=(m, n))
+        x[:, ::3] *= rng.random((m, 1)) < 0.5  # zeros for the CSC copy
+        want, bound = np.empty(n), np.empty(n)
+        for lo in range(0, n, 256):  # the full map, a slice at a time
+            z = trbf_expand(x[:, lo:lo + 256], sigma, p)
+            want[lo:lo + 256] = model.weights @ z
+            bound[lo:lo + 256] = 1e-12 * (np.abs(model.weights) @ np.abs(z))
+        for query in (x, sp.csc_array(x)):
+            got = model.decision_function(query)
+            assert np.all(np.abs(got - want) <= bound)
+            assert np.array_equal(label_from_score(got),
+                                  label_from_score(want))
+    v = rng.normal(size=m)
+    assert np.isclose(model.decision_function(v)[0],
+                      model.weights @ trbf_expand(v, sigma, p),
+                      rtol=0.0, atol=1e-12 * (np.abs(model.weights)
+                                              @ np.abs(trbf_expand(v, sigma, p))))
+
+
+def test_trbf_model_fold_is_derived_not_saved(tmp_path):
+    ds = make_blobs(120, n_features=6, separation=1.5, seed=4)
+    model = train_dc(ds, [("rd", 2, 3), ("pca", 1, 3)],
+                     local=LearnerSpec(type="trbf", p=2),
+                     global_=LearnerSpec(type="trbf", p=3), seed=1)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_dc_model(model, first)
+    back = load_dc_model(first)
+    save_dc_model(back, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert b"fold" not in first.read_bytes()
+    for a, b in zip(model.locals + [model.global_model],
+                    back.locals + [back.global_model]):
+        assert same_bits(a.fold, b.fold)
+    r = np.linspace(-2.0, 2.0, 30).reshape(3, 10)  # three local scores
+    assert same_bits(model.global_model.decision_function(r),
+                     back.global_model.decision_function(r))
 
 
 def test_trbf_model_feature_mismatch():

@@ -217,6 +217,44 @@ def test_max_abs_scale():
         apply_feature_scale(ds, np.ones(2))
 
 
+def test_fit_max_abs_scale_reads_the_stored_values():
+    rng = np.random.default_rng(23)
+    for trial in range(20):
+        x = random_dataset(rng, density=0.3).X.toarray()
+        x[x != 0] -= 0.5  # negative values too
+        x[int(rng.integers(x.shape[0]))] = 0.0  # an all-zero feature
+        peak = np.abs(x).max(axis=1)
+        want = np.where(peak > 0, peak, 1.0)
+        got = fit_max_abs_scale(Dataset(sp.csc_array(x), np.ones(x.shape[1])))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("form", [np.asarray, sp.coo_array, sp.csr_array,
+                                  sp.csc_matrix])
+def test_dataset_stores_any_matrix_as_csc(tmp_path, form):
+    x = np.array([[1.0, 0.0, -2.5], [0.0, 0.0, 3.0]])
+    ds = Dataset(form(x), np.array([1, -1, 1]))
+    assert type(ds.X) is sp.csc_array
+    assert np.array_equal(ds.X.toarray(), x)
+    save_libsvm(ds, tmp_path / "d.libsvm")
+    back = load_libsvm(tmp_path / "d.libsvm", n_features=2)
+    assert np.array_equal(back.X.toarray(), x)
+    assert np.array_equal(back.y, ds.y)
+    ones = Dataset(np.ones((3, 2)), np.array([1, -1]))
+    save_libsvm(ones, tmp_path / "ones.libsvm")
+    assert (tmp_path / "ones.libsvm").read_text() == ("+1 1:1.0 2:1.0 3:1.0\n"
+                                                      "-1 1:1.0 2:1.0 3:1.0\n")
+    scale = fit_max_abs_scale(Dataset(form(x), ds.y))
+    assert np.array_equal(scale, [2.5, 3.0])
+
+
+def test_dataset_keeps_a_csc_array_uncopied():
+    x = sp.csc_array(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    ds = Dataset(x, np.array([1, -1]))
+    assert np.shares_memory(ds.X.data, x.data)
+    assert np.shares_memory(ds.X.indices, x.indices)
+
+
 def test_apply_feature_scale_matches_diagonal_product():
     # one multiply per stored entry, as diag(1/scale) @ X does, so the
     # scaled data has the same bits and the same sparsity pattern

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,26 @@ def test_train_dc_lsmr_locals_same_bits_for_any_threads():
     m4 = train_dc(ds, plan, seed=4, threads=4, guards=guards)
     assert {m.solver for m in m1.locals} == {"lsmr"}
     assert np.array_equal(predict_dc(m1, ds)[1], predict_dc(m4, ds)[1])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_train_dc_holds_a_bounded_number_of_views(threads):
+    # each rd view is a 192 x 500 copy (0.77 MB): with every view of a
+    # part alive at once, 32 groups would peak about 5x higher than 4;
+    # streamed, at most threads + 1 are alive whatever the group count
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(256, 500))
+    ds = Dataset(sp.csc_array(x), np.where(x[0] + x[1] > 0, 1, -1))
+    peaks = {}
+    for groups in (4, 32):
+        tracemalloc.start()
+        try:
+            train_dc(ds, [("rd", groups, 192)], seed=0, threads=threads,
+                     global_=LearnerSpec(type="linear"))
+            peaks[groups] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[32] < 1.5 * peaks[4]
 
 
 def test_predict_dc_runs_on_calling_thread(monkeypatch):
