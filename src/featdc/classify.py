@@ -53,10 +53,36 @@ def default_lam(n_instances):
     return 1e-3 * n_instances
 
 
-def _check_finite_features(x):
-    data = x.data if sp.issparse(x) else x
-    if not np.all(np.isfinite(data)):
+def _training_inputs(x, y, lam):
+    """The preamble both learners share: (x, y, lam) with x through the
+    `_as_matrix` gate and finite, y as float64 with one label per
+    instance, and lam (None: `default_lam(N)`) positive."""
+    x = _as_matrix(x)
+    if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
         raise NumericError("training features contain non-finite values")
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if y.shape[0] != x.shape[1]:
+        raise DataError(f"{x.shape[1]} instances but {y.shape[0]} labels")
+    lam = default_lam(x.shape[1]) if lam is None else lam
+    if not lam > 0:
+        raise ConfigError(f"ridge parameter must be positive, got {lam}")
+    return x, y, lam
+
+
+class _Scorer:
+    """What both models' scoring shares: the query gate with its width
+    check, and the label of a score."""
+
+    def _query(self, x):
+        x = _as_matrix(x)
+        if x.shape[0] != self.n_features:
+            raise DataError(
+                f"model expects {self.n_features} features, got {x.shape[0]}"
+            )
+        return x
+
+    def predict(self, x):
+        return label_from_score(self.decision_function(x))
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +90,7 @@ def _check_finite_features(x):
 
 
 @dataclass
-class LinearModel:
+class LinearModel(_Scorer):
     weights: NDArray[np.float64]
     bias: float
     lam: float
@@ -75,15 +101,8 @@ class LinearModel:
         return self.weights.shape[0]
 
     def decision_function(self, x):
-        x = _as_matrix(x)
-        if x.shape[0] != self.n_features:
-            raise DataError(
-                f"model expects {self.n_features} features, got {x.shape[0]}"
-            )
+        x = self._query(x)
         return np.asarray(x.T @ self.weights).ravel() + self.bias
-
-    def predict(self, x):
-        return label_from_score(self.decision_function(x))
 
 
 def label_from_score(scores):
@@ -99,18 +118,10 @@ def train_linear(x, y, lam=None, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     column-scaled by D = diag(X_c X_c^T + lam I)^(-1/2) (solving for v in
     w = D v), which minimizes the identical objective. Both routes must
     leave a relative normal-equation residual of at most 1e-8, read on
-    the unscaled weights w.
+    the unscaled weights w. The inputs first pass `_training_inputs`.
     """
-    x = _as_matrix(x)
-    _check_finite_features(x)
-    y = np.asarray(y, dtype=np.float64).ravel()
+    x, y, lam = _training_inputs(x, y, lam)
     d, n = x.shape
-    if y.shape[0] != n:
-        raise DataError(f"{n} instances but {y.shape[0]} labels")
-    if lam is None:
-        lam = default_lam(n)
-    if lam <= 0:
-        raise ConfigError(f"ridge parameter must be positive, got {lam}")
 
     ybar = float(y.mean())
     yc = y - ybar
@@ -256,6 +267,14 @@ def _trbf_tables(m, p):
     return coef, parent, last, runs
 
 
+def _check_map(sigma, p, error=ConfigError):
+    """`error` unless sigma > 0 and p >= 1 (the config's `LearnerSpec`
+    rules), the one rule of a TRBF map, its training and its model."""
+    if not (sigma > 0 and p >= 1):
+        raise error(f"a TRBF model needs sigma > 0 and p >= 1, got sigma "
+                    f"{sigma} and p {p}")
+
+
 def trbf_expand(x, sigma, p):
     """Order-p truncated-RBF feature map.
 
@@ -268,10 +287,7 @@ def trbf_expand(x, sigma, p):
     the output is (J,) or (J, n) with J = C(m+p, p), coordinates in
     graded lexicographic multi-index order.
     """
-    if sigma <= 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
-    if p < 1:
-        raise ConfigError(f"order p must be at least 1, got {p}")
+    _check_map(sigma, p)
     single = np.ndim(x) == 1 and not sp.issparse(x)
     z, _ = _expand(x, sigma, p)
     return z[:, 0] if single else z
@@ -355,7 +371,7 @@ def sigma_heuristic(x, seed=0):
 
 
 @dataclass
-class TrbfModel:
+class TrbfModel(_Scorer):
     """Weights over the order-p truncated-RBF map of `n_features` inputs.
 
     Scoring never builds the map's top degree. Each degree-p row r is its
@@ -378,9 +394,7 @@ class TrbfModel:
     n_features: int
 
     def __post_init__(self):
-        if not (self.sigma > 0 and self.p >= 1):
-            raise DataError(f"a TRBF model needs sigma > 0 and p >= 1, got "
-                            f"sigma {self.sigma} and p {self.p}")
+        _check_map(self.sigma, self.p, DataError)
         j = trbf_dim(self.n_features, self.p)
         if np.shape(self.weights) != (j,):
             raise DataError(f"a degree-{self.p} map of {self.n_features} "
@@ -398,11 +412,7 @@ class TrbfModel:
         return self.weights.shape[0]
 
     def decision_function(self, x):
-        x = _as_matrix(x)
-        if x.shape[0] != self.n_features:
-            raise DataError(
-                f"model expects {self.n_features} features, got {x.shape[0]}"
-            )
+        x = self._query(x)
         n = x.shape[1]
         head = self.weights[:self.fold.shape[0], None]
         scores = np.empty(n)
@@ -411,9 +421,6 @@ class TrbfModel:
             z, u = _expand(x[:, lo:hi], self.sigma, self.p - 1)
             scores[lo:hi] = np.einsum("qj,qj->j", z, self.fold @ u + head)
         return scores
-
-    def predict(self, x):
-        return label_from_score(self.decision_function(x))
 
 
 # Learner type name -> model class: the config's allowed types and the
@@ -447,14 +454,13 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None, seed=0, threads=1):
     quarters of physical memory (of 8 GiB where the platform reports
     none), else a ConfigError refuses the plan. The quarter left covers
     what the guard does not measure: the data, the views, R, the locals
-    and the OS.
+    and the OS. Before it, the inputs pass `_training_inputs`, and sigma
+    (None: the `sigma_heuristic` of x) and p pass `_check_map`.
     """
-    x = _as_matrix(x)
-    _check_finite_features(x)
-    y = np.asarray(y, dtype=np.float64).ravel()
+    x, y, lam = _training_inputs(x, y, lam)
     m, n = x.shape
-    if y.shape[0] != n:
-        raise DataError(f"{n} instances but {y.shape[0]} labels")
+    sigma = sigma_heuristic(x, seed=seed) if sigma is None else sigma
+    _check_map(sigma, p)
     j = trbf_dim(m, p)
     need = 8 * (2 * j * j + j * EXPAND_CHUNK)
     budget = 3 * (_physical_memory() or 8 * 2**30) // 4
@@ -466,12 +472,6 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None, seed=0, threads=1):
             "memory, or of 8 GiB where it is not reported); lower the order "
             "p or fuse fewer inputs"
         )
-    if sigma is None:
-        sigma = sigma_heuristic(x, seed=seed)
-    if lam is None:
-        lam = default_lam(n)
-    if lam <= 0:
-        raise ConfigError(f"ridge parameter must be positive, got {lam}")
 
     a = lam * np.eye(j)
     b = np.zeros(j)

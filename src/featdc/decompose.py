@@ -49,11 +49,11 @@ from .errors import ConfigError, DataError, NumericError
 from .numerics import gen_sym_eig, solve_spd, sym_eig
 from .report import timed
 
-METHODS = ("rd", "pca", "dca", "bcd", "abd")
-# the optional fields each method's map reads, in `_apply_part`'s order
+# each method and the optional fields its map reads, in `_apply_part`'s order
 _MAP_FIELDS = {"rd": (), "pca": ("transform",), "dca": ("transform",),
                "bcd": ("feature_order", "transform"),
                "abd": ("feature_order", "block_size", "transform")}
+METHODS = tuple(_MAP_FIELDS)
 DEFAULT_MAX_DENSE_FEATURES = 4096
 # the methods whose fit reads the dense M x M Gram (`class_moments`)
 _GRAM_METHODS = ("pca", "dca", "bcd")
@@ -186,10 +186,20 @@ def _densify(x):
 # index-group construction
 
 
+def _check_grouping(n_subspaces, group_size):
+    """ConfigError unless both counts of a plan entry are >= 1, the
+    bounds of the config's `PlanEntry` rules."""
+    for name, value in (("n_subspaces", n_subspaces), ("group_size", group_size)):
+        if not value >= 1:
+            raise ConfigError(f"a plan entry's {name} must be >= 1, got {value!r}")
+
+
 def overlapping_groups(n_coords, n_subspaces, group_size, rng):
     """Seeded-shuffle grouping: permute once, take consecutive runs, and
     re-shuffle whenever a run would fall off the end (so oversubscribed
-    plans produce overlapping groups)."""
+    plans produce overlapping groups). The counts pass `_check_grouping`
+    and a group may not outgrow the n_coords."""
+    _check_grouping(n_subspaces, group_size)
     if group_size > n_coords:
         raise ConfigError(f"group size {group_size} exceeds {n_coords} coordinates")
     perm = rng.permutation(n_coords)
@@ -210,8 +220,10 @@ def disjoint_groups(n_features, n_subspaces, group_size, rng):
     The effective group size is max(group_size, ceil(M / n_subspaces)) so
     the groups always cover every real feature; real features are shuffled
     into the leading blocks and the zero padding fills the tail. Returns
-    (groups over the padded index space, padded feature count).
+    (groups over the padded index space, padded feature count); the
+    counts pass `_check_grouping`.
     """
+    _check_grouping(n_subspaces, group_size)
     size = max(group_size, -(-n_features // n_subspaces))
     padded = size * n_subspaces
     order = np.concatenate([rng.permutation(n_features),
@@ -222,7 +234,8 @@ def disjoint_groups(n_features, n_subspaces, group_size, rng):
     )
 
 
-def _check_partition(groups, equal_sizes):
+def _check_partition(groups, equal_sizes, n_features):
+    """The padded count the groups cover disjointly: n_features or more."""
     sizes = [len(g) for g in groups]
     if not groups or min(sizes) < 1:
         raise ConfigError("index groups must be non-empty")
@@ -235,14 +248,15 @@ def _check_partition(groups, equal_sizes):
             "index groups must disjointly cover 0..n-1 (pad the feature "
             "space first if the plan oversubscribes it)"
         )
+    if total < n_features:
+        raise ConfigError(f"padded size {total} smaller than feature count "
+                          f"{n_features}")
     return total
 
 
 def _padded_rearranged(x, order, n_padded):
     """Zero-pad x to n_padded rows and rearrange rows by `order`."""
     m, n = x.shape
-    if n_padded < m:
-        raise ConfigError(f"padded size {n_padded} smaller than feature count {m}")
     if sp.issparse(x):
         csc = x.tocsc()
         xp = sp.csc_array((csc.data, csc.indices, csc.indptr),
@@ -362,18 +376,19 @@ def _guard_dense(m, max_dense, method):
 # sub-method fitting
 
 
+def _grouped_part(method, m, n_subspaces, group_size, seed, **fields):
+    """An rd, pca or dca part: `fields` over m coordinates, cut into the
+    groups `overlapping_groups` draws with the seed."""
+    groups = overlapping_groups(m, n_subspaces, group_size,
+                                np.random.default_rng(seed))
+    return SubspaceDecomposition(method=method, n_features_in=m,
+                                 n_features_out=m, index_groups=groups,
+                                 **fields)
+
+
 def make_rd(n_features, n_subspaces, group_size, seed):
     """Random decomposition: identity transform, seeded index groups."""
-    if n_subspaces < 1:
-        raise ConfigError("need at least one subspace")
-    rng = np.random.default_rng(seed)
-    groups = overlapping_groups(n_features, n_subspaces, group_size, rng)
-    return SubspaceDecomposition(
-        method="rd",
-        n_features_in=n_features,
-        n_features_out=n_features,
-        index_groups=groups,
-    )
+    return _grouped_part("rd", n_features, n_subspaces, group_size, seed)
 
 
 def fit_pca(x, n_subspaces, group_size, seed=0,
@@ -385,17 +400,10 @@ def fit_pca(x, n_subspaces, group_size, seed=0,
     _guard_dense(m, max_dense, "pca")
     scatter = class_moments(x).scatter(center=True)
     values, vectors = sym_eig(scatter)
-    rng = np.random.default_rng(seed)
-    groups = overlapping_groups(m, n_subspaces, group_size, rng)
-    return SubspaceDecomposition(
-        method="pca",
-        n_features_in=m,
-        n_features_out=m,
-        index_groups=groups,
-        transform=vectors.T,
+    return _grouped_part(
+        "pca", m, n_subspaces, group_size, seed, transform=vectors.T,
         eigenvalues=values,
-        fit_stats={"scatter_norm": float(np.linalg.norm(scatter))},
-    )
+        fit_stats={"scatter_norm": float(np.linalg.norm(scatter))})
 
 
 def default_dca_ridge(sw, scatter):
@@ -422,21 +430,13 @@ def fit_dca(x, y, rho=None, n_subspaces=1, group_size=None, seed=0,
     sw = moments.within_scatter()
     if rho is None:
         rho = default_dca_ridge(sw, scatter)
-    if rho <= 0:
+    if not rho > 0:
         raise ConfigError(f"dca ridge must be positive, got {rho}")
     ridged = sw + rho * np.eye(m)
     values, vectors = gen_sym_eig(scatter, ridged)
-    rng = np.random.default_rng(seed)
-    groups = overlapping_groups(m, n_subspaces, group_size, rng)
-    return SubspaceDecomposition(
-        method="dca",
-        n_features_in=m,
-        n_features_out=m,
-        index_groups=groups,
-        transform=vectors.T,
-        eigenvalues=values,
-        fit_stats={"ridge": float(rho)},
-    )
+    return _grouped_part("dca", m, n_subspaces, group_size, seed,
+                         transform=vectors.T, eigenvalues=values,
+                         fit_stats={"ridge": float(rho)})
 
 
 def _solve_pivot(pivot, rhs_t, scatter_norm):
@@ -460,27 +460,24 @@ def fit_bcd(x, index_groups, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     x is the data matrix or its `class_moments`. index_groups must
     disjointly partition the (possibly padded) feature index range;
     `disjoint_groups` builds such a partition from a plan entry. The gram
-    is G re-arranged by the groups, zero on the padding rows. Each
-    eliminator is built against the current gram, so the accumulated
-    transform is the product B_h ... B_1 and the final gram is
-    block-diagonal up to roundoff. The gram, its working copy and the
-    transform are dense over the padded range, so that count is what
-    `max_dense` bounds.
+    is G re-arranged by the groups, zero on the padding rows, written
+    straight into the one array the elimination works on. Each eliminator
+    is built against the current gram, so the accumulated transform is
+    the product B_h ... B_1 and the final gram is block-diagonal up to
+    roundoff. The gram and the transform are dense over the padded range,
+    so that count is what `max_dense` bounds.
     """
     m = np.shape(x)[0]
-    n_padded = _check_partition(index_groups, equal_sizes=False)
+    n_padded = _check_partition(index_groups, False, m)
     _guard_dense(n_padded, max_dense, "bcd")
-    if n_padded < m:
-        raise ConfigError(f"padded size {n_padded} smaller than feature count {m}")
     order = np.concatenate(index_groups)
-    padded = np.zeros((n_padded, n_padded))
-    padded[:m, :m] = class_moments(x).scatter(center=False)
-    scatter = padded[np.ix_(order, order)]
-    scatter_norm = float(np.linalg.norm(scatter))
+    rows = _rows_of(order)[:m]
+    s = np.zeros((n_padded, n_padded))  # the gram, eliminated in place
+    s[np.ix_(rows, rows)] = class_moments(x).scatter(center=False)
+    scatter_norm = float(np.linalg.norm(s))
 
     offsets = np.cumsum([0] + [len(g) for g in index_groups])
     w = np.eye(n_padded)
-    s = scatter.copy()
     for i in range(len(index_groups) - 1):
         piv = slice(offsets[i], offsets[i + 1])
         below = slice(offsets[i + 1], n_padded)
@@ -492,38 +489,26 @@ def fit_bcd(x, index_groups, max_dense=DEFAULT_MAX_DENSE_FEATURES):
         s[:, below] -= s[:, piv] @ elim.T
         w[below, :] -= elim @ w[piv, :]
 
-    out_groups = [np.arange(offsets[i], offsets[i + 1], dtype=np.int64)
-                  for i in range(len(index_groups))]
-    off_norm = _offdiag_block_norm(s, offsets)
+    out_groups, off = [], np.ones_like(s, dtype=bool)
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        out_groups.append(np.arange(lo, hi, dtype=np.int64))
+        off[lo:hi, lo:hi] = False  # True off the diagonal blocks
+    residual = float(np.linalg.norm(s[off])) / scatter_norm if scatter_norm else 0.0
     return SubspaceDecomposition(
-        method="bcd",
-        n_features_in=m,
-        n_features_out=n_padded,
-        index_groups=out_groups,
-        transform=w,
-        feature_order=order,
-        fit_stats={
-            "offdiag_block_residual": off_norm / scatter_norm if scatter_norm else 0.0,
-            "scatter_norm": scatter_norm,
-        },
-    )
-
-
-def _offdiag_block_norm(s, offsets):
-    mask = np.ones_like(s, dtype=bool)
-    for i in range(len(offsets) - 1):
-        blk = slice(offsets[i], offsets[i + 1])
-        mask[blk, blk] = False
-    return float(np.linalg.norm(s[mask]))
+        method="bcd", n_features_in=m, n_features_out=n_padded,
+        index_groups=out_groups, transform=w, feature_order=order,
+        fit_stats={"offdiag_block_residual": residual,
+                   "scatter_norm": scatter_norm})
 
 
 def block_gram(x, index_groups):
     """Block-pair gram: entry (i, j) is the sum of the elementwise product
     of row-blocks i and j of the rearranged matrix (x passes the
     `_as_matrix` gate)."""
-    n_padded = _check_partition(index_groups, equal_sizes=True)
+    x = _as_matrix(x)
+    n_padded = _check_partition(index_groups, True, x.shape[0])
     order = np.concatenate(index_groups)
-    xr = _padded_rearranged(_as_matrix(x), order, n_padded)
+    xr = _padded_rearranged(x, order, n_padded)
     size = len(index_groups[0])
     count = len(index_groups)
     if not sp.issparse(xr):
@@ -674,7 +659,10 @@ def linear_pullback(comp: CompositeDecomposition, weights):
 
 
 def part_seed(run_seed, part_index):
-    """Stable per-part child seed derived from the run seed."""
+    """Stable per-part child seed derived from the run seed, which the
+    config's `RunConfig.seed` rule holds >= 0 (else a ConfigError)."""
+    if run_seed < 0:
+        raise ConfigError(f"the run seed must be >= 0, got {run_seed}")
     seq = np.random.SeedSequence((int(run_seed), int(part_index)))
     return int(seq.generate_state(1, np.uint64)[0])
 
@@ -693,13 +681,11 @@ def fit_plan_entry(x, y, entry, child_seed,
     if method == "dca":
         return fit_dca(x, y, rho=dca_ridge, n_subspaces=n_sub, group_size=size,
                        seed=child_seed, max_dense=max_dense)
-    if method in ("bcd", "abd"):
-        groups, _ = disjoint_groups(m, n_sub, size,
-                                    np.random.default_rng(child_seed))
-        if method == "bcd":
-            return fit_bcd(x, groups, max_dense=max_dense)
-        return fit_abd(x, groups)
-    raise ConfigError(f"unknown decomposition method {method!r}")
+    groups, _ = disjoint_groups(m, n_sub, size,
+                                np.random.default_rng(child_seed))
+    if method == "bcd":
+        return fit_bcd(x, groups, max_dense=max_dense)
+    return fit_abd(x, groups)
 
 
 def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
@@ -707,7 +693,10 @@ def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
     """Fit every plan entry and compose the result.
 
     plan is a sequence of (method, n_subspaces, group_size) triples (or
-    objects with those attributes). Each entry gets a child seed derived
+    objects with those attributes). Every entry passes `_plan_triple`'s
+    rule and the run seed passes `part_seed` before anything is fitted,
+    so a bad entry anywhere in the plan, or a negative seed, is a
+    ConfigError that no fit precedes. Each entry gets a child seed derived
     from (seed, entry position). When the plan has a pca, dca or bcd
     entry and x has at most `max_dense` features, one pass takes the
     `class_moments` of x that those entries all read; each part is the
@@ -718,24 +707,30 @@ def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
     fit is `timed` as `fit_<method>`, so an open `report.recording()`
     gains its seconds, summed per method.
     """
-    methods = {_plan_triple(entry)[0] for entry in plan}
+    entries = [(_plan_triple(e), part_seed(seed, i)) for i, e in enumerate(plan)]
+    methods = {triple[0] for triple, _ in entries}
     moments = None
     if np.shape(x)[0] <= max_dense and methods & set(_GRAM_METHODS):
         # only dca reads the class sums
         moments = class_moments(x, y if "dca" in methods else None)
     parts = []
-    for i, entry in enumerate(plan):
-        method = _plan_triple(entry)[0]
+    for triple, child_seed in entries:
+        method = triple[0]
         source = x if moments is None or method not in _GRAM_METHODS else moments
         with timed(f"fit_{method}"):
-            parts.append(fit_plan_entry(source, y, entry, part_seed(seed, i),
+            parts.append(fit_plan_entry(source, y, triple, child_seed,
                                         max_dense=max_dense, dca_ridge=dca_ridge))
     return CompositeDecomposition(parts)
 
 
 def _plan_triple(entry):
+    """(method, n_subspaces, group_size) of a plan entry; ConfigError
+    unless the method is in METHODS and the counts pass `_check_grouping`."""
     if isinstance(entry, (tuple, list)):
         method, n_sub, size = entry
     else:
         method, n_sub, size = entry.method, entry.n_subspaces, entry.group_size
-    return str(method).lower(), int(n_sub), int(size)
+    if method not in METHODS:
+        raise ConfigError(f"unknown decomposition method {method!r}")
+    _check_grouping(n_sub, size)
+    return method, int(n_sub), int(size)

@@ -160,6 +160,52 @@ def test_train_linear_validation():
         train_linear(bad, np.array([1, -1, 1]), lam=1.0)
 
 
+def trbf_p2(x, y, lam=1.0):
+    return train_trbf_krr(x, y, sigma=1.0, p=2, lam=lam)
+
+
+@pytest.mark.parametrize("x, y, lam, error, message", [
+    (np.ones((2, 3)), [1, -1], 1.0, DataError, "3 instances but 2 labels"),
+    (np.array([[np.nan, 0.0, 1.0]]), [1, -1, 1], 1.0, NumericError,
+     "training features contain non-finite values"),
+    (sp.csc_array(np.array([[np.inf, 0.0, 0.0, 0.0]])), [1, -1, 1, -1], 1.0,
+     NumericError, "training features contain non-finite values"),
+    (np.ones((2, 3)), [1, -1, 1], 0.0, ConfigError,
+     "ridge parameter must be positive, got 0.0"),
+    (np.ones((2, 3)), [1, -1, 1], math.nan, ConfigError,
+     "ridge parameter must be positive, got nan"),
+])
+def test_learners_share_one_input_preamble(x, y, lam, error, message):
+    for train in (train_linear, trbf_p2):
+        with pytest.raises(error, match=message):
+            train(x, np.array(y), lam=lam)
+
+
+def test_models_share_one_width_check():
+    x = np.ones((2, 4))
+    y = np.array([1, -1, 1, -1])
+    for model in (train_linear(x, y, lam=1.0), trbf_p2(x, y)):
+        with pytest.raises(DataError, match="model expects 2 features, "
+                                            "got 3"):
+            model.decision_function(np.ones((3, 5)))
+
+
+@pytest.mark.parametrize("sigma, p", [(0.0, 2), (math.nan, 2), (1.0, 0),
+                                      (1.0, -1)])
+def test_trbf_map_rule_is_one_rule(sigma, p):
+    # the feature map and training refuse with a ConfigError, a model (as
+    # read from a file) with a DataError; all three name the same rule
+    message = (f"a TRBF model needs sigma > 0 and p >= 1, got sigma {sigma} "
+               f"and p {p}")
+    x = np.ones((2, 4))
+    with pytest.raises(ConfigError, match=message):
+        trbf_expand(x, sigma=sigma, p=p)
+    with pytest.raises(ConfigError, match=message):
+        train_trbf_krr(x, np.array([1, -1, 1, -1]), sigma=sigma, p=p)
+    with pytest.raises(DataError, match=message):
+        TrbfModel(weights=np.zeros(6), sigma=sigma, p=p, lam=1.0, n_features=2)
+
+
 def test_default_lam_scales_with_n():
     assert default_lam(1000) == pytest.approx(1.0)
     assert default_lam(1) == pytest.approx(1e-3)

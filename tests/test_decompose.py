@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -303,6 +305,23 @@ def test_fit_bcd_rejects_non_partition():
 
 # ---------------------------------------------------------------------------
 # abd
+
+
+def test_fit_bcd_eliminates_in_its_one_working_copy():
+    # the re-arranged, zero-padded gram is written straight into the array
+    # the elimination works on: the peak holds it, the transform and the
+    # off-diagonal entries of the residual, about 3 n x n arrays (5 when
+    # the gram was padded, re-arranged and copied before the elimination)
+    x = np.random.default_rng(0).normal(size=(250, 300))
+    moments = decompose.class_moments(x)
+    groups, n = disjoint_groups(250, 4, 1, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        fit_bcd(moments, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 252 and peak < 3.5 * 8 * n * n
 
 
 def test_fit_abd_hand_oracle():

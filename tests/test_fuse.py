@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,11 +8,15 @@ import pytest
 import scipy.sparse as sp
 
 import featdc.classify as classify
+import featdc.decompose as decompose
 from featdc.classify import label_from_score, train_linear
+from featdc.config import RULES, PlanEntry
 from featdc.dataio import Dataset, apply_feature_scale, max_abs_scale
 from featdc.datasets import make_blobs
 from featdc.decompose import (METHODS, CompositeDecomposition, _as_matrix,
-                              apply_decomposition, fit_plan_entry, part_seed)
+                              apply_decomposition, disjoint_groups, fit_dca,
+                              fit_pca, fit_plan, fit_plan_entry, make_rd,
+                              overlapping_groups, part_seed)
 from featdc.errors import ConfigError, DataError, NumericError
 from featdc.fuse import (DcModel, Guards, LearnerSpec, apply_standardization,
                          build_r, evaluate, local_scores, predict_dc,
@@ -586,3 +591,97 @@ def test_all_zero_features_train_every_method(method):
         assert np.array_equal(m.weights, np.zeros(4))
     for data in (zero, ds):
         assert np.all(np.isfinite(predict_dc(model, data)[1]))
+
+
+# ---------------------------------------------------------------------------
+# the config's rules and the library agree
+
+
+# values that each config rule refuses, handed to the library instead
+REFUSED = {
+    "PlanEntry.method": ["fft", "", "PCA"],
+    "PlanEntry.n_subspaces": [0, -2],
+    "PlanEntry.group_size": [0, -3],
+    "RunConfig.seed": [-1],
+    "RunConfig.dca_ridge": [0.0, -1.0, math.nan],
+    "LearnerSpec.lam": [0.0, -1.0, math.nan],
+    "LearnerSpec.sigma": [0.0, -1.0, math.nan],
+    "LearnerSpec.p": [0, -1],
+}
+
+
+def refused_cases():
+    """(config key, refused value, train_dc keywords) for every value of
+    REFUSED: a plan entry field for each method, behind a good entry; the
+    run seed; the dca ridge on a dca plan; and a TRBF learner's lam, sigma
+    and p, as the locals and as the global."""
+    for key, values in REFUSED.items():
+        cls, name = key.split(".")
+        for value in values:
+            if cls == "PlanEntry":
+                for method in (["rd"] if name == "method" else METHODS):
+                    entry = dataclasses.replace(PlanEntry(method, 2, 3),
+                                                **{name: value})
+                    tag = "" if name == "method" else f"-{method}"
+                    yield pytest.param(key, value,
+                                       {"plan": [("rd", 2, 3), entry]},
+                                       id=f"{key}={value!r}{tag}")
+            elif cls == "RunConfig":
+                method = "dca" if name == "dca_ridge" else "rd"
+                yield pytest.param(key, value, {"plan": [(method, 2, 3)],
+                                                name: value},
+                                   id=f"{key}={value!r}-{method}")
+            else:
+                spec = LearnerSpec(type="trbf", **{name: value})
+                for role in ("local", "global_"):
+                    yield pytest.param(key, value, {"plan": [("rd", 2, 3)],
+                                                    role: spec},
+                                       id=f"{key}={value!r}-{role}")
+
+
+@pytest.mark.parametrize("key, value, kwargs", list(refused_cases()))
+def test_train_dc_refuses_what_the_config_refuses(key, value, kwargs):
+    # a library caller gets the ConfigError a config file would get, tagged
+    # with its stage, and no other exception
+    assert RULES[key](value) is not None
+    kwargs = {"seed": 0, **kwargs}
+    with pytest.raises(ConfigError, match=r"^(decomposition fitting|local "
+                                          r"training|fusion): "):
+        train_dc(blob_dataset(n=60, n_features=6, seed=1), **kwargs)
+
+
+@pytest.mark.parametrize("plan, seed", [
+    ([("pca", 2, 3), ("bcd", 2, 0)], 0),
+    ([("pca", 2, 3), ("abd", 0, 3)], 0),
+    ([("pca", 2, 3), ("fft", 2, 3)], 0),
+    ([("pca", 2, 3), ("rd", 2, 3)], -1),
+])
+def test_fit_plan_refuses_before_fitting_any_entry(plan, seed, monkeypatch):
+    # every entry and the seed are checked before the moments pass and the
+    # first fit: nothing is recorded and class_moments is never reached
+    def unreached(*args):
+        raise AssertionError("the moments pass ran before the checks")
+
+    ds = blob_dataset(n=60, n_features=6, seed=1)
+    monkeypatch.setattr(decompose, "class_moments", unreached)
+    with recording() as timings, pytest.raises(ConfigError):
+        fit_plan(ds.X, ds.y.astype(np.float64), plan, seed)
+    assert timings == {}  # no fit_pca, nor any other stage
+
+
+def test_direct_calls_take_the_same_plan_entry_rule():
+    ds = blob_dataset(n=60, n_features=6, seed=1)
+    x, y, rng = ds.X, ds.y.astype(np.float64), np.random.default_rng(0)
+    for call in (lambda: fit_pca(x, 0, 3),
+                 lambda: fit_pca(x, 2, 0),
+                 lambda: fit_dca(x, y, n_subspaces=0, group_size=3),
+                 lambda: fit_dca(x, y, rho=math.nan, n_subspaces=2,
+                                 group_size=3),
+                 lambda: make_rd(6, 2, 0, seed=0),
+                 lambda: overlapping_groups(6, 2, 0, rng),
+                 lambda: overlapping_groups(6, 0, 3, rng),
+                 lambda: disjoint_groups(6, 0, 3, rng),
+                 lambda: disjoint_groups(6, 2, 0, rng),
+                 lambda: part_seed(-1, 0)):
+        with pytest.raises(ConfigError):
+            call()
