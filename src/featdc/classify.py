@@ -31,6 +31,7 @@ from scipy.sparse.linalg import LinearOperator, lsmr
 from .decompose import DEFAULT_MAX_DENSE_FEATURES, _as_matrix, class_moments
 from .errors import ConfigError, DataError, NumericError
 from .numerics import solve_spd
+from .rules import LEARNER_TYPES, require
 
 # Columns per expanded chunk of the TRBF map. The width fixes the Gram's
 # summation order, so it is a constant, independent of `threads`.
@@ -56,7 +57,8 @@ def default_lam(n_instances):
 def _training_inputs(x, y, lam):
     """The preamble both learners share: (x, y, lam) with x through the
     `_as_matrix` gate and finite, y as float64 with one label per
-    instance, and lam (None: `default_lam(N)`) positive."""
+    instance, and lam (None: `default_lam(N)`) taking the config's
+    `LearnerSpec.lam` rule (positive)."""
     x = _as_matrix(x)
     if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
         raise NumericError("training features contain non-finite values")
@@ -64,8 +66,7 @@ def _training_inputs(x, y, lam):
     if y.shape[0] != x.shape[1]:
         raise DataError(f"{x.shape[1]} instances but {y.shape[0]} labels")
     lam = default_lam(x.shape[1]) if lam is None else lam
-    if not lam > 0:
-        raise ConfigError(f"ridge parameter must be positive, got {lam}")
+    require("LearnerSpec.lam", lam, name="ridge parameter")
     return x, y, lam
 
 
@@ -76,9 +77,8 @@ class _Scorer:
     def _query(self, x):
         x = _as_matrix(x)
         if x.shape[0] != self.n_features:
-            raise DataError(
-                f"model expects {self.n_features} features, got {x.shape[0]}"
-            )
+            raise DataError(f"model expects {self.n_features} features, "
+                            f"got {x.shape[0]}")
         return x
 
     def predict(self, x):
@@ -140,9 +140,7 @@ def train_linear(x, y, lam=None, max_dense=DEFAULT_MAX_DENSE_FEATURES):
         solver = "lsmr"
     rel = resid / (1.0 + np.linalg.norm(rhs))
     if not np.isfinite(rel) or rel > 1e-8:
-        raise NumericError(
-            f"linear normal-equation residual {rel:.3e} exceeds 1e-8"
-        )
+        raise NumericError(f"linear normal-equation residual {rel:.3e} exceeds 1e-8")
     bias = ybar - float(mu @ w)
     return LinearModel(weights=w, bias=bias, lam=float(lam), solver=solver)
 
@@ -267,14 +265,6 @@ def _trbf_tables(m, p):
     return coef, parent, last, runs
 
 
-def _check_map(sigma, p, error=ConfigError):
-    """`error` unless sigma > 0 and p >= 1 (the config's `LearnerSpec`
-    rules), the one rule of a TRBF map, its training and its model."""
-    if not (sigma > 0 and p >= 1):
-        raise error(f"a TRBF model needs sigma > 0 and p >= 1, got sigma "
-                    f"{sigma} and p {p}")
-
-
 def trbf_expand(x, sigma, p):
     """Order-p truncated-RBF feature map.
 
@@ -285,9 +275,11 @@ def trbf_expand(x, sigma, p):
     so that phi(x).phi(y) equals the degree-p truncation of the RBF
     kernel's exponential series. Accepts a vector (m,) or a batch (m, n);
     the output is (J,) or (J, n) with J = C(m+p, p), coordinates in
-    graded lexicographic multi-index order.
+    graded lexicographic multi-index order. sigma and p take their
+    `LearnerSpec` rules.
     """
-    _check_map(sigma, p)
+    require("LearnerSpec.sigma", sigma)
+    require("LearnerSpec.p", p)
     single = np.ndim(x) == 1 and not sp.issparse(x)
     z, _ = _expand(x, sigma, p)
     return z[:, 0] if single else z
@@ -394,7 +386,8 @@ class TrbfModel(_Scorer):
     n_features: int
 
     def __post_init__(self):
-        _check_map(self.sigma, self.p, DataError)
+        require("LearnerSpec.sigma", self.sigma, DataError)  # read from a file
+        require("LearnerSpec.p", self.p, DataError)
         j = trbf_dim(self.n_features, self.p)
         if np.shape(self.weights) != (j,):
             raise DataError(f"a degree-{self.p} map of {self.n_features} "
@@ -423,9 +416,8 @@ class TrbfModel(_Scorer):
         return scores
 
 
-# Learner type name -> model class: the config's allowed types and the
-# model file's learner tag.
-LEARNERS = {"linear": LinearModel, "trbf": TrbfModel}
+# Learner type name -> model class: the model file's learner tag.
+LEARNERS = dict(zip(LEARNER_TYPES, (LinearModel, TrbfModel), strict=True))
 
 
 def _physical_memory():
@@ -455,12 +447,13 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None, seed=0, threads=1):
     none), else a ConfigError refuses the plan. The quarter left covers
     what the guard does not measure: the data, the views, R, the locals
     and the OS. Before it, the inputs pass `_training_inputs`, and sigma
-    (None: the `sigma_heuristic` of x) and p pass `_check_map`.
+    (None: the `sigma_heuristic` of x) and p take their `LearnerSpec` rules.
     """
     x, y, lam = _training_inputs(x, y, lam)
     m, n = x.shape
     sigma = sigma_heuristic(x, seed=seed) if sigma is None else sigma
-    _check_map(sigma, p)
+    require("LearnerSpec.sigma", sigma)
+    require("LearnerSpec.p", p)
     j = trbf_dim(m, p)
     need = 8 * (2 * j * j + j * EXPAND_CHUNK)
     budget = 3 * (_physical_memory() or 8 * 2**30) // 4

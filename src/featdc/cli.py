@@ -17,18 +17,20 @@ failure.
 """
 
 import argparse
+import collections
 import os
 import sys
 
 import numpy as np
 
-from .config import RULES, config_echo, load_config
+from .config import config_echo, load_config
 from .dataio import apply_feature_scale, fit_max_abs_scale, load_libsvm, split
 from .errors import ConfigError, DataError, FeatdcError
 from .fuse import LearnerSpec, evaluate, predict_dc, train_dc, train_learner
 from .persist import load_dc_model, save_dc_model
 from .report import (build_report, format_report, recording, timed,
                      write_report)
+from .rules import require
 
 
 def _build_parser():
@@ -65,9 +67,7 @@ def _apply_overrides(cfg, args):
     for flag in ("seed", "threads"):
         value = getattr(args, flag)
         if value is not None:
-            problem = RULES[f"RunConfig.{flag}"](value)
-            if problem:
-                raise ConfigError(f"--{flag} {problem}")
+            require(f"RunConfig.{flag}", value, name=f"--{flag}")
             setattr(cfg, flag, value)
     if args.out is not None:
         cfg.out_dir = args.out
@@ -200,12 +200,8 @@ def cmd_inspect(args):
             print(f"  eigenvalues: {_spectrum_line(part.eigenvalues)}")
         for name, value in part.fit_stats.items():
             print(f"  {name}: {value:.6g}")
-    locals_desc = {}
-    for m in model.locals:
-        key = type(m).__name__
-        locals_desc[key] = locals_desc.get(key, 0) + 1
-    print(f"locals: " + ", ".join(f"{n} x {t}" for t, n
-                                  in sorted(locals_desc.items())))
+    kinds = collections.Counter(type(m).__name__ for m in model.locals)
+    print("locals: " + ", ".join(f"{n} x {t}" for t, n in sorted(kinds.items())))
     g = model.global_model
     print(f"global: {type(g).__name__} on {model.h} fused inputs")
     scale = model.feature_scale

@@ -5,25 +5,23 @@ underscore dropped, so `global_` reads `global`), its type hint says what
 value it takes, a field without a default is a required key, a null
 value means "use the default", and a nested object starts from its
 field's default, so `{"global": {"p": 3}}` keeps the `trbf` type. `RULES`
-holds the checks a type hint cannot express. Unknown keys anywhere in the
-document are errors, so hyperparameter typos fail fast. Validation
-collects every problem and reports them all in a single error rather
-than stopping at the first.
+(`featdc.rules`, which the library applies too) holds the checks a type
+hint cannot express. Unknown keys anywhere in the document are errors,
+so hyperparameter typos fail fast. Validation collects every problem and
+reports them all in a single error rather than stopping at the first.
 """
 
 import dataclasses
 import json
-import math
 import os
 import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .classify import LEARNERS
 from .dataio import SplitSpec, read_text
-from .decompose import METHODS
 from .errors import ConfigError
 from .fuse import Guards, LearnerSpec
+from .rules import RULES, require
 
 
 @dataclass
@@ -50,41 +48,6 @@ class RunConfig:
     seed: int = 0
     dca_ridge: Optional[float] = None
     baseline: str = "linear"
-
-
-def _check(test, text):
-    return lambda v: None if test(v) else f"{text}, got {v!r}"
-
-
-def _one_of(options):
-    return lambda v: None if v in options else f"{v!r} is not one of {list(options)}"
-
-
-_AT_LEAST_1 = _check(lambda v: v >= 1, "must be >= 1")
-_NON_NEGATIVE = _check(lambda v: v >= 0, "must be >= 0")
-_POSITIVE = _check(lambda v: v > 0, "must be positive")
-
-# "Class.field" -> rule for a non-null value: returns None or the problem.
-RULES = {
-    "RunConfig.plan": _check(bool, "must be a non-empty list of decomposition entries"),
-    "RunConfig.positive_label": _check(math.isfinite, "must be a finite number"),
-    "RunConfig.n_features_override": _AT_LEAST_1,
-    "RunConfig.threads": _AT_LEAST_1,
-    "RunConfig.seed": _NON_NEGATIVE,
-    "RunConfig.dca_ridge": _POSITIVE,
-    "RunConfig.baseline": _one_of(LEARNERS),
-    "SplitSpec.train_fraction": _check(lambda v: 0.0 < v < 1.0,
-                                       "must be strictly between 0 and 1"),
-    "SplitSpec.seed": _NON_NEGATIVE,
-    "PlanEntry.method": _one_of(METHODS),
-    "PlanEntry.n_subspaces": _AT_LEAST_1,
-    "PlanEntry.group_size": _AT_LEAST_1,
-    "LearnerSpec.type": _one_of(LEARNERS),
-    "LearnerSpec.lam": _POSITIVE,
-    "LearnerSpec.sigma": _POSITIVE,
-    "LearnerSpec.p": _AT_LEAST_1,
-    "Guards.max_dense_features": _AT_LEAST_1,
-}
 
 
 def _key(name):
@@ -121,10 +84,11 @@ def _build(cls, obj, where, problems, base=None):
         elif value is dataclasses.MISSING:
             problems.append(f"{at}: missing required key")
             continue
-        rule = RULES.get(f"{cls.__name__}.{f.name}")
-        problem = rule(value) if rule and value is not None else None
-        if problem:
-            problems.append(f"{at}: {problem}")
+        if f"{cls.__name__}.{f.name}" in RULES:
+            try:  # each problem reads "path: problem"
+                require(f"{cls.__name__}.{f.name}", value, name=f"{at}:")
+            except ConfigError as exc:
+                problems.append(str(exc))
         values[f.name] = value
     return cls(**values) if len(problems) == found else None
 

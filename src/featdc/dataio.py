@@ -66,6 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, ParseError, ValidationError
+from .rules import require, require_fields
 
 
 @dataclass(frozen=True)
@@ -105,14 +106,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Seeded train/test split: train side gets round(fraction * N) instances."""
+    """Seeded train/test split: train side gets round(fraction * N)
+    instances. Both fields take the config's rules, as a DataError."""
 
     train_fraction: float
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise DataError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        require_fields(self, DataError)
 
 
 def _map_label(raw, positive_label):
@@ -134,7 +135,10 @@ def parse_libsvm(source, n_features=None, positive_label=None) -> Dataset:
 
     Text that keeps to the bulk grammar (module docstring) is parsed
     block-wise with numpy; anything else goes, whole, to the line loop.
+    First `n_features` and `positive_label` take their config rules.
     """
+    require("RunConfig.n_features_override", n_features, name="n_features")
+    require("RunConfig.positive_label", positive_label)
     if not isinstance(source, str):
         source = "".join(line.rstrip("\n").replace("\n", " ") + "\n"
                          for line in source)
@@ -353,9 +357,7 @@ def select_instances(ds: Dataset, indices) -> Dataset:
     if idx.size < 1:
         raise DataError("instance selection is empty")
     if idx.min() < 0 or idx.max() >= ds.n_instances:
-        raise DataError(
-            f"instance index out of range 0..{ds.n_instances - 1}"
-        )
+        raise DataError(f"instance index out of range 0..{ds.n_instances - 1}")
     return Dataset(sp.csc_array(ds.X[:, idx]), ds.y[idx])
 
 

@@ -48,12 +48,13 @@ from numpy.typing import NDArray
 from .errors import ConfigError, DataError, NumericError
 from .numerics import gen_sym_eig, solve_spd, sym_eig
 from .report import timed
+from .rules import METHODS, require
 
 # each method and the optional fields its map reads, in `_apply_part`'s order
-_MAP_FIELDS = {"rd": (), "pca": ("transform",), "dca": ("transform",),
-               "bcd": ("feature_order", "transform"),
-               "abd": ("feature_order", "block_size", "transform")}
-METHODS = tuple(_MAP_FIELDS)
+_MAP_FIELDS = dict(zip(METHODS, [(), ("transform",), ("transform",),
+                                 ("feature_order", "transform"),
+                                 ("feature_order", "block_size", "transform")],
+                       strict=True))
 DEFAULT_MAX_DENSE_FEATURES = 4096
 # the methods whose fit reads the dense M x M Gram (`class_moments`)
 _GRAM_METHODS = ("pca", "dca", "bcd")
@@ -186,20 +187,13 @@ def _densify(x):
 # index-group construction
 
 
-def _check_grouping(n_subspaces, group_size):
-    """ConfigError unless both counts of a plan entry are >= 1, the
-    bounds of the config's `PlanEntry` rules."""
-    for name, value in (("n_subspaces", n_subspaces), ("group_size", group_size)):
-        if not value >= 1:
-            raise ConfigError(f"a plan entry's {name} must be >= 1, got {value!r}")
-
-
 def overlapping_groups(n_coords, n_subspaces, group_size, rng):
     """Seeded-shuffle grouping: permute once, take consecutive runs, and
     re-shuffle whenever a run would fall off the end (so oversubscribed
-    plans produce overlapping groups). The counts pass `_check_grouping`
-    and a group may not outgrow the n_coords."""
-    _check_grouping(n_subspaces, group_size)
+    plans produce overlapping groups). The counts take the config's
+    `PlanEntry` rules and a group may not outgrow the n_coords."""
+    require("PlanEntry.n_subspaces", n_subspaces)
+    require("PlanEntry.group_size", group_size)
     if group_size > n_coords:
         raise ConfigError(f"group size {group_size} exceeds {n_coords} coordinates")
     perm = rng.permutation(n_coords)
@@ -221,9 +215,10 @@ def disjoint_groups(n_features, n_subspaces, group_size, rng):
     the groups always cover every real feature; real features are shuffled
     into the leading blocks and the zero padding fills the tail. Returns
     (groups over the padded index space, padded feature count); the
-    counts pass `_check_grouping`.
+    counts take the config's `PlanEntry` rules.
     """
-    _check_grouping(n_subspaces, group_size)
+    require("PlanEntry.n_subspaces", n_subspaces)
+    require("PlanEntry.group_size", group_size)
     size = max(group_size, -(-n_features // n_subspaces))
     padded = size * n_subspaces
     order = np.concatenate([rng.permutation(n_features),
@@ -430,8 +425,7 @@ def fit_dca(x, y, rho=None, n_subspaces=1, group_size=None, seed=0,
     sw = moments.within_scatter()
     if rho is None:
         rho = default_dca_ridge(sw, scatter)
-    if not rho > 0:
-        raise ConfigError(f"dca ridge must be positive, got {rho}")
+    require("RunConfig.dca_ridge", rho)
     ridged = sw + rho * np.eye(m)
     values, vectors = gen_sym_eig(scatter, ridged)
     return _grouped_part("dca", m, n_subspaces, group_size, seed,
@@ -540,20 +534,12 @@ def fit_abd(x, index_groups):
     count = len(index_groups)
     out_groups = [np.arange(i * size, (i + 1) * size, dtype=np.int64)
                   for i in range(count)]
+    residual = float(np.linalg.norm(off)) / gram_norm if gram_norm else 0.0
     return SubspaceDecomposition(
-        method="abd",
-        n_features_in=np.shape(x)[0],
-        n_features_out=count * size,
-        index_groups=out_groups,
-        transform=vectors,
-        feature_order=order,
-        block_size=size,
-        eigenvalues=values,
-        fit_stats={
-            "regram_offdiag_residual":
-                float(np.linalg.norm(off)) / gram_norm if gram_norm else 0.0,
-        },
-    )
+        method="abd", n_features_in=np.shape(x)[0], n_features_out=count * size,
+        index_groups=out_groups, transform=vectors, feature_order=order,
+        block_size=size, eigenvalues=values,
+        fit_stats={"regram_offdiag_residual": residual})
 
 
 def abd_dense_transform(part):
@@ -602,10 +588,8 @@ def _apply_part(part, x):
 def check_feature_count(comp: CompositeDecomposition, x):
     """DataError unless x has the feature count comp was fitted on."""
     if x.shape[0] != comp.n_features_in:
-        raise DataError(
-            f"data has {x.shape[0]} features but the decomposition was "
-            f"fitted on {comp.n_features_in}"
-        )
+        raise DataError(f"data has {x.shape[0]} features but the decomposition "
+                        f"was fitted on {comp.n_features_in}")
 
 
 def apply_decomposition(comp: CompositeDecomposition, x):
@@ -659,10 +643,9 @@ def linear_pullback(comp: CompositeDecomposition, weights):
 
 
 def part_seed(run_seed, part_index):
-    """Stable per-part child seed derived from the run seed, which the
-    config's `RunConfig.seed` rule holds >= 0 (else a ConfigError)."""
-    if run_seed < 0:
-        raise ConfigError(f"the run seed must be >= 0, got {run_seed}")
+    """Stable per-part child seed derived from the run seed, which takes
+    the config's `RunConfig.seed` rule (>= 0, else a ConfigError)."""
+    require("RunConfig.seed", run_seed)
     seq = np.random.SeedSequence((int(run_seed), int(part_index)))
     return int(seq.generate_state(1, np.uint64)[0])
 
@@ -693,12 +676,12 @@ def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
     """Fit every plan entry and compose the result.
 
     plan is a sequence of (method, n_subspaces, group_size) triples (or
-    objects with those attributes). Every entry passes `_plan_triple`'s
-    rule and the run seed passes `part_seed` before anything is fitted,
-    so a bad entry anywhere in the plan, or a negative seed, is a
-    ConfigError that no fit precedes. Each entry gets a child seed derived
-    from (seed, entry position). When the plan has a pca, dca or bcd
-    entry and x has at most `max_dense` features, one pass takes the
+    objects with those attributes). `check_plan` holds the plan, each
+    entry, the run seed, max_dense and dca_ridge to the config's rules
+    before anything is fitted, so a value the config refuses is a
+    ConfigError that no fit precedes. Each entry gets a child seed
+    derived from (seed, entry position). When the plan has a pca, dca or
+    bcd entry and x has at most `max_dense` features, one pass takes the
     `class_moments` of x that those entries all read; each part is the
     one `fit_plan_entry` fits from x alone, to the bit. bcd/abd entries
     build their disjoint padded partition with that child seed; a bcd/abd
@@ -707,7 +690,7 @@ def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
     fit is `timed` as `fit_<method>`, so an open `report.recording()`
     gains its seconds, summed per method.
     """
-    entries = [(_plan_triple(e), part_seed(seed, i)) for i, e in enumerate(plan)]
+    entries = check_plan(plan, seed, max_dense, dca_ridge)
     methods = {triple[0] for triple, _ in entries}
     moments = None
     if np.shape(x)[0] <= max_dense and methods & set(_GRAM_METHODS):
@@ -723,14 +706,25 @@ def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
     return CompositeDecomposition(parts)
 
 
-def _plan_triple(entry):
-    """(method, n_subspaces, group_size) of a plan entry; ConfigError
-    unless the method is in METHODS and the counts pass `_check_grouping`."""
+def check_plan(plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
+               dca_ridge=None):
+    """[(entry triple, child seed)] of plan, once the plan, its entries
+    (named `plan[i]`), seed, max_dense and dca_ridge took their rules."""
+    require("RunConfig.plan", plan)
+    require("Guards.max_dense_features", max_dense)
+    require("RunConfig.dca_ridge", dca_ridge)
+    return [(_plan_triple(e, f"plan[{i}]"), part_seed(seed, i))
+            for i, e in enumerate(plan)]
+
+
+def _plan_triple(entry, where="entry"):
+    """(method, n_subspaces, group_size) of a plan entry, each taking the
+    config's `PlanEntry` rule."""
     if isinstance(entry, (tuple, list)):
         method, n_sub, size = entry
     else:
         method, n_sub, size = entry.method, entry.n_subspaces, entry.group_size
-    if method not in METHODS:
-        raise ConfigError(f"unknown decomposition method {method!r}")
-    _check_grouping(n_sub, size)
+    for name, value in (("method", method), ("n_subspaces", n_sub),
+                        ("group_size", size)):
+        require(f"PlanEntry.{name}", value, name=f"{where}.{name}")
     return method, int(n_sub), int(size)

@@ -48,14 +48,14 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.typing import NDArray
 
-from .classify import (LEARNERS, LinearModel, label_from_score, train_linear,
-                       train_trbf_krr)
+from .classify import LinearModel, label_from_score, train_linear, train_trbf_krr
 from .dataio import Dataset, divide_feature_rows
 from .decompose import (DEFAULT_MAX_DENSE_FEATURES, _apply_part, _as_matrix,
-                        apply_decomposition, check_feature_count, fit_plan,
-                        linear_pullback)
-from .errors import ConfigError, DataError, FeatdcError, NumericError
+                        apply_decomposition, check_feature_count, check_plan,
+                        fit_plan, linear_pullback)
+from .errors import DataError, FeatdcError, NumericError
 from .report import timed
+from .rules import require, require_fields
 
 CONSTANT_ROW_TOL = 1e-12
 
@@ -71,8 +71,7 @@ class LearnerSpec:
     p: int = 2
 
     def __post_init__(self):
-        if self.type not in LEARNERS:
-            raise ConfigError(f"unknown learner type {self.type!r}")
+        require("LearnerSpec.type", self.type, name="learner type")
 
 
 @dataclass
@@ -189,9 +188,8 @@ def _map_views(comp, x, fn, threads):
 def build_r(local_models, views):
     """Stack continuous local scores into the h x N local-output matrix."""
     if len(local_models) != len(views):
-        raise DataError(
-            f"{len(local_models)} local models but {len(views)} subspace views"
-        )
+        raise DataError(f"{len(local_models)} local models but {len(views)} "
+                        "subspace views")
     rows = [np.asarray(m.decision_function(v), dtype=np.float64)
             for m, v in zip(local_models, views)]
     return np.vstack(rows)
@@ -227,13 +225,24 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
     to linear locals and a TRBF global. A caller that parsed with a
     `positive_label` or divided the features by a scale before training
     passes them: the model records both and scores raw features (without
-    `feature_scale` it scores what it was trained on).
+    `feature_scale` it scores what it was trained on). Before any work on
+    the data, the plan, seed, guards, dca_ridge, threads, both specs and
+    positive_label take their config rules (`featdc.rules`): a ConfigError
+    tagged with the stage that reads the value.
     """
     if not isinstance(train, Dataset):
         raise DataError("train_dc expects a Dataset")
     local = local or LearnerSpec(type="linear")
     global_ = global_ or LearnerSpec(type="trbf")
     guards = guards or Guards()
+    with _stage("decomposition fitting"):
+        check_plan(plan, seed, guards.max_dense_features, dca_ridge)
+    with _stage("local training"):
+        require("RunConfig.threads", threads)
+        require_fields(local, where="local")
+    with _stage("fusion"):
+        require_fields(global_, where="global")
+        require("RunConfig.positive_label", positive_label)
     y = train.y.astype(np.float64)
 
     with _stage("decomposition fitting"), timed("fit_decomposition"):
@@ -257,15 +266,10 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
         global_model = train_learner(global_, rs, y, guards,
                                      _role_seed(seed, "global", 0), threads)
         return DcModel(  # derives the collapsed scorer
-            decomposition=comp,
-            locals=local_models,
-            global_model=global_model,
-            r_shift=shift,
-            r_scale=scale,
+            decomposition=comp, locals=local_models, global_model=global_model,
+            r_shift=shift, r_scale=scale,
             config_snapshot=dict(config_snapshot or {}),
-            feature_scale=feature_scale,
-            positive_label=positive_label,
-        )
+            feature_scale=feature_scale, positive_label=positive_label)
 
 
 def local_scores(model, x):
@@ -310,21 +314,14 @@ def evaluate(labels_pred, labels_true):
     pred = np.asarray(labels_pred).ravel()
     true = np.asarray(labels_true).ravel()
     if pred.shape[0] != true.shape[0]:
-        raise DataError(
-            f"prediction length {pred.shape[0]} != truth length {true.shape[0]}"
-        )
+        raise DataError(f"prediction length {pred.shape[0]} != truth length "
+                        f"{true.shape[0]}")
     n = pred.shape[0]
     if n == 0:
         raise DataError("no predictions to evaluate")
     mism = int(np.sum(pred != true))
-    return {
-        "n": n,
-        "mismatches": mism,
-        "error_rate_pct": 100.0 * mism / n,
-        "confusion": {
-            "tp": int(np.sum((pred == 1) & (true == 1))),
-            "tn": int(np.sum((pred == -1) & (true == -1))),
-            "fp": int(np.sum((pred == 1) & (true == -1))),
-            "fn": int(np.sum((pred == -1) & (true == 1))),
-        },
-    }
+    # (predicted, true) label of each confusion count
+    cells = {"tp": (1, 1), "tn": (-1, -1), "fp": (1, -1), "fn": (-1, 1)}
+    return {"n": n, "mismatches": mism, "error_rate_pct": 100.0 * mism / n,
+            "confusion": {k: int(np.sum((pred == a) & (true == b)))
+                          for k, (a, b) in cells.items()}}

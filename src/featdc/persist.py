@@ -38,6 +38,7 @@ from .dataio import read_text, write_text
 from .decompose import CompositeDecomposition
 from .errors import ConfigError, DataError
 from .fuse import DcModel
+from .rules import require
 
 FORMAT_NAME = "featdc-model"
 FORMAT_VERSION = 3
@@ -151,8 +152,7 @@ def _enc_learner(model):
 
 
 def _dec_learner(obj, version):
-    if obj["type"] not in LEARNERS:
-        raise DataError(f"unknown learner type {obj['type']!r} in model file")
+    require("LearnerSpec.type", obj["type"], DataError, "learner type")
     return _dec(obj, LEARNERS[obj["type"]], version)
 
 
@@ -225,16 +225,13 @@ def load_dc_model(path):
                             "not an object")
         feature_scale, positive_label = _input_map(p, snapshot, version)
         return DcModel(
-            decomposition=_dec(p["decomposition"], CompositeDecomposition,
-                               version),
+            decomposition=_dec(p["decomposition"], CompositeDecomposition, version),
             locals=[_dec_learner(m, version) for m in p["locals"]],
             global_model=_dec_learner(p["global"], version),
             r_shift=_dec(p["r_shift"], FloatArray, version),
             r_scale=_dec(p["r_scale"], FloatArray, version),
-            config_snapshot=snapshot,
-            feature_scale=feature_scale,
-            positive_label=positive_label,
-        )
+            config_snapshot=snapshot, feature_scale=feature_scale,
+            positive_label=positive_label)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             ConfigError, DataError) as exc:
         raise DataError(f"{path}: malformed {KIND} payload "

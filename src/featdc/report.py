@@ -72,51 +72,38 @@ def write_report(report, out_dir, name):
     return path
 
 
-def _row(label, value, width=58):
-    return f"| {label:<34}| {value:>{width - 38}} |"
+def _row(label, value):
+    return f"| {label:<34}| {value:>20} |"
 
 
-def _rule(width=58):
-    return "+" + "-" * width + "+"
+_RULE = "+" + "-" * 58 + "+"
 
 
 def format_report(report):
     """Fixed-width table: stage timings in the order they were recorded,
     then metrics."""
-    width = 58
-    lines = [_rule(width),
-             _row(f"command: {report['command']}", f"seed {report['seed']}",
-                  width),
-             _rule(width)]
-    for key, seconds in report.get("timings_s", {}).items():
-        lines.append(_row(f"time {key} (s)", f"{seconds:.3f}", width))
+    lines = [_RULE, _row(f"command: {report['command']}",
+                         f"seed {report['seed']}"), _RULE]
+    lines += [_row(f"time {key} (s)", f"{seconds:.3f}")
+              for key, seconds in report.get("timings_s", {}).items()]
     metrics = report.get("metrics")
     if metrics:
-        lines.append(_rule(width))
+        lines.append(_RULE)
         if "error_rate_pct" in metrics:
-            lines.append(_row("error rate (%)",
-                              f"{metrics['error_rate_pct']:.2f}", width))
+            lines.append(_row("error rate (%)", f"{metrics['error_rate_pct']:.2f}"))
         if "n" in metrics:
-            lines.append(_row("test instances", str(metrics["n"]), width))
-        conf = metrics.get("confusion")
-        if conf:
+            lines.append(_row("test instances", str(metrics["n"])))
+        if metrics.get("confusion"):
             lines.append(_row("confusion tp/tn/fp/fn",
-                              "{tp}/{tn}/{fp}/{fn}".format(**conf), width))
-    for key in ("baseline", "reduction"):
-        if report.get(key) is not None:
-            block = report[key]
-            lines.append(_rule(width))
-            if key == "baseline":
-                if block.get("skipped"):
-                    lines.append(_row("baseline", "skipped: " +
-                                      block.get("reason", "")[:16], width))
-                else:
-                    lines.append(_row("baseline error rate (%)",
-                                      f"{block['error_rate_pct']:.2f}", width))
-            else:
-                lines.append(_row("error reduction (%)", f"{block:.2f}", width))
+                              "{tp}/{tn}/{fp}/{fn}".format(**metrics["confusion"])))
+    baseline = report.get("baseline")
+    if baseline is not None:
+        lines += [_RULE, _row("baseline", "skipped: " + baseline.get("reason", "")[:16])
+                  if baseline.get("skipped") else
+                  _row("baseline error rate (%)", f"{baseline['error_rate_pct']:.2f}")]
+    if report.get("reduction") is not None:
+        lines += [_RULE, _row("error reduction (%)", f"{report['reduction']:.2f}")]
     for name, art in report.get("artifacts", {}).items():
-        lines.append(_rule(width))
-        lines.append(_row(f"artifact {name}", art["sha256"][:16], width))
-    lines.append(_rule(width))
+        lines += [_RULE, _row(f"artifact {name}", art["sha256"][:16])]
+    lines.append(_RULE)
     return "\n".join(lines)

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -194,9 +195,11 @@ def test_models_share_one_width_check():
                                       (1.0, -1)])
 def test_trbf_map_rule_is_one_rule(sigma, p):
     # the feature map and training refuse with a ConfigError, a model (as
-    # read from a file) with a DataError; all three name the same rule
-    message = (f"a TRBF model needs sigma > 0 and p >= 1, got sigma {sigma} "
-               f"and p {p}")
+    # read from a file) with a DataError; all three give the text of the
+    # config's LearnerSpec rule that the value breaks
+    text = (f"sigma must be positive, got {sigma}" if p == 2
+            else f"p must be >= 1, got {p}")
+    message = f"^{re.escape(text)}$"
     x = np.ones((2, 4))
     with pytest.raises(ConfigError, match=message):
         trbf_expand(x, sigma=sigma, p=p)

@@ -517,3 +517,21 @@ def test_only_report_reads_the_clock():
                   and isinstance(node.func.value, ast.Name)
                   and node.func.value.id == "time"]
     assert found == []
+
+
+def test_rules_import_only_the_errors():
+    # the rules module is a leaf of the package, so any module can check a
+    # configured value without importing the config
+    path = Path(dataio.__file__).parent / "rules.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "featdc." * bool(node.level) + (node.module or "")
+            names = [module.rstrip(".") + "." + a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found |= {n.split(".")[1] for n in names if n.startswith("featdc.")}
+    assert found == {"errors"}

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,9 +10,11 @@ import scipy.sparse as sp
 
 import featdc.classify as classify
 import featdc.decompose as decompose
+import featdc.fuse as fuse
 from featdc.classify import label_from_score, train_linear
 from featdc.config import RULES, PlanEntry
-from featdc.dataio import Dataset, apply_feature_scale, max_abs_scale
+from featdc.dataio import (Dataset, SplitSpec, apply_feature_scale,
+                           max_abs_scale, parse_libsvm)
 from featdc.datasets import make_blobs
 from featdc.decompose import (METHODS, CompositeDecomposition, _as_matrix,
                               apply_decomposition, disjoint_groups, fit_dca,
@@ -602,21 +605,53 @@ REFUSED = {
     "PlanEntry.method": ["fft", "", "PCA"],
     "PlanEntry.n_subspaces": [0, -2],
     "PlanEntry.group_size": [0, -3],
+    "RunConfig.plan": [[]],
     "RunConfig.seed": [-1],
     "RunConfig.dca_ridge": [0.0, -1.0, math.nan],
+    "RunConfig.threads": [0, -4],
+    "RunConfig.positive_label": [math.nan, math.inf],
+    "RunConfig.n_features_override": [0, -1],
+    "RunConfig.baseline": ["svm", "Linear"],
+    "SplitSpec.train_fraction": [0.0, 1.0, math.nan],
+    "SplitSpec.seed": [-1],
+    "LearnerSpec.type": ["svm", ""],
     "LearnerSpec.lam": [0.0, -1.0, math.nan],
     "LearnerSpec.sigma": [0.0, -1.0, math.nan],
     "LearnerSpec.p": [0, -1],
+    "Guards.max_dense_features": [0, -1],
 }
+
+
+def parse_two_lines(**kwargs):
+    return parse_libsvm("1 1:0.5\n-1 2:1.5\n", **kwargs)
+
+
+# the library calls other than train_dc that take a config key's value,
+# with the error class each raises for a refused one
+OTHER_CALLS = {
+    "RunConfig.positive_label": (ConfigError,
+                                 lambda v: parse_two_lines(positive_label=v)),
+    "RunConfig.n_features_override": (ConfigError,
+                                      lambda v: parse_two_lines(n_features=v)),
+    "RunConfig.baseline": (ConfigError, lambda v: LearnerSpec(type=v)),
+    "LearnerSpec.type": (ConfigError, lambda v: LearnerSpec(type=v)),
+    "SplitSpec.train_fraction": (DataError, lambda v: SplitSpec(v)),
+    "SplitSpec.seed": (DataError, lambda v: SplitSpec(0.5, seed=v)),
+}
+# the keys whose values reach train_dc only through another call
+NOT_TRAIN_DC = set(OTHER_CALLS) - {"RunConfig.positive_label"}
 
 
 def refused_cases():
     """(config key, refused value, train_dc keywords) for every value of
-    REFUSED: a plan entry field for each method, behind a good entry; the
-    run seed; the dca ridge on a dca plan; and a TRBF learner's lam, sigma
-    and p, as the locals and as the global."""
+    REFUSED that train_dc takes: a plan entry field for each method,
+    behind a good entry; an empty plan, the run seed, threads and the
+    positive label; the dca ridge on a dca plan; a TRBF learner's lam,
+    sigma and p, as the locals and as the global; and the guards."""
     for key, values in REFUSED.items():
         cls, name = key.split(".")
+        if key in NOT_TRAIN_DC:
+            continue
         for value in values:
             if cls == "PlanEntry":
                 for method in (["rd"] if name == "method" else METHODS):
@@ -631,6 +666,11 @@ def refused_cases():
                 yield pytest.param(key, value, {"plan": [(method, 2, 3)],
                                                 name: value},
                                    id=f"{key}={value!r}-{method}")
+            elif cls == "Guards":
+                yield pytest.param(key, value,
+                                   {"plan": [("rd", 2, 3)],
+                                    "guards": Guards(**{name: value})},
+                                   id=f"{key}={value!r}")
             else:
                 spec = LearnerSpec(type="trbf", **{name: value})
                 for role in ("local", "global_"):
@@ -648,6 +688,60 @@ def test_train_dc_refuses_what_the_config_refuses(key, value, kwargs):
     with pytest.raises(ConfigError, match=r"^(decomposition fitting|local "
                                           r"training|fusion): "):
         train_dc(blob_dataset(n=60, n_features=6, seed=1), **kwargs)
+
+
+@pytest.mark.parametrize("key, error, call", [
+    pytest.param(key, *OTHER_CALLS[key], id=key) for key in OTHER_CALLS])
+def test_other_calls_refuse_what_the_config_refuses(key, error, call):
+    for value in REFUSED[key]:
+        assert RULES[key](value) is not None
+        with pytest.raises(error, match=re.escape(RULES[key](value))):
+            call(value)
+
+
+def test_every_config_rule_is_taken_by_the_library():
+    # a rule added to the config without a library counterpart, or without
+    # refused values here, fails this test
+    assert set(REFUSED) == set(RULES)
+    taken = {case.values[0] for case in refused_cases()} | set(OTHER_CALLS)
+    assert taken == set(RULES)
+
+
+def test_a_value_a_rule_cannot_compare_is_refused():
+    # a library caller can pass any type; the rule's comparison failing is
+    # a refusal with the rule's name, not a TypeError traceback
+    ds = blob_dataset(n=60, n_features=6, seed=1)
+    for kwargs, message in (
+            ({"threads": "2"}, "local training: threads has the wrong type, "
+                               "got '2'"),
+            ({"positive_label": "x"}, "fusion: positive_label has the wrong "
+                                      "type, got 'x'")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            train_dc(ds, [("rd", 2, 3)], **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"global_": LearnerSpec(type="trbf", sigma=0.0)},
+    {"local": LearnerSpec(type="trbf", lam=-1.0)},
+    {"dca_ridge": 0.0},
+    {"threads": 0},
+    {"guards": Guards(max_dense_features=0)},
+    {"positive_label": math.nan},
+], ids=["global", "local", "dca_ridge", "threads", "guards",
+        "positive_label"])
+def test_train_dc_refuses_before_fitting_anything(kwargs, monkeypatch):
+    # threads, guards, ridge, label and both specs are checked before the
+    # data is touched: nothing is recorded, no moments pass runs, and the
+    # training matrix is never densified
+    def unreached(*args):
+        raise AssertionError("training began before the checks")
+
+    ds = blob_dataset(n=60, n_features=6, seed=1)
+    monkeypatch.setattr(decompose, "class_moments", unreached)
+    monkeypatch.setattr(fuse, "_as_matrix", unreached)
+    with recording() as timings, pytest.raises(ConfigError):
+        train_dc(ds, [("pca", 2, 3), ("dca", 2, 3)], seed=0, **kwargs)
+    assert timings == {}
 
 
 @pytest.mark.parametrize("plan, seed", [

@@ -469,9 +469,10 @@ def set_hex(name, index=None, value="nan"):
     (set_hex("global.weights", 0),
      r"float array of shape \(36,\) holds a non-finite value"),
     (set_hex("global.sigma", value="0x0.0p+0"),
-     "a TRBF model needs sigma > 0 and p >= 1, got sigma 0.0 and p 2"),
-    (set_hex("global.sigma", value="-0x1.0p+0"), "got sigma -1.0 and p 2"),
-    (set_hex("global.p", value=0), r"got sigma 3\.4\d* and p 0"),
+     r"DataError: sigma must be positive, got 0\.0\)$"),
+    (set_hex("global.sigma", value="-0x1.0p+0"),
+     r"DataError: sigma must be positive, got -1\.0\)$"),
+    (set_hex("global.p", value=0), r"DataError: p must be >= 1, got 0\)$"),
     (set_hex("r_scale", 0, "0x0.0p+0"),
      "r_scale holds a value that is not positive"),
     (set_hex("locals.0.weights", 1),
