@@ -47,11 +47,19 @@ so their classes, messages and line numbers do not depend on the path.
 Both paths give bit-identical arrays: numpy and ``float()`` round every
 such decimal alike.
 
+The writer (`serialize_libsvm`, `save_libsvm`) formats whole lines in
+blocks of at most WRITE_BLOCK_ROWS rows, one row per line and one per
+stored value: each value's repr() and each index's digits go into
+NUL-padded fixed-width rows, and the NULs are dropped. So no per-value
+Python object outlives its block, `serialize_libsvm` holds about twice
+the text (the blocks and their join) and `save_libsvm` one block.
+
 Every file the package reads or writes goes through `read_text` and
 `write_text`, whose errors name the path: a dataset or model file that
 cannot be read, gunzipped or decoded raises DataError (exit 3), a config
 file ConfigError (exit 2), and an output that cannot be written
-DataError (exit 3).
+DataError (exit 3). `write_text` takes the text whole or as an iterable
+of str chunks, written in turn; `save_libsvm` passes its blocks.
 """
 
 import gzip
@@ -327,14 +335,14 @@ def read_text(path, error=DataError):
 
 
 def write_text(path, text):
-    """Write `text` to `path` as UTF-8, gzipped when `path` ends in .gz,
-    creating its directory first; a failure raises DataError naming
-    `path`."""
+    """Write `text`, a str or an iterable of str chunks written in turn,
+    to `path` as UTF-8, gzipped when `path` ends in .gz, creating its
+    directory first; a failure raises DataError naming `path`."""
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with opener(path, "wt", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
@@ -382,27 +390,98 @@ def split(ds: Dataset, spec: SplitSpec):
     )
 
 
+WRITE_BLOCK_ROWS = 1 << 12  # a written block: one row per line and per stored value
+_REPR_WIDTH = 24            # the longest float repr, e.g. -2.2250738585072014e-308
+                            # (numpy would cut a longer one without a word)
+
+
 def serialize_libsvm(ds: Dataset) -> str:
     """Inverse of parse_libsvm: exact decimal encoding, ascending indices.
 
     Values are printed with repr(), whose shortest round-trip decimal form
     guarantees parse(serialize(ds)) reproduces every float bit-exactly.
+    A matrix that is not in scipy's canonical form (unsorted or duplicate
+    indices in an instance) is written as its canonical copy: sorted,
+    duplicates summed. Stored zeros are written (``i:0.0``). A non-finite
+    value, which the parser refuses, raises DataError naming the first
+    instance that holds one, before any text is formatted.
+
+    The blocks of `_text_blocks` are joined once, so the peak memory is
+    about twice the text.
     """
-    x = ds.X
-    indices = (x.indices + 1).tolist()
-    values = x.data.astype(np.float64, copy=False).tolist()
-    indptr = x.indptr.tolist()
-    out = []
-    for k, label in enumerate(ds.y.tolist()):
-        lo, hi = indptr[k], indptr[k + 1]
-        parts = ["+1" if label > 0 else "-1"]
-        parts.extend(f"{i}:{v!r}" for i, v in zip(indices[lo:hi], values[lo:hi]))
-        out.append(" ".join(parts))
-    return "\n".join(out) + "\n"
+    return "".join(_text_blocks(ds))
 
 
 def save_libsvm(ds: Dataset, path):
-    write_text(path, serialize_libsvm(ds))
+    """Write `serialize_libsvm(ds)` to `path` through `write_text`, one
+    block at a time, so the whole text is never held. A dataset that
+    cannot be written raises DataError before the file is opened."""
+    write_text(path, _text_blocks(ds))
+
+
+def _text_blocks(ds):
+    """The LIBSVM text of `ds` as a generator of blocks of whole lines,
+    each at most WRITE_BLOCK_ROWS rows (one per line and one per stored
+    value) unless one line alone has more. The canonical form and the
+    finite check are done here, before the first block."""
+    x = ds.X
+    if not x.has_canonical_format:
+        x = x.copy()
+        x.sum_duplicates()
+    data = x.data.astype(np.float64, copy=False)
+    # a NaN or an infinity shows in the extremes, with no mask to allocate
+    if not np.isfinite([data.min(initial=0.0), data.max(initial=0.0)]).all():
+        bad = int(np.argmin(np.isfinite(data)))
+        k = int(np.searchsorted(x.indptr, bad, side="right")) - 1
+        raise DataError(f"instance {k} (line {k + 1}) holds the non-finite value "
+                        f"{float(data[bad])!r} at index {x.indices[bad] + 1}; "
+                        "LIBSVM text cannot hold it")
+    indptr = x.indptr.astype(np.int64)
+    rows_before = indptr + np.arange(indptr.size)  # rows before each line
+    cuts = [0]
+    while cuts[-1] < ds.n_instances:
+        a = cuts[-1]
+        b = int(np.searchsorted(rows_before, rows_before[a] + WRITE_BLOCK_ROWS,
+                                side="right")) - 1
+        cuts.append(max(b, a + 1))
+    return (_format_lines(ds.y[a:b], np.diff(indptr[a:b + 1]),
+                          x.indices[indptr[a]:indptr[b]], data[indptr[a]:indptr[b]])
+            for a, b in zip(cuts, cuts[1:]))
+
+
+def _format_lines(labels, counts, indices, values):
+    """The text of whole lines: line k holds `labels[k]` and the next
+    `counts[k]` (index, value) pairs. Every line and every pair is one
+    fixed-width row of bytes, NUL-padded, and the NULs are dropped."""
+    texts = repr(values.tolist())[1:-1].split(", ") if values.size else []
+    value_bytes = np.array(texts, dtype=f"S{_REPR_WIDTH}").view(np.uint8)
+    del texts  # one str per value: gone before the rows are made
+    prefixes = _index_prefixes(indices)
+    p = prefixes.shape[1]
+    rows = np.zeros((counts.size + values.size, p + _REPR_WIDTH + 1), dtype=np.uint8)
+    ends = np.cumsum(counts) + np.arange(counts.size)  # each line's last row
+    starts = ends - counts
+    rows[starts, 0] = np.where(labels > 0, ord("+"), ord("-"))
+    rows[starts, 1] = ord("1")
+    pairs = np.arange(values.size) + np.repeat(np.arange(1, counts.size + 1), counts)
+    rows[pairs, :p] = prefixes
+    rows[pairs, p:-1] = value_bytes.reshape(-1, _REPR_WIDTH)
+    rows[ends, -1] = ord("\n")
+    flat = rows.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
+def _index_prefixes(indices):
+    """`" <i + 1>:"` for each 0-based index i, one fixed-width row each,
+    the digits right-aligned behind NULs."""
+    rest = indices.astype(np.int64) + 1
+    digits = len(str(int(rest.max(initial=1))))
+    out = np.zeros((rest.size, digits + 2), dtype=np.uint8)
+    out[:, 0], out[:, -1] = ord(" "), ord(":")
+    for col in range(digits, 0, -1):
+        out[:, col] = np.where(rest > 0, rest % 10 + ord("0"), 0)
+        rest //= 10
+    return out
 
 
 def fit_max_abs_scale(ds: Dataset):

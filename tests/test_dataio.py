@@ -1,5 +1,7 @@
 import ast
 import gzip
+import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +474,193 @@ def test_serialize_writes_repr_of_every_value():
                    np.array([1, -1]))
     assert serialize_libsvm(ints) == "+1 1:2.0\n-1 2:5.0\n"
 
+
+def per_line_text(ds):
+    # the writer's formula before it worked in blocks: one f-string per value
+    x = ds.X
+    indices = (x.indices + 1).tolist()
+    values = x.data.astype(np.float64, copy=False).tolist()
+    indptr = x.indptr.tolist()
+    out = []
+    for k, label in enumerate(ds.y.tolist()):
+        lo, hi = indptr[k], indptr[k + 1]
+        parts = ["+1" if label > 0 else "-1"]
+        parts.extend(f"{i}:{v!r}" for i, v in zip(indices[lo:hi], values[lo:hi]))
+        out.append(" ".join(parts))
+    return "\n".join(out) + "\n"
+
+
+AWKWARD_VALUES = [-0.0, 5e-324, 1e16, 1e-05, -1.7976931348623157e308,
+                  0.0, 0.1 + 0.2, -2.2250738585072014e-308, 1234567890123456.8,
+                  -0.00012345678901234567, 1.0, -3.0]
+
+
+def edge_dataset(block):
+    # lines of 0, 1, block - 1, block, block + 1 and 2 * block + 3 pairs,
+    # with empty lines around each, 5-digit indices and awkward values
+    rng = np.random.default_rng(21)
+    counts = [0, block - 1, 0, 0, 2 * block + 3, 0, 1, 0, block, block + 1, 0,
+              *rng.integers(0, 40, size=200).tolist(), 0, 0]
+    m = 3 * block + 99999
+    cols, data = [], []
+    for c in counts:
+        cols.append(np.sort(rng.choice(m, size=c, replace=False)))
+        data.append(rng.choice(AWKWARD_VALUES, size=c))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    x = sp.csc_array((np.concatenate(data), np.concatenate(cols), indptr),
+                     shape=(m, len(counts)))
+    y = np.where(rng.random(len(counts)) < 0.5, 1, -1)
+    return Dataset(x, y)
+
+
+def test_block_writer_matches_the_per_line_formula_at_block_edges():
+    block = dataio.WRITE_BLOCK_ROWS
+    ds = edge_dataset(block)
+    assert ds.X.indices.max() >= 9999 and (ds.X.data == 0).any()
+    blocks = list(dataio._text_blocks(ds))
+    assert "".join(blocks) == serialize_libsvm(ds) == per_line_text(ds)
+    assert all(b.endswith("\n") for b in blocks)
+    rows = [b.count("\n") + b.count(" ") for b in blocks]
+    # a line larger than a block is a block of its own; the rest fit
+    big = [(r, b.count("\n")) for r, b in zip(rows, blocks) if r > block]
+    assert big == [(2 * block + 4, 1), (block + 1, 1), (block + 2, 1)]
+    assert block in rows  # a line that fills a block exactly
+    # empty lines start and end blocks
+    assert any(b[:3] in ("+1\n", "-1\n") for b in blocks[1:])
+    assert any(b[-4:] in ("\n+1\n", "\n-1\n") for b in blocks)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_block_writer_matches_the_per_line_formula_at_any_block_size(
+        monkeypatch, block):
+    monkeypatch.setattr(dataio, "WRITE_BLOCK_ROWS", block)
+    rng = np.random.default_rng(block)
+    for trial in range(20):
+        ds = random_dataset(rng, density=float(rng.choice([0.0, 0.05, 0.5, 1.0])))
+        assert serialize_libsvm(ds) == per_line_text(ds)
+    ds = edge_dataset(block)
+    assert serialize_libsvm(ds) == per_line_text(ds)
+
+
+def test_serialize_writes_each_awkward_value_as_its_repr():
+    x = sp.csc_array((AWKWARD_VALUES, np.arange(len(AWKWARD_VALUES)) * 9091,
+                      [0, len(AWKWARD_VALUES)]), shape=(100001, 1))
+    text = serialize_libsvm(Dataset(x, np.array([-1])))
+    assert text == per_line_text(Dataset(x, np.array([-1])))
+    assert text.startswith("-1 1:-0.0 9092:5e-324 18183:1e+16 27274:1e-05 "
+                           "36365:-1.7976931348623157e+308 45456:0.0 ")
+    back = parse_libsvm(text, n_features=100001)
+    assert back.X.data.tobytes() == np.array(
+        [v for v in AWKWARD_VALUES if v != 0.0]).tobytes()
+
+
+def test_serialize_golden_bytes():
+    # generated data, several blocks each; the digests predate the block writer
+    golden = [
+        (make_quadratic_band(300, n_features=54, seed=12),
+         "b1d45ad8f5751671ae5a734adb45f9221f8138021e8ee592e3655bb4ab35affd"),
+        (make_sparse_planted(300, n_features=3000, n_signal=100, seed=13),
+         "6422ba3f0b9f84865b9059df0450a9a75d01a882decdb75070543d06f8266ec0"),
+    ]
+    for ds, digest in golden:
+        text = serialize_libsvm(ds)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+        assert len(list(dataio._text_blocks(ds))) > 1
+
+
+def test_serialize_writes_the_canonical_form():
+    # unsorted and duplicate stored indices are written sorted and summed
+    ds = Dataset(sp.csc_array(([2., 1.], [1, 0], [0, 2]), shape=(2, 1)),
+                 np.array([1]))
+    assert serialize_libsvm(ds) == "+1 1:1.0 2:2.0\n"
+    assert np.array_equal(ds.X.indices, [1, 0])  # not mutated
+    x = sp.csc_array(([5., 2., 1., 3., -1., 1.], [2, 0, 2, 1, 0, 0],
+                      [0, 3, 3, 6]), shape=(3, 3))
+    ds = Dataset(x, np.array([1, -1, 1]))
+    text = serialize_libsvm(ds)
+    assert text == "+1 1:2.0 3:6.0\n-1\n+1 1:0.0 2:3.0\n"
+    assert datasets_equal(parse_libsvm(text, n_features=3),
+                          Dataset(sp.csc_array(x.toarray()), ds.y))
+    assert np.array_equal(ds.X.indices, [2, 0, 2, 1, 0, 0])
+
+
+def test_serialize_copies_only_a_non_canonical_matrix(monkeypatch):
+    ds = make_sparse_planted(50, n_features=300, n_signal=20, seed=14)
+    assert ds.X.has_canonical_format
+    want = per_line_text(ds)
+
+    def no_copy(*args, **kwargs):
+        raise AssertionError("a canonical matrix was copied")
+
+    monkeypatch.setattr(sp.csc_array, "copy", no_copy)
+    monkeypatch.setattr(sp.csc_array, "sum_duplicates", no_copy)
+    assert serialize_libsvm(ds) == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["d.libsvm", "d.libsvm.gz"])
+def test_writer_refuses_non_finite_values_before_writing(tmp_path, bad, name):
+    x = np.ones((3, 5))
+    x[2, 3] = bad
+    x[1, 4] = bad
+    ds = Dataset(sp.csc_array(x), np.array([1, -1, 1, -1, 1]))
+    want = f"instance 3 \\(line 4\\) holds the non-finite value {bad!r} at index 3"
+    with pytest.raises(DataError, match=want):
+        serialize_libsvm(ds)
+    with pytest.raises(DataError, match=want):
+        save_libsvm(ds, tmp_path / "new" / name)
+    assert not (tmp_path / "new").exists()
+    (tmp_path / name).write_text("kept\n")
+    with pytest.raises(DataError, match=want):
+        save_libsvm(ds, tmp_path / name)
+    assert (tmp_path / name).read_text() == "kept\n"
+
+
+def test_write_text_takes_a_string_or_chunks(tmp_path):
+    for name in ("t.txt", "t.txt.gz"):
+        opener = gzip.open if name.endswith(".gz") else open
+        for text in ("a\nb\n", ["a\n", "", "b", "\n"], (c for c in "a\nb\n")):
+            dataio.write_text(tmp_path / name, text)
+            with opener(tmp_path / name, "rt", encoding="utf-8") as handle:
+                assert handle.read() == "a\nb\n"
+    (tmp_path / "blocker").write_text("a file, not a directory\n")
+    for text in ("a\n", iter(["a\n"])):
+        with pytest.raises(DataError, match="cannot write .*blocker"):
+            dataio.write_text(tmp_path / "blocker" / "t.txt", text)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def writer_data():
+    # a text of more than 16 blocks
+    ds = make_quadratic_band(2400, n_features=54, seed=15)
+    return ds, per_line_text(ds)
+
+
+def test_serialize_memory_is_about_twice_the_text(writer_data):
+    # the per-line writer peaked at about 4.9x the text
+    ds, text = writer_data
+    peak = traced_peak(lambda: serialize_libsvm(ds))
+    assert peak < 2.5 * len(text), (peak, len(text))
+    assert len(list(dataio._text_blocks(ds))) >= 16
+
+
+@pytest.mark.parametrize("name", ["d.libsvm", "d.libsvm.gz"])
+def test_save_memory_is_a_fraction_of_the_text(tmp_path, name, writer_data):
+    # save_libsvm holds one block, never the whole text
+    ds, text = writer_data
+    peak = traced_peak(lambda: save_libsvm(ds, tmp_path / name))
+    assert peak < 0.5 * len(text), (peak, len(text))
+    assert dataio.read_text(tmp_path / name) == text
+    assert len(list(dataio._text_blocks(ds))) >= 16
 
 
 def _opens_a_file(node):

@@ -177,7 +177,9 @@ def test_train_dc_holds_a_bounded_number_of_views(threads):
             peaks[groups] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[32] < 1.5 * peaks[4]
+    assert peaks[32] < 1.5 * peaks[4], (
+        f"tracemalloc peaks: 4 groups {peaks[4]} B, 32 groups {peaks[32]} B, "
+        f"ratio {peaks[32] / peaks[4]:.3f} (bound 1.5)")
 
 
 def test_predict_dc_runs_on_calling_thread(monkeypatch):
