@@ -31,21 +31,30 @@ one, and an inner line end reads as a space. So an iterable and its
 text take the same path, with the same errors.
 
 Two parsers share this contract. A bulk path parses text that keeps to a
-strict grammar with numpy, in blocks of about 1 MiB cut at line ends:
+strict grammar, in blocks of about 1 MiB cut at line ends:
 
 - the text is ASCII, and its only whitespace is space, tab, ``\n`` and
   ``\r\n``;
 - the label token holds no ``:``; every other token holds exactly one,
   with 1-15 ASCII digits before it;
-- labels and values are decimal numbers spelled with ``0-9 + - . e E``
-  (so no label is NaN) that numpy reads one per token; values are finite;
+- labels and values are decimals spelled as ``float()`` reads them from
+  ``0-9 + - . e E``, ``[+-]? (d+ .? d* | . d+) ([eE] [+-]? d+)?`` (so no
+  label is NaN); values are finite;
 - indices are at least 1 and strictly ascend within each line.
+
+numpy finds the tokens, decodes the indices and checks each number's
+spelling at its signs, dot and e. scipy's compiled Matrix Market reader
+(scipy >= 1.12; fast_float, after Lemire, "Number Parsing at a Gigabyte
+per Second", 2021) then reads the labels and values, one per line, on the
+calling thread. That reader would read a prefix of a misspelled number
+(``1e`` as 1, ``1.2.3`` as 1.2), hence the spelling check.
 
 Any other input goes whole to the line loop (`_parse_lines`), which uses
 Python's ``float()``/``int()`` and is the only source of the errors above,
 so their classes, messages and line numbers do not depend on the path.
-Both paths give bit-identical arrays: numpy and ``float()`` round every
-such decimal alike.
+Both paths give bit-identical arrays: the reader and ``float()`` both
+round every decimal correctly. (The reader reads ``-0`` as +0, but zero
+values are dropped and both zeros map to the same label.)
 
 The writer (`serialize_libsvm`, `save_libsvm`) formats whole lines in
 blocks of at most WRITE_BLOCK_ROWS rows, one row per line and one per
@@ -66,12 +75,12 @@ import gzip
 import io
 import math
 import os
-import warnings
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.io._fast_matrix_market import _fmm_core  # scipy >= 1.12
 
 from .errors import DataError, ParseError, ValidationError
 from .rules import require, require_fields
@@ -224,6 +233,8 @@ BULK_BLOCK_CHARS = 1 << 20  # a block ends at the last line end before this
 _MAX_INDEX_DIGITS = 15      # below 2**53, so every such index is exact
 
 _BULK_BYTES = b"0123456789+-.eE: \t\n\r"  # the last four are whitespace
+_TO_LINES = bytes.maketrans(b" \t\r:", b"\n\n\n\n")
+_MM_HEADER = b"%%MatrixMarket matrix array real general\n"
 
 
 def _parse_bulk(text):
@@ -265,30 +276,34 @@ def _parse_block(block):
         if cr[-1] + 1 == b.size or (b[cr + 1] != ord("\n")).any():
             return None
 
-    # tokens: runs of bytes above " ", the only whitespace left
+    # tokens: runs of bytes above " ", the only whitespace left; a label
+    # is the first token of its line
     in_token = np.zeros(b.size + 1, dtype=np.int8)
     np.greater(b, ord(" "), out=in_token[1:].view(bool))
     starts = np.flatnonzero(np.diff(in_token) == 1)
     if starts.size == 0:  # blank lines only
         return np.zeros(0), np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64), 0
-    line = np.searchsorted(np.flatnonzero(b == ord("\n")), starts)
-    is_label = np.ones(starts.size, dtype=bool)
-    is_label[1:] = line[1:] != line[:-1]
+    is_label = np.zeros(starts.size + 1, dtype=bool)  # the token after each line end
+    is_label[np.searchsorted(starts, np.flatnonzero(b == ord("\n")))] = True
+    is_label = is_label[:-1]
+    is_label[0] = True
     is_entry = ~is_label
 
-    # the label holds no ':', every other token exactly one
+    # one ':' per entry, behind its first 1-15 bytes, which the digit loop
+    # checks: so each entry holds exactly one, and no label holds any
     colons = np.flatnonzero(b == ord(":"))
-    owner = np.searchsorted(starts, colons, side="right") - 1
-    if not np.array_equal(np.bincount(owner, minlength=starts.size), is_entry):
+    if colons.size != np.count_nonzero(is_entry):
         return None
     n_digits = colons - starts[is_entry]  # none makes index 0, refused below
     longest = int(n_digits.max(initial=0))
     if longest > _MAX_INDEX_DIGITS:
         return None
 
-    # decode the index digits, last digit first, and blank them and the ':'
-    blanked = b.copy()
-    blanked[colons] = ord(" ")
+    # decode the index digits, last digit first, and blank them in the
+    # reader's copy: the labels and values, one per line, with a line end
+    # before them and two after (byte i of the block is byte i + 1 there)
+    lines = np.frombuffer(bytearray(b"\n%s\n\n" % raw.translate(_TO_LINES)),
+                          dtype=np.uint8)
     index = np.zeros(colons.size, dtype=np.int64)
     for k in range(longest):
         has = n_digits > k
@@ -297,27 +312,82 @@ def _parse_block(block):
         if (digit > 9).any():
             return None
         index[has] += digit.astype(np.int64) * 10 ** k
-        blanked[at] = ord(" ")
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            numbers = np.fromstring(blanked.tobytes(), sep=" ")
-        except (ValueError, DeprecationWarning):
-            return None
-    if numbers.size != starts.size:  # one number per token, e.g. no empty value
-        return None
-    labels, values = numbers[is_label], numbers[is_entry]
-    if not np.isfinite(values).all():  # no label is NaN: the bytes hold no letter n
-        return None
+        lines[at + 1] = ord("\n")
     entry_row = (np.cumsum(is_label) - 1)[is_entry]
     same_row = entry_row[1:] == entry_row[:-1]
     if index.size and (index.min() < 1 or (same_row & (index[1:] <= index[:-1])).any()):
+        return None
+    first = starts + 1  # where each label, and each value after its ':', starts
+    first[is_entry] = colons + 2
+    if not _spelled_as_floats(lines, first):
+        return None
+
+    numbers = _read_decimals(lines, starts.size)
+    if numbers is None:
+        return None
+    labels, values = numbers[is_label], numbers[is_entry]
+    if not np.isfinite(values).all():  # no label is NaN: the bytes hold no letter n
         return None
 
     keep = values != 0.0
     counts = np.bincount(entry_row[keep], minlength=labels.size)
     return labels, values[keep], index[keep] - 1, counts, int(index.max(initial=0))
+
+
+def _is_digit(byte):
+    return (byte - np.uint8(ord("0"))) < 10  # wraps below "0"
+
+
+def _spelled_as_floats(lines, first):
+    """Whether every number in `lines` is spelled as float() reads it,
+    ``[+-]? (d+ .? d* | . d+) ([eE] [+-]? d+)?``; blanks each leading '+',
+    which the reader refuses.
+
+    `lines` holds numbers spelled from ``0-9 + - . e E``, number k from
+    byte first[k] to the next line end, with a line end before the first
+    number and two after the last. The reader reads a prefix of a
+    misspelled number (``1e`` as 1, ``1.2.3`` as 1.2), so the spelling is
+    checked here, at each sign, dot and e, and their neighbours.
+    """
+    at = np.flatnonzero(((lines - np.uint8(ord("+"))) < 4) | (lines > ord("9")))
+    kind, before, after = lines[at], lines[at - 1], lines[at + 1]
+    sign, dot, e = kind < ord("."), kind == ord("."), kind > ord("9")
+    lead = before == ord("\n")
+    digit_before, digit_after = _is_digit(before), _is_digit(after)
+    # a sign leads, before a digit or the dot, or follows an e, before a digit
+    sign_ok = ((lead & (digit_after | (after == ord("."))))
+               | ((before > ord("9")) & digit_after))
+    # the dot has a digit on one side
+    dot_ok = digit_before | digit_after
+    # an e follows a digit or the dot, before a digit or a sign and a digit
+    sign_after = (after - np.uint8(ord("+"))) < 3
+    e_ok = ((digit_before | (before == ord(".")))
+            & (digit_after | (sign_after & _is_digit(lines[at + 2]))))
+    if not np.where(sign, sign_ok, np.where(dot, dot_ok, e_ok)).all():
+        return False
+    if (lines[first] == ord("\n")).any():  # an empty value
+        return False
+    # at most one dot and one e per number, the dot first
+    owner = np.searchsorted(first, at[~sign], side="right")
+    is_e = e[~sign]
+    if ((owner[1:] == owner[:-1]) & (is_e[:-1] | ~is_e[1:])).any():
+        return False
+    lines[at[lead & (kind == ord("+"))]] = ord("\n")
+    return True
+
+
+def _read_decimals(lines, n):
+    """The `n` decimals of `lines`, bytes that hold one per line (blank
+    lines are skipped), read by scipy's compiled Matrix Market reader
+    (fast_float: correctly rounded, as float() is) on the calling thread;
+    None if the reader refuses them."""
+    stream = io.BytesIO(b"%s%d 1\n%s" % (_MM_HEADER, n, lines.data))
+    out = np.zeros((n, 1))  # the reader adds into its output
+    try:
+        _fmm_core.read_body_array(_fmm_core.open_read_stream(stream, 1), out)
+    except ValueError:
+        return None
+    return out[:, 0]
 
 
 def read_text(path, error=DataError):
@@ -424,10 +494,7 @@ def _text_blocks(ds):
     each at most WRITE_BLOCK_ROWS rows (one per line and one per stored
     value) unless one line alone has more. The canonical form and the
     finite check are done here, before the first block."""
-    x = ds.X
-    if not x.has_canonical_format:
-        x = x.copy()
-        x.sum_duplicates()
+    x = _canonical_form(ds.X)
     data = x.data.astype(np.float64, copy=False)
     # a NaN or an infinity shows in the extremes, with no mask to allocate
     if not np.isfinite([data.min(initial=0.0), data.max(initial=0.0)]).all():
@@ -484,12 +551,24 @@ def _index_prefixes(indices):
     return out
 
 
+def _canonical_form(x):
+    """The sparse matrix `x` in scipy's canonical form (indices sorted and
+    duplicates summed in each instance): `x` itself when it already is,
+    else a canonical copy."""
+    if x.has_canonical_format:
+        return x
+    x = x.copy()
+    x.sum_duplicates()
+    return x
+
+
 def fit_max_abs_scale(ds: Dataset):
     """The per-feature max-abs scale of `ds`: each feature's largest
-    absolute value, and 1 for an all-zero feature."""
-    x = ds.X
+    absolute value, and 1 for an all-zero feature. Duplicate stored
+    entries are summed first, so the value is the one the matrix holds."""
+    x = _canonical_form(ds.X)
     peak = np.zeros(ds.n_features)
-    np.maximum.at(peak, x.indices, np.abs(x.data))  # no copy of the matrix
+    np.maximum.at(peak, x.indices, np.abs(x.data))  # no copy of a canonical matrix
     return np.where(peak > 0, peak, 1.0)
 
 

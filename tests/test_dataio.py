@@ -1,6 +1,7 @@
 import ast
 import gzip
 import hashlib
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -231,6 +232,29 @@ def test_fit_max_abs_scale_reads_the_stored_values():
         assert got.tobytes() == want.tobytes()
 
 
+def test_fit_max_abs_scale_sums_duplicate_entries():
+    # feature 1 holds 1 + 1 = 2, stored as two entries
+    x = sp.csc_array(([1., 1., 3.], [0, 0, 1], [0, 3]), shape=(2, 1))
+    ds = Dataset(x, np.array([1]))
+    scaled, scale = max_abs_scale(ds)
+    assert np.array_equal(scale, [2.0, 3.0])
+    assert np.array_equal(scaled.X.toarray(), [[1.0], [1.0]])
+    assert np.array_equal(ds.X.indices, [0, 0, 1])  # not mutated
+
+
+def test_fit_max_abs_scale_copies_only_a_non_canonical_matrix(monkeypatch):
+    ds = make_sparse_planted(50, n_features=300, n_signal=20, seed=14)
+    assert ds.X.has_canonical_format
+    want = fit_max_abs_scale(ds)
+
+    def no_copy(*args, **kwargs):
+        raise AssertionError("a canonical matrix was copied")
+
+    monkeypatch.setattr(sp.csc_array, "copy", no_copy)
+    monkeypatch.setattr(sp.csc_array, "sum_duplicates", no_copy)
+    assert fit_max_abs_scale(ds).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("form", [np.asarray, sp.coo_array, sp.csr_array,
                                   sp.csc_matrix])
 def test_dataset_stores_any_matrix_as_csc(tmp_path, form):
@@ -311,6 +335,11 @@ LOOP_ONLY = [
     "+1 1:1\r2:1\n-1 1:1\n", "+1 1:1\x0c2:1\n", "+1 1:1\x1c2:1\n",
     "+1 1:1\x852:1\n", "\u0661 1:1\n", "+1 \u0661:1\n", "+1 1:1\r",
 ]
+# float() refuses these, and the compiled reader would read a prefix of
+# some of them (1e as 1, 1.2.3 as 1.2): each as a label and as a value
+PREFIX_TRAPS = ["1e", "1.2.3", "1e5e3", "1e5.3", "+-1", "-.e5", "1e+.5", ".", "-",
+                "1+", "e5"]
+LOOP_ONLY += [f"{s} 1:1\n" for s in PREFIX_TRAPS] + [f"+1 1:{s}\n" for s in PREFIX_TRAPS]
 
 # the bulk path must take each of these
 BULK = [
@@ -323,6 +352,7 @@ BULK = [
     "5:0.1 6:0.3333333333333333 7:0.30000000000000004\n",
     "+1 007:1. 8:.5 9:-1E-3 10:+2e+2\n2.5 1:1\n-0.0 1:1\n1e400 1:1\n",
     "-1 1:1\n+1 2:2",
+    "1.e5 1:1.e5 2:+.5 3:-.5e-3 4:+1e+2 5:0e0\n+.5 1:1\n-.5e-3 1:1\n+1e+2 1:1\n0e0 1:1\n",
 ]
 
 
@@ -390,6 +420,79 @@ def test_bulk_path_matches_loop_on_random_numerals(monkeypatch, tmp_path):
         assert_same_as_loop(monkeypatch, tmp_path, line)
 
 
+def test_bulk_path_matches_loop_on_random_lines(monkeypatch):
+    # lines of up to four random numerals of 1-10 bytes from the bulk
+    # alphabet: each line is refused by the bulk path, or gives the loop's
+    # exact bits and errors
+    rng = np.random.default_rng(28)
+    alphabet = np.frombuffer(b"0123456789+-.eE", dtype=np.uint8)
+    sizes = rng.integers(1, 11, size=4 * 5000).tolist()
+    chars = alphabet[rng.integers(0, alphabet.size, size=sum(sizes))].tobytes().decode()
+    ends = np.cumsum(sizes).tolist()
+    numerals = [chars[end - size:end] for size, end in zip(sizes, ends)]
+    accepted = 0
+    for k, n_entries in enumerate(rng.integers(0, 4, size=5000).tolist()):
+        label, *values = numerals[4 * k:4 * k + 1 + n_entries]
+        line = label + "".join(f" {j}:{v}" for j, v in enumerate(values, start=1)) + "\n"
+        if dataio._parse_bulk(line) is None:
+            continue
+        accepted += 1
+        with monkeypatch.context() as m:
+            m.setattr(dataio, "_parse_bulk", lambda text: None)
+            want = outcome(lambda: parse_libsvm(line))
+        assert outcome(lambda: parse_libsvm(line)) == want, line
+    assert accepted > 400
+
+
+def test_spelling_check_accepts_what_float_reads():
+    # every spelling of 0-5 bytes: the reader reads a prefix of some that
+    # float() refuses, and refuses others itself, so the check stands alone
+    for size in range(6):
+        for spelling in map(bytes, itertools.product(b"1+-.eE", repeat=size)):
+            lines = np.frombuffer(bytearray(b"\n%s\n\n" % spelling), dtype=np.uint8)
+            try:
+                float(spelling)
+            except ValueError:
+                want = False
+            else:
+                want = True
+            assert dataio._spelled_as_floats(lines, np.array([1])) == want, spelling
+            if want:  # only a leading '+' is blanked
+                assert lines[1:-2].tobytes() == spelling.removeprefix(b"+").rjust(size, b"\n")
+
+
+def test_bulk_path_pins_a_zero_label_of_either_sign(monkeypatch):
+    # the reader reads -0.0 as +0.0; the pin treats both zeros alike
+    text = "-0.0 1:1\n+0 2:1\n1 1:2\n0e0 2:2\n"
+    with monkeypatch.context() as m:
+        m.setattr(dataio, "_parse_bulk", lambda text: None)
+        loop = parse_libsvm(text, positive_label=0.0)
+    with monkeypatch.context() as m:
+        forbid_loop(m)
+        bulk = parse_libsvm(text, positive_label=0.0)
+    assert np.array_equal(loop.y, [1, 1, -1, 1])
+    assert outcome(lambda: bulk) == outcome(lambda: loop)
+
+
+def test_bulk_reader_runs_on_the_calling_thread(monkeypatch):
+    # every block is read with parallelism 1: no reader thread starts
+    open_read_stream = dataio._fmm_core.open_read_stream
+    calls = []
+
+    def spy(stream, parallelism):
+        calls.append(parallelism)
+        return open_read_stream(stream, parallelism)
+
+    text = serialize_libsvm(make_quadratic_band(1500, n_features=54, seed=5))
+    with monkeypatch.context() as m:
+        m.setattr(dataio, "_parse_bulk", lambda text: None)
+        want = outcome(lambda: parse_libsvm(text))
+    monkeypatch.setattr(dataio._fmm_core, "open_read_stream", spy)
+    forbid_loop(monkeypatch)
+    assert outcome(lambda: parse_libsvm(text)) == want
+    assert len(calls) > 1 and set(calls) == {1}
+
+
 def forbid_loop(monkeypatch):
     def loop(lines):
         raise AssertionError("the line loop ran")
@@ -440,7 +543,7 @@ def test_bulk_blocks_cut_at_line_ends(monkeypatch):
 
 @pytest.mark.filterwarnings("error::DeprecationWarning")
 def test_bulk_fallback_lets_no_numpy_warning_escape(monkeypatch, tmp_path):
-    # numpy readers older than 2.x warn where they stop early
+    # refused text goes to the loop without a warning
     for text in ["+1 1:1_0\n", "+1 1:1-2\n", "+1 2:1 3:1e\n", "1_0 1:1\n"]:
         assert_same_as_loop(monkeypatch, tmp_path, text)
 
