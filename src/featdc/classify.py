@@ -36,10 +36,15 @@ from .rules import LEARNER_TYPES, require
 # Columns per expanded chunk of the TRBF map. The width fixes the Gram's
 # summation order, so it is a constant, independent of `threads`.
 EXPAND_CHUNK = 2048
-# Rows per block of the TRBF Gram's upper block-triangle. Each block is one
-# task with one writer and the partition ignores `threads`, so the Gram has
-# the same bits for every thread count.
-GRAM_BLOCK = 256
+# Rows per block when the TRBF normal matrix's upper block-triangle is
+# filled from its moments. Each block is one task with one writer and the
+# partition ignores `threads`, so the matrix has the same bits for every
+# thread count.
+GRAM_BLOCK = 64
+# Degree-p rows per product task of the TRBF Gram's moments: rows that
+# share a last coordinate are merged, smallest coordinate first, until a
+# task holds this many, so no product is too thin for the BLAS.
+MOMENT_GROUP = 32
 # Rows (CSR) or columns (CSC) per block when the LSMR route squares a
 # sparse view's entries, which bounds the squared copy it holds at once.
 SUMSQ_BLOCK = 1024
@@ -429,25 +434,171 @@ def _physical_memory():
         return None
 
 
+@functools.lru_cache(maxsize=32)
+def _moment_plan(m, p):
+    """(first, tasks): the product tasks that give the TRBF Gram's
+    moments (`train_trbf_krr`), with the first coordinate of every row.
+
+    first[r] is the smallest coordinate of row r's multi-index (0 for the
+    constant). Each task is (rows, spans): rows are the degree-p rows
+    whose last coordinates fill one range t_lo..t_hi, merged from the
+    smallest t up until a task holds MOMENT_GROUP rows, and spans holds,
+    for each degree 1..p, the (start, stop) of the rows of that degree
+    whose first coordinate is at least t_lo. In graded lexicographic order
+    the first coordinate never falls within a degree, so those rows are
+    contiguous. Cached per (m, p); O(J) integers, read-only.
+    """
+    _, parent, last, _ = _trbf_tables(m, p)
+    first = last.copy()
+    for d in range(2, p + 1):
+        rows = slice(trbf_dim(m, d - 1), trbf_dim(m, d))
+        first[rows] = first[parent[rows]]
+    first.flags.writeable = False
+    top = trbf_dim(m, p - 1)
+    by_last = top + np.argsort(last[top:], kind="stable")
+    counts = np.bincount(last[top:], minlength=m)
+    tasks, start, t_lo = [], 0, 0
+    for t in range(m):
+        stop = start + int(counts[t_lo:t + 1].sum())
+        if stop - start >= MOMENT_GROUP or t == m - 1:
+            spans = []
+            for d in range(1, p + 1):
+                lo, hi = trbf_dim(m, d - 1), trbf_dim(m, d)
+                spans.append((lo + int(np.searchsorted(first[lo:hi], t_lo)), hi))
+            rows = by_last[start:stop]
+            rows.flags.writeable = False
+            tasks.append((rows, tuple(spans)))
+            start, t_lo = stop, t + 1
+    return first, tuple(tasks)
+
+
+def _canonical_pairs(m, p):
+    """(rows, cols, keep) per task of `_moment_plan`: the task's product
+    is rows x cols, and keep marks the pairs (a, b) with
+    first[b] >= last[a]. Those pairs write a + b in ascending coordinate
+    order, a's p coordinates first, so over all tasks they reach every
+    multi-index of degree p+1 .. 2p exactly once."""
+    _, _, last, _ = _trbf_tables(m, p)
+    first, tasks = _moment_plan(m, p)
+    for rows, spans in tasks:
+        cols = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+        yield rows, cols, last[rows][:, None] <= first[cols][None, :]
+
+
+def _row_keys(m, p, attempt):
+    """uint64 key of each row of the order-p map: the sum, wrapping modulo
+    2^64, of one weight per coordinate of its multi-index counted with
+    multiplicity, so key(a + b) = key(a) + key(b). The weights are drawn
+    uniformly by a generator seeded with `attempt`, so every sum of them
+    is uniform over the 64 bits too."""
+    _, parent, last, _ = _trbf_tables(m, p)
+    weights = np.random.default_rng(attempt).integers(
+        0, 2**64, size=m, dtype=np.uint64)
+    keys = np.zeros(trbf_dim(m, p), dtype=np.uint64)
+    for d in range(1, p + 1):
+        rows = slice(trbf_dim(m, d - 1), trbf_dim(m, d))
+        keys[rows] = keys[parent[rows]] + weights[last[rows]]
+    return keys
+
+
+class _Moments:
+    """Every moment sum_n envelope_n^2 u_n^c with |c| <= 2p, by key.
+
+    Built from what `train_trbf_krr` accumulates: low[r] is coef[r] times
+    the moment of row r (|r| <= p), and each task's product holds
+    coef[a] coef[b] times the moment of a + b, of which the canonical
+    pairs (`_canonical_pairs`) give each higher moment once. The
+    C(m+2p, 2p) moments are held sorted by key with the start of each
+    bucket of keys sharing their top bits, so a lookup reads one start
+    and steps over a few keys. A key finds its moment exactly when all
+    keys differ; that is checked, and a collision (odds of about
+    C(m+2p, 2p)^2 / 2^65) draws new weights.
+    """
+
+    def __init__(self, m, p, low, prods):
+        """Takes the products: they are scaled in place, and the list is
+        emptied once the moments are read out of it."""
+        coef = _trbf_tables(m, p)[0]
+        size = math.comb(m + 2 * p, 2 * p)
+
+        def packed(head, pieces):  # one array, no list of pieces to join
+            out = np.empty(size, dtype=head.dtype)
+            out[:head.size], at = head, head.size
+            for piece in pieces:
+                out[at:at + piece.size], at = piece, at + piece.size
+            return out
+
+        def scaled(rows, cols, keep, prod):
+            prod /= np.multiply.outer(coef[rows], coef[cols])
+            return prod[keep]
+
+        moments = packed(low / coef, (
+            scaled(*pair, prod)
+            for pair, prod in zip(_canonical_pairs(m, p), prods)))
+        prods.clear()
+        for attempt in itertools.count():
+            row_keys = _row_keys(m, p, attempt)
+            keys = packed(row_keys, (
+                (row_keys[rows][:, None] + row_keys[cols])[keep]
+                for rows, cols, keep in _canonical_pairs(m, p)))
+            order = np.argsort(keys)
+            keys = keys[order]
+            if np.all(keys[1:] > keys[:-1]):
+                break
+        self.row_keys, self.keys, self.moments = row_keys, keys, moments[order]
+        del moments, order
+        buckets = 1 << (size.bit_length() - 1)  # 1-2 keys per bucket
+        self.shift = 65 - buckets.bit_length()
+        edges = np.arange(buckets, dtype=np.uint64)
+        edges <<= np.uint64(self.shift)
+        self.start = np.searchsorted(keys, edges)  # first key of each bucket
+
+    def __call__(self, rows, cols):
+        """The moments of a + b for a in `rows` and b in `cols` (slices of
+        the map's rows), as a len(rows) x len(cols) array."""
+        q = self.row_keys[rows][:, None] + self.row_keys[cols]
+        at = self.start[q >> self.shift]
+        miss = np.flatnonzero(self.keys[at] != q)
+        flat_q, flat_at = q.reshape(-1), at.reshape(-1)  # views
+        while miss.size:
+            flat_at[miss] += 1
+            miss = miss[self.keys[flat_at[miss]] != flat_q[miss]]
+        del q, flat_q
+        return self.moments[at]
+
+
 def train_trbf_krr(x, y, sigma=None, p=2, lam=None, seed=0, threads=1):
     """Kernel ridge regression through the explicit truncated-RBF map.
 
-    All columns are expanded to Z (J x N) in fixed EXPAND_CHUNK-column
-    chunks, and the intrinsic-space normal equations
-    (Z Z^T + lam I) u = Z y are solved with a Cholesky factorization: the
-    J^2 N + J^3 path, which beats the N^3 dual path whenever J stays
-    moderate. Only the upper block-triangle of Z Z^T is accumulated (the
-    solve reads that triangle only), in row blocks of GRAM_BLOCK spread
-    over `threads` workers; one pool serves the whole call. Chunk width and
-    block partition are constants, so the weights have the same bits for
-    every `threads`. The one guard on J runs before anything is allocated:
-    the peak working set of 8 (2 J^2 + J EXPAND_CHUNK) bytes (the
-    accumulator and its Cholesky factor, plus one chunk) must fit in three
-    quarters of physical memory (of 8 GiB where the platform reports
-    none), else a ConfigError refuses the plan. The quarter left covers
-    what the guard does not measure: the data, the views, R, the locals
-    and the OS. Before it, the inputs pass `_training_inputs`, and sigma
-    (None: the `sigma_heuristic` of x) and p take their `LearnerSpec` rules.
+    Solves the intrinsic-space normal equations (Z Z^T + lam I) u = Z y,
+    Z the J x N map, with a Cholesky factorization, which beats the N^3
+    dual path whenever J stays moderate. Z is expanded in fixed
+    EXPAND_CHUNK-column chunks, but Z Z^T is never multiplied out: its
+    entry (a, b) is coef[a] coef[b] times the moment
+    sum_n envelope_n^2 u_n^(a+b), which depends on a + b only, so each of
+    the C(m+2p, 2p) distinct moments is computed once (230,230 for the
+    1.57M upper-triangle entries at m = 20, p = 3). Per chunk, z @ z[0]
+    gives the moments of degree <= p, and each task of `_moment_plan`
+    (degree-p rows times a suffix of each degree) adds the higher ones to
+    a product of its own. After the last chunk `_Moments` keys the
+    moments, and the upper block-triangle of the normal matrix, all the
+    solve reads, is filled from them in row blocks of GRAM_BLOCK. Tasks
+    and fill blocks share one pool of `threads` workers, each writes only
+    its own output, and neither partition depends on `threads`, so the
+    weights have the same bits for every `threads`.
+
+    The one guard on J runs before anything is allocated: 8 (2 J^2 + J
+    EXPAND_CHUNK) bytes, the normal matrix and its Cholesky factor plus
+    one chunk, must fit in three quarters of physical memory (of 8 GiB
+    where the platform reports none), else a ConfigError refuses the
+    plan. The guard does not count the caller's data (x, and for a plan
+    its views, R and the locals); the products and the moment table,
+    about 32 C(m+2p, 2p) bytes at their peak and freed before the factor
+    exists, which keeps them under the factor's 8 J^2 for p >= 2 once
+    J >= 45 but puts them at 2-3 times it for p = 1; or each worker's
+    temporaries, about 25 GRAM_BLOCK J bytes for a fill block. Before the
+    guard the inputs pass `_training_inputs`, and sigma (None: the
+    `sigma_heuristic` of x) and p take their `LearnerSpec` rules.
     """
     x, y, lam = _training_inputs(x, y, lam)
     m, n = x.shape
@@ -468,21 +619,40 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None, seed=0, threads=1):
 
     a = lam * np.eye(j)
     b = np.zeros(j)
-    starts = range(0, j, GRAM_BLOCK)
-    spread = threads > 1 and len(starts) > 1
+    low = np.zeros(j)
+    coef = _trbf_tables(m, p)[0]
+    tasks = _moment_plan(m, p)[1]
+    prods = [np.zeros((len(rows), sum(hi - lo for lo, hi in spans)))
+             for rows, spans in tasks]
+    spread = threads > 1 and len(tasks) > 1
     with (ThreadPoolExecutor(threads) if spread else nullcontext()) as pool:
         run = pool.map if spread else map
         for lo in range(0, n, EXPAND_CHUNK):
             hi = min(lo + EXPAND_CHUNK, n)
             z = trbf_expand(x[:, lo:hi], sigma, p)
 
-            def block(r0):
-                r1 = min(r0 + GRAM_BLOCK, j)
-                a[r0:r1, r0:] += z[r0:r1] @ z[r0:].T
+            def product(k):
+                rows, spans = tasks[k]
+                zk, at = z[rows], 0
+                for s0, s1 in spans:
+                    prods[k][:, at:at + s1 - s0] += zk @ z[s0:s1].T
+                    at += s1 - s0
 
-            list(run(block, starts))
+            list(run(product, range(len(tasks))))
+            low += z @ z[0]
             b += z @ y[lo:hi]
             del z  # one chunk alive at a time, none during the solve
+        moments = _Moments(m, p, low, prods)
+
+        def fill(r0):
+            r1 = min(r0 + GRAM_BLOCK, j)
+            block = moments(slice(r0, r1), slice(r0, None))
+            block *= coef[r0:r1, None]
+            block *= coef[r0:]
+            a[r0:r1, r0:] += block
+
+        list(run(fill, range(0, j, GRAM_BLOCK)))
+        del moments
     u = solve_spd(a, b)
     return TrbfModel(weights=u, sigma=float(sigma), p=int(p),
                      lam=float(lam), n_features=m)

@@ -47,8 +47,9 @@ def _build_parser():
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads for local training and the "
-                            "TRBF global's Gram (prediction always runs on "
-                            "the calling thread)")
+                            "TRBF global's Gram products and fill "
+                            "(prediction always runs on the calling "
+                            "thread)")
         p.add_argument("--out", default=None, help="output directory")
 
     training(sub.add_parser("train", help="train and persist a model"))

@@ -169,7 +169,11 @@ def parse_libsvm(source, n_features=None, positive_label=None) -> Dataset:
     x = sp.csc_array((data, indices, indptr), shape=(m, raw_labels.size))
     uniq, inverse = np.unique(raw_labels, return_inverse=True)
     mapped = [_map_label(raw, positive_label) for raw in uniq.tolist()]
-    return Dataset(x, np.asarray(mapped, dtype=np.int64)[inverse])
+    ds = Dataset(x, np.asarray(mapped, dtype=np.int64)[inverse])
+    # both parsers refuse indices that do not strictly ascend, so X is
+    # canonical; saying so spares each consumer scipy's O(nnz) check
+    ds.X.has_canonical_format = True
+    return ds
 
 
 def _parse_lines(text):

@@ -12,10 +12,10 @@ those stages reproduces its model to the bit. `threads` is the only
 parallelism: it spreads the locals, which train and score while the
 calling thread builds the next view (tasks are pure and merged by
 subspace index, so results are identical for any thread count), then
-the TRBF global's Gram; each local runs on one thread, so pools never
-nest. The three stages are `report.timed` as `fit_decomposition`,
-`local_training` and `fusion`, so an open `report.recording()` gains
-their seconds; prediction is not timed here.
+the TRBF global's moment products and Gram fill; each local runs on one
+thread, so pools never nest. The three stages are `report.timed` as
+`fit_decomposition`, `local_training` and `fusion`, so an open
+`report.recording()` gains their seconds; prediction is not timed here.
 
 `predict_dc` scores on the calling thread (a worker pool costs more than
 the scoring it would spread). Every decomposition method is a linear map,
@@ -153,7 +153,8 @@ def _stage(name):
 
 
 def train_learner(spec, x, y, guards, seed, threads=1):
-    """Train one learner; `threads` spreads only the TRBF Gram."""
+    """Train one learner; `threads` spreads only the TRBF global's moment
+    products and Gram fill (`train_trbf_krr`)."""
     if spec.type == "linear":
         return train_linear(x, y, lam=spec.lam,
                             max_dense=guards.max_dense_features)

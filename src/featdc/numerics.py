@@ -52,11 +52,11 @@ def _bundled_openblas(module, suffix):
 # ddot/gemv calls from featdc's `threads` workers fight numpy's pool (rcv1
 # `train_dc` at threads=2: 3.7-3.9 s, against 1.4 s with numpy at 1 thread).
 # So both libraries run one thread, and featdc's own pool is the only
-# parallelism; the one large kernel, the TRBF Gram, is spread over it in
-# fixed blocks. Set once and never per call: the setter is not safe while
-# another thread is inside a BLAS call, and threaded BLAS kernels give
-# different bits at 1 and 2 threads, so a `threads`-dependent setting would
-# make scores depend on `--threads`.
+# parallelism; the large kernels, the TRBF Gram's moment products and
+# fill, are spread over it in fixed tasks. Set once and never per call:
+# the setter is not safe while another thread is inside a BLAS call, and
+# threaded BLAS kernels give different bits at 1 and 2 threads, so a
+# `threads`-dependent setting would make scores depend on `--threads`.
 SCIPY_OPENBLAS = _bundled_openblas(scipy, "")
 NUMPY_OPENBLAS = _bundled_openblas(np, "64_")
 if SCIPY_OPENBLAS is not None:

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -477,6 +478,73 @@ def test_train_trbf_krr_blocked_gram_same_bits_for_any_threads():
     z = trbf_expand(x, 3.0, p)
     ref = np.linalg.solve(z @ z.T + 2.0 * np.eye(z.shape[0]), z @ y)
     assert np.allclose(weights[0], ref, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, p", [(1, 1), (3, 1), (5, 4), (12, 3), (40, 2)])
+def test_train_trbf_krr_normal_matrix_is_z_zt(monkeypatch, m, p):
+    # the canonical pairs of the product tasks, with the rows of degree
+    # <= p, reach every monomial of degree <= 2p once; the normal matrix
+    # filled from those moments is Z Z^T + lam I on the upper triangle
+    # (all the solve reads). At m = 40, p = 2 exponent vectors in base 5
+    # would need 93 bits, more than a 64-bit key holds.
+    combos = trbf_indices(m, p)
+    reached = list(combos)
+    for rows, cols, keep in classify._canonical_pairs(m, p):
+        for i, k in zip(*np.nonzero(keep)):
+            reached.append(tuple(sorted(combos[rows[i]] + combos[cols[k]])))
+    assert sorted(reached) == sorted(trbf_indices(m, 2 * p))
+    rng = np.random.default_rng(10 * m + p)
+    n = 300
+    x = rng.normal(size=(m, n))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    solved = []
+    monkeypatch.setattr(classify, "solve_spd",
+                        lambda a, b: solved.append(a) or np.zeros_like(b))
+    train_trbf_krr(x, y, lam=0.5, sigma=1.5, p=p, threads=2)
+    z = trbf_expand(x, 1.5, p)
+    gram = z @ z.T
+    got = np.triu(solved[0] - 0.5 * np.eye(z.shape[0]))
+    assert np.abs(got - np.triu(gram)).max() <= 1e-12 * np.linalg.norm(gram)
+
+
+def test_train_trbf_krr_draws_new_keys_after_a_collision(monkeypatch):
+    # a first draw whose keys all collide is refused, and the moments the
+    # second draw finds are the same, bit for bit
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(6, 200))
+    y = np.where(x[0] * x[1] > 0, 1.0, -1.0)
+    want = train_trbf_krr(x, y, lam=0.5, sigma=2.0, p=3).weights
+    real, attempts = classify._row_keys, []
+
+    def row_keys(m, p, attempt):
+        attempts.append(attempt)
+        keys = real(m, p, attempt)
+        return keys if attempt else np.zeros_like(keys)
+
+    monkeypatch.setattr(classify, "_row_keys", row_keys)
+    got = train_trbf_krr(x, y, lam=0.5, sigma=2.0, p=3).weights
+    assert attempts == [0, 1]
+    assert np.array_equal(got, want)
+
+
+def test_train_trbf_krr_peak_memory_within_the_guard():
+    # the guard counts 8 (2 J^2 + J EXPAND_CHUNK) bytes; at fusion-wide's
+    # J the products, the moment table and the fill's blocks fit in it
+    m, p = 20, 3
+    j = trbf_dim(m, p)
+    need = 8 * (2 * j * j + j * EXPAND_CHUNK)
+    rng = np.random.default_rng(16)
+    n = EXPAND_CHUNK + 100
+    x = rng.normal(size=(m, n))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    tracemalloc.start()
+    try:
+        train_trbf_krr(x, y, lam=1.0, sigma=4.0, p=p, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need, (f"J = {j}: tracemalloc peak {peak} B exceeds the "
+                          f"guard's 8 (2 J^2 + J EXPAND_CHUNK) = {need} B")
 
 
 def test_train_dc_trbf_locals_start_no_nested_pool(monkeypatch):

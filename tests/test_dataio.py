@@ -255,6 +255,22 @@ def test_fit_max_abs_scale_copies_only_a_non_canonical_matrix(monkeypatch):
     assert fit_max_abs_scale(ds).tobytes() == want.tobytes()
 
 
+def test_parsed_matrix_is_marked_canonical(monkeypatch):
+    text = serialize_libsvm(make_sparse_planted(80, n_features=300,
+                                                n_signal=20, seed=15))
+    unmarked = fit_max_abs_scale(Dataset(parse_libsvm(text).X.copy(),
+                                         np.ones(80)))
+    scans = []
+    monkeypatch.setattr("scipy.sparse._compressed.csr_has_canonical_format",
+                        lambda *args: scans.append(args) or True)
+    ds = parse_libsvm(text)
+    assert ds.X.has_canonical_format and not scans
+    assert fit_max_abs_scale(ds).tobytes() == unmarked.tobytes()
+    assert not scans
+    monkeypatch.setattr(dataio, "_parse_bulk", lambda text: None)
+    assert parse_libsvm(text).X.has_canonical_format and not scans  # line loop
+
+
 @pytest.mark.parametrize("form", [np.asarray, sp.coo_array, sp.csr_array,
                                   sp.csc_matrix])
 def test_dataset_stores_any_matrix_as_csc(tmp_path, form):
