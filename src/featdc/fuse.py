@@ -290,6 +290,8 @@ def local_scores(model, x):
         raise NumericError("query features contain non-finite values")
     if model.at is None:
         return build_r(model.locals, apply_decomposition(model.decomposition, x))
+    if not sp.issparse(x):  # as the gate densifies: at h = 1 the product
+        x = np.asfortranarray(x)  # is a gemv, whose sums follow the layout
     return np.asarray(x.T @ model.at).T + model.b[:, None]
 
 

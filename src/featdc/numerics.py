@@ -1,9 +1,11 @@
 """Dense symmetric linear-algebra kernels.
 
-Three operations back every transform in the package: a symmetric
-eigendecomposition with a deterministic sign convention, a generalized
-symmetric eigenproblem reduced to the standard one through a Cholesky
-factor, and symmetric-positive-definite solves.
+Three operations back every transform in the package, all through
+scipy's LAPACK: a symmetric eigendecomposition with a deterministic sign
+convention (`syevd`), the generalized symmetric eigenproblem against an
+SPD matrix (`sygvd`, through the same function), and
+symmetric-positive-definite solves (`potrf`/`potrs`). Every factorization
+featdc runs is one of these; numpy's BLAS runs only matrix products.
 
 All functions treat their inputs as read-only and are safe to call
 concurrently.
@@ -73,13 +75,6 @@ class EigResult(NamedTuple):
     vectors: np.ndarray
 
 
-def sym_from_upper(a):
-    """Exactly symmetric matrix built from the upper triangle of `a`."""
-    a = np.asarray(a, dtype=np.float64)
-    u = np.triu(a)
-    return u + np.triu(a, 1).T
-
-
 def _fix_signs(vectors):
     """Flip each column so its largest-magnitude entry is positive.
 
@@ -92,65 +87,48 @@ def _fix_signs(vectors):
     return vectors * signs
 
 
-def sym_eig(a) -> EigResult:
-    """Eigendecomposition of a symmetric matrix.
+def sym_eig(a, b=None) -> EigResult:
+    """Solve A v = lambda v, or A v = lambda B v for an SPD B.
 
-    Builds the exactly symmetric operand from the upper triangle, then
-    returns eigenvalues in descending order with orthonormal eigenvector
-    columns under the sign convention of `_fix_signs`.
+    Reads only the upper triangle of `a` (and `b`): like `solve_spd`, it
+    hands LAPACK the transposes as lower triangles, `syevd` for A alone
+    and `sygvd` (Cholesky reduction, `syevd`, back-substitution) for the
+    pencil. Eigenvalues come in descending order with the eigenvector
+    columns under the sign convention of `_fix_signs`; they are
+    orthonormal for A alone and B-orthonormal (v_i^T B v_j = delta_ij)
+    for the pencil.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise NumericError(f"sym_eig needs a square matrix, got shape {a.shape}")
-    s = sym_from_upper(a)
-    if not np.all(np.isfinite(s)):
-        raise NumericError("sym_eig: non-finite entries in input")
-    values, vectors = np.linalg.eigh(s)
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    vectors = _fix_signs(vectors[:, order])
-    return EigResult(values, vectors)
-
-
-def _cholesky_lower(b, context):
+    mats = [np.asarray(m, dtype=np.float64) for m in (a, b) if m is not None]
+    for m in mats:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+            raise NumericError(f"sym_eig needs square matrices, got shape {m.shape}")
+        if m.shape != mats[0].shape:
+            raise NumericError(f"sym_eig: shape mismatch {mats[0].shape} vs {m.shape}")
+        if np.triu(~np.isfinite(m)).any():
+            raise NumericError("sym_eig: non-finite entries in input")
     try:
-        return scipy.linalg.cholesky(b, lower=True)
+        values, vectors = scipy.linalg.eigh(
+            *(m.T for m in mats), lower=True, check_finite=False,
+            driver="evd" if b is None else "gvd")
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(
-            f"{context}: matrix is not positive definite (Cholesky failed); "
-            "increase the ridge parameter"
-        ) from exc
+            "sym_eig: the eigensolver failed" if b is None else
+            "sym_eig: matrix is not positive definite (Cholesky failed); "
+            "increase the ridge parameter") from exc
+    order = np.argsort(values)[::-1]
+    return EigResult(values[order], _fix_signs(vectors[:, order]))
 
 
-def gen_sym_eig(s, b) -> EigResult:
-    """Solve S v = lambda B v for symmetric S and SPD B.
-
-    Reduction route: B = L L^T, C = L^-1 S L^-T, standard eigenproblem on
-    C, then back-substitute v = L^-T u. The returned vectors are
-    B-orthonormal (v_i^T B v_j = delta_ij) and sign-fixed like `sym_eig`.
-    """
-    s = sym_from_upper(s)
-    b = sym_from_upper(b)
-    if s.shape != b.shape:
-        raise NumericError(f"gen_sym_eig: shape mismatch {s.shape} vs {b.shape}")
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(b))):
-        raise NumericError("gen_sym_eig: non-finite entries in input")
-    lower = _cholesky_lower(b, "gen_sym_eig")
-    # C = L^-1 S L^-T via two triangular solves
-    tmp = scipy.linalg.solve_triangular(lower, s, lower=True)
-    c = scipy.linalg.solve_triangular(lower, tmp.T, lower=True).T
-    values, u = sym_eig(c)
-    vectors = scipy.linalg.solve_triangular(lower.T, u, lower=False)
-    return EigResult(values, _fix_signs(vectors))
+# the generalized problem's name in the public API: sym_eig(s, b)
+gen_sym_eig = sym_eig
 
 
 def solve_spd(a, rhs):
     """Solve A X = rhs for symmetric positive definite A via Cholesky.
 
-    Reads only the upper triangle of `a`, like `sym_from_upper`: `a.T` is
-    Fortran-ordered with that triangle as its lower one, so LAPACK gets
-    the same operand as from `sym_from_upper(a)` and the matrix is copied
-    once, into the factor.
+    Reads only the upper triangle of `a`: `a.T` is Fortran-ordered with
+    that triangle as its lower one, so LAPACK reads it in place and the
+    matrix is copied once, into the factor.
     """
     a = np.asarray(a, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)

@@ -1,13 +1,22 @@
+import ast
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from featdc import numerics
 from featdc.errors import NumericError
 from featdc.numerics import (NUMPY_OPENBLAS, SCIPY_OPENBLAS, gen_sym_eig,
-                             solve_spd, sym_eig, sym_from_upper)
+                             solve_spd, sym_eig)
+
+
+def sym_from_upper(a):
+    """Exactly symmetric matrix built from the upper triangle of `a`."""
+    return np.triu(a) + np.triu(a, 1).T
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -80,11 +89,54 @@ def test_sym_eig_rejects_bad_input():
         sym_eig(np.zeros((2, 3)))
 
 
-def test_sym_from_upper_is_exactly_symmetric():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(9, 9))
-    s = sym_from_upper(a)
-    assert np.array_equal(s, s.T)
+def same_bits(x, y):
+    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 130])
+def test_eig_reads_upper_triangles_bitwise(n):
+    # the strict lower triangles are never read: random values or NaN
+    # there give the bits of the exactly symmetric operands
+    rng = np.random.default_rng(34 + n)
+    s = random_symmetric(rng, n)
+    b = random_spd(rng, n)
+    lower = np.tril_indices(n, -1)
+    ref_std = sym_eig(s)
+    ref_gen = gen_sym_eig(s, b)
+    for fill in (rng.normal(size=len(lower[0])), np.nan):
+        s_bad, b_bad = s.copy(), b.copy()
+        s_bad[lower] = fill
+        b_bad[lower] = fill
+        before = (s_bad.copy(), b_bad.copy())
+        for got, ref in ((sym_eig(s_bad), ref_std),
+                         (gen_sym_eig(s_bad, b_bad), ref_gen)):
+            assert same_bits(got.values, ref.values)
+            assert same_bits(got.vectors, ref.vectors)
+        assert np.array_equal(s_bad, before[0], equal_nan=True)
+        assert np.array_equal(b_bad, before[1], equal_nan=True)
+
+
+@pytest.mark.parametrize("a, b, shape", [
+    (np.zeros(3), None, "(3,)"),
+    (np.zeros((2, 3)), None, "(2, 3)"),
+    (np.zeros((0, 0)), None, "(0, 0)"),
+    (np.zeros(3), np.zeros(3), "(3,)"),
+    (np.eye(3), np.zeros(3), "(3,)"),
+    (np.eye(3), np.zeros((3, 2)), "(3, 2)"),
+    (np.eye(3), np.eye(2), "(2, 2)"),
+])
+def test_eig_refuses_bad_shapes_by_name(a, b, shape):
+    with pytest.raises(NumericError, match=re.escape(shape)):
+        sym_eig(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gen_sym_eig_non_finite_upper_triangle(bad):
+    for which in (0, 1):
+        pencil = [np.eye(3), np.eye(3)]
+        pencil[which][0, 2] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            gen_sym_eig(*pencil)
 
 
 def test_gen_sym_eig_identity_reduction():
@@ -126,7 +178,7 @@ def test_gen_sym_eig_against_bruteforce_oracle():
 def test_gen_sym_eig_rejects_indefinite_b():
     s = np.eye(2)
     b = np.diag([1.0, -1.0])
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="increase the ridge"):
         gen_sym_eig(s, b)
 
 
@@ -221,3 +273,36 @@ def test_import_runs_scipy_openblas_single_threaded():
     assert scipy_threads == "1"
     assert numpy_after_import == "1"
     assert numpy_after_train == "1"
+
+
+def dotted_name(node):
+    """"np.linalg.eigh" for the expression np.linalg.eigh, else None."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.insert(0, node.attr)
+        node = node.value
+    return ".".join([node.id] + attrs) if isinstance(node, ast.Name) else None
+
+
+def test_only_numerics_reaches_lapack():
+    # every factorization goes through this module, so the choice of
+    # LAPACK lives in one place: no other module imports scipy.linalg or
+    # calls an np.linalg function but the norm
+    found = []
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Call):
+                names = [dotted_name(node.func) or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith("scipy.linalg")
+                      or (name.startswith(("np.linalg", "numpy.linalg"))
+                          and name.rpartition(".")[2] != "norm")]
+    assert found == []
