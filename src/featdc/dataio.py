@@ -45,9 +45,13 @@ strict grammar, in blocks of about 1 MiB cut at line ends:
 numpy finds the tokens, decodes the indices and checks each number's
 spelling at its signs, dot and e. scipy's compiled Matrix Market reader
 (scipy >= 1.12; fast_float, after Lemire, "Number Parsing at a Gigabyte
-per Second", 2021) then reads the labels and values, one per line, on the
-calling thread. That reader would read a prefix of a misspelled number
-(``1e`` as 1, ``1.2.3`` as 1.2), hence the spelling check.
+per Second", 2021) then reads the labels and values on the calling
+thread. It is handed the block with each ``:`` made a line end and tab
+and ``\r`` made spaces, so each line holds one label or value and then
+the next entry's index, which the reader skips: it reads the first number
+of a line, and it pays per line, not per number. That reader would read a
+prefix of a misspelled number (``1e`` as 1, ``1.2.3`` as 1.2), hence the
+spelling check.
 
 Any other input goes whole to the line loop (`_parse_lines`), which uses
 Python's ``float()``/``int()`` and is the only source of the errors above,
@@ -236,8 +240,10 @@ def _parse_lines(text):
 BULK_BLOCK_CHARS = 1 << 20  # a block ends at the last line end before this
 _MAX_INDEX_DIGITS = 15      # below 2**53, so every such index is exact
 
-_BULK_BYTES = b"0123456789+-.eE: \t\n\r"  # the last four are whitespace
-_TO_LINES = bytes.maketrans(b" \t\r:", b"\n\n\n\n")
+# the bulk alphabet's bytes as the reader gets them: ':' becomes a line end,
+# tab and '\r' a space; any byte outside the alphabet becomes NUL
+_TO_LINES = bytes(dict(zip(b"0123456789+-.eE \n:\t\r",
+                           b"0123456789+-.eE \n\n  ")).get(byte, 0) for byte in range(256))
 _MM_HEADER = b"%%MatrixMarket matrix array real general\n"
 
 
@@ -272,7 +278,8 @@ def _parse_block(block):
         raw = block.encode("ascii")
     except UnicodeEncodeError:
         return None
-    if raw.translate(None, _BULK_BYTES):
+    body = raw.translate(_TO_LINES)
+    if b"\0" in body:  # a byte outside the bulk alphabet
         return None
     b = np.frombuffer(raw, dtype=np.uint8)
     if b"\r" in raw:  # only as part of "\r\n"
@@ -303,30 +310,35 @@ def _parse_block(block):
     if longest > _MAX_INDEX_DIGITS:
         return None
 
-    # decode the index digits, last digit first, and blank them in the
-    # reader's copy: the labels and values, one per line, with a line end
-    # before them and two after (byte i of the block is byte i + 1 there)
-    lines = np.frombuffer(bytearray(b"\n%s\n\n" % raw.translate(_TO_LINES)),
-                          dtype=np.uint8)
+    # decode the index digits, last digit first
     index = np.zeros(colons.size, dtype=np.int64)
     for k in range(longest):
         has = n_digits > k
-        at = colons[has] - 1 - k
-        digit = b[at] - np.uint8(ord("0"))  # wraps above 9 for a non-digit
+        digit = b[colons[has] - 1 - k] - np.uint8(ord("0"))  # wraps above 9 for a non-digit
         if (digit > 9).any():
             return None
         index[has] += digit.astype(np.int64) * 10 ** k
-        lines[at + 1] = ord("\n")
     entry_row = (np.cumsum(is_label) - 1)[is_entry]
     same_row = entry_row[1:] == entry_row[:-1]
     if index.size and (index.min() < 1 or (same_row & (index[1:] <= index[:-1])).any()):
         return None
+    # the reader's buffer: its header, then the body, whose lines each hold
+    # a label or value and then the next entry's index, and two line ends;
+    # `lines` views it from the header's last line end on (byte i of the
+    # block is byte i + 1 there)
+    stream = io.BytesIO()
+    stream.write(b"%s%d 1\n" % (_MM_HEADER, starts.size))
+    head = stream.tell() - 1
+    stream.write(body)
+    stream.write(b"\n\n")
+    del body  # the stream holds a copy; one block less at the block's peak
+    lines = np.frombuffer(stream.getbuffer(), dtype=np.uint8)[head:]
     first = starts + 1  # where each label, and each value after its ':', starts
     first[is_entry] = colons + 2
     if not _spelled_as_floats(lines, first):
         return None
 
-    numbers = _read_decimals(lines, starts.size)
+    numbers = _read_decimals(stream, starts.size)
     if numbers is None:
         return None
     labels, values = numbers[is_label], numbers[is_entry]
@@ -345,18 +357,19 @@ def _is_digit(byte):
 def _spelled_as_floats(lines, first):
     """Whether every number in `lines` is spelled as float() reads it,
     ``[+-]? (d+ .? d* | . d+) ([eE] [+-]? d+)?``; blanks each leading '+',
-    which the reader refuses.
+    which the reader refuses, to a space.
 
     `lines` holds numbers spelled from ``0-9 + - . e E``, number k from
-    byte first[k] to the next line end, with a line end before the first
-    number and two after the last. The reader reads a prefix of a
-    misspelled number (``1e`` as 1, ``1.2.3`` as 1.2), so the spelling is
-    checked here, at each sign, dot and e, and their neighbours.
+    byte first[k] to the next space or line end, with a line end before
+    the first number and two after the last. The reader reads a prefix of
+    a misspelled number (``1e`` as 1, ``1.2.3`` as 1.2), so the spelling
+    is checked here, at each sign, dot and e, and their neighbours; so
+    every number also ends at a space or a line end.
     """
     at = np.flatnonzero(((lines - np.uint8(ord("+"))) < 4) | (lines > ord("9")))
     kind, before, after = lines[at], lines[at - 1], lines[at + 1]
     sign, dot, e = kind < ord("."), kind == ord("."), kind > ord("9")
-    lead = before == ord("\n")
+    lead = before <= ord(" ")  # a space or a line end
     digit_before, digit_after = _is_digit(before), _is_digit(after)
     # a sign leads, before a digit or the dot, or follows an e, before a digit
     sign_ok = ((lead & (digit_after | (after == ord("."))))
@@ -369,23 +382,29 @@ def _spelled_as_floats(lines, first):
             & (digit_after | (sign_after & _is_digit(lines[at + 2]))))
     if not np.where(sign, sign_ok, np.where(dot, dot_ok, e_ok)).all():
         return False
-    if (lines[first] == ord("\n")).any():  # an empty value
+    if (lines[first] <= ord(" ")).any():  # an empty value
         return False
     # at most one dot and one e per number, the dot first
     owner = np.searchsorted(first, at[~sign], side="right")
     is_e = e[~sign]
     if ((owner[1:] == owner[:-1]) & (is_e[:-1] | ~is_e[1:])).any():
         return False
-    lines[at[lead & (kind == ord("+"))]] = ord("\n")
+    lines[at[lead & (kind == ord("+"))]] = ord(" ")
     return True
 
 
-def _read_decimals(lines, n):
-    """The `n` decimals of `lines`, bytes that hold one per line (blank
-    lines are skipped), read by scipy's compiled Matrix Market reader
-    (fast_float: correctly rounded, as float() is) on the calling thread;
-    None if the reader refuses them."""
-    stream = io.BytesIO(b"%s%d 1\n%s" % (_MM_HEADER, n, lines.data))
+def _read_decimals(stream, n):
+    """The `n` decimals of `stream`, read from its start by scipy's compiled
+    Matrix Market reader (fast_float: correctly rounded, as float() is) on
+    the calling thread; None if the reader refuses them.
+
+    `stream` holds a Matrix Market array header for `n` numbers, then one
+    number per line, read to the next space or line end; the rest of the
+    line, leading spaces and lines that are empty or hold only spaces are
+    skipped. It must end in a line end: the reader can crash on a last
+    line that holds a space after its number and no line end.
+    """
+    stream.seek(0)
     out = np.zeros((n, 1))  # the reader adds into its output
     try:
         _fmm_core.read_body_array(_fmm_core.open_read_stream(stream, 1), out)

@@ -1,6 +1,7 @@
 import ast
 import gzip
 import hashlib
+import io
 import itertools
 import tracemalloc
 from pathlib import Path
@@ -350,6 +351,8 @@ LOOP_ONLY = [
     "+1 1:2:3 4\n", "+1:3 2:1\n", "+1 1: 2:1\n", "+1 1:1-2\n", "+1 :1\n",
     "+1 1:1\r2:1\n-1 1:1\n", "+1 1:1\x0c2:1\n", "+1 1:1\x1c2:1\n",
     "+1 1:1\x852:1\n", "\u0661 1:1\n", "+1 \u0661:1\n", "+1 1:1\r",
+    "+1 1:1\x00 2:1\n", "\x00+1 1:1\n", "+1 1:1\x0b2:1\n", "+1 1:+ 2:1\n", "\x01\n",
+    "\n \x00 \n",
 ]
 # float() refuses these, and the compiled reader would read a prefix of
 # some of them (1e as 1, 1.2.3 as 1.2): each as a label and as a value
@@ -369,6 +372,8 @@ BULK = [
     "+1 007:1. 8:.5 9:-1E-3 10:+2e+2\n2.5 1:1\n-0.0 1:1\n1e400 1:1\n",
     "-1 1:1\n+1 2:2",
     "1.e5 1:1.e5 2:+.5 3:-.5e-3 4:+1e+2 5:0e0\n+.5 1:1\n-.5e-3 1:1\n+1e+2 1:1\n0e0 1:1\n",
+    "  +1  1:+5\t \t2:-7  \r\n\t-1\t3:+1.5e+3 \n \n+2\t\r\n",
+    "+1 1:1 2:+2 3:3e3 4:+4.\n-1 999999999999999:+.5\n",
 ]
 
 
@@ -462,19 +467,101 @@ def test_bulk_path_matches_loop_on_random_lines(monkeypatch):
 
 def test_spelling_check_accepts_what_float_reads():
     # every spelling of 0-5 bytes: the reader reads a prefix of some that
-    # float() refuses, and refuses others itself, so the check stands alone
+    # float() refuses, and refuses others itself, so the check stands alone;
+    # each alone on its line, and as the reader's buffer lays a value out:
+    # a space and the next entry's index behind it
     for size in range(6):
         for spelling in map(bytes, itertools.product(b"1+-.eE", repeat=size)):
-            lines = np.frombuffer(bytearray(b"\n%s\n\n" % spelling), dtype=np.uint8)
             try:
                 float(spelling)
             except ValueError:
                 want = False
             else:
                 want = True
-            assert dataio._spelled_as_floats(lines, np.array([1])) == want, spelling
-            if want:  # only a leading '+' is blanked
-                assert lines[1:-2].tobytes() == spelling.removeprefix(b"+").rjust(size, b"\n")
+            for rest in (b"", b" 12"):
+                lines = np.frombuffer(bytearray(b"\n%s%s\n\n" % (spelling, rest)),
+                                      dtype=np.uint8)
+                assert dataio._spelled_as_floats(lines, np.array([1])) == want, (spelling, rest)
+                if want:  # only a leading '+' is blanked, to a space
+                    assert lines[1:-2].tobytes() == (spelling.removeprefix(b"+").rjust(size)
+                                                     + rest)
+
+
+def random_layout(rng, rows):
+    """A LIBSVM text of `rows` lines whose whitespace is drawn at random:
+    tabs, '\\r\\n', runs of spaces, leading and trailing spaces, blank and
+    space-only lines, '+' on labels and values, and now and then a bare
+    '\\r' or an empty value, which the bulk path must refuse."""
+    gaps = [" ", "  ", "\t", " \t", "\t  ", "   "]
+    edges = ["", "", " ", "\t", "  \t"]
+    ends = ["\n", "\n", "\r\n", " \n", "\t\r\n", "\n\n", "\n \n", "\n\t \n", "\r\n  \r\n"]
+    numbers = ["1", "-1", "0", "-0.0", "2.5", ".5", "5.", "1e3", "1E-3", "-.5e+2", "0.1",
+               "1.7976931348623157e308", "5e-324", "123456789.125"]
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def signed():
+        number = pick(numbers)
+        return "+" + number if number[0] != "-" and rng.random() < 0.3 else number
+
+    text = []
+    for _ in range(rows):
+        k = int(rng.integers(0, 5))
+        indices = np.sort(rng.choice(np.arange(1, 40), size=k, replace=False)).tolist()
+        entries = [f"{j}:{signed()}" for j in indices]
+        if entries and rng.random() < 0.02:
+            entries[-1] = entries[-1].split(":")[0] + ":"
+        parts = [pick(edges), signed()]
+        for entry in entries:
+            parts += [pick(gaps), entry]
+        parts += [pick(edges), "\r" if rng.random() < 0.01 else "", pick(ends)]
+        text.append("".join(parts))
+    text = "".join(text)
+    return text if rng.random() < 0.8 else text.rstrip("\r\n")
+
+
+def test_bulk_path_matches_loop_on_random_layouts(monkeypatch):
+    # each text is refused by the bulk path, or gives the loop's exact bits
+    rng = np.random.default_rng(31)
+    accepted = 0
+    for _ in range(1500):
+        text = random_layout(rng, int(rng.integers(1, 5)))
+        if dataio._parse_bulk(text) is None:
+            continue
+        accepted += 1
+        with monkeypatch.context() as m:
+            m.setattr(dataio, "_parse_bulk", lambda text: None)
+            want = outcome(lambda: parse_libsvm(text))
+        assert outcome(lambda: parse_libsvm(text)) == want, text
+    assert accepted > 1000
+
+
+def read_decimals(body, n):
+    stream = io.BytesIO(b"%s%d 1\n%s" % (dataio._MM_HEADER, n, body))
+    return dataio._read_decimals(stream, n)
+
+
+# the reader's behaviour that the bulk path's buffer layout relies on
+def test_reader_reads_the_first_number_of_each_line():
+    got = read_decimals(b"1.5 12\n-2 3 4\n4e2 1234567\n.5\n", 4)
+    assert got.tolist() == [1.5, -2.0, 400.0, 0.5]
+
+
+def test_reader_skips_empty_and_space_only_lines():
+    got = read_decimals(b"\n\n1 2\n \n   \n\n2\n  \n\n", 2)
+    assert got.tolist() == [1.0, 2.0]
+
+
+def test_reader_skips_leading_spaces():
+    got = read_decimals(b" 1 2\n    -2.5\n  .5e1 7\n", 3)
+    assert got.tolist() == [1.0, -2.5, 5.0]
+
+
+def test_reader_refuses_a_leading_plus():
+    for body in (b"+1\n2\n", b"1\n+2 3\n", b"1\n  +2\n"):
+        assert read_decimals(body, 2) is None, body
+    assert read_decimals(b"1e+2 3\n-2\n", 2).tolist() == [100.0, -2.0]
 
 
 def test_bulk_path_pins_a_zero_label_of_either_sign(monkeypatch):
@@ -507,6 +594,30 @@ def test_bulk_reader_runs_on_the_calling_thread(monkeypatch):
     forbid_loop(monkeypatch)
     assert outcome(lambda: parse_libsvm(text)) == want
     assert len(calls) > 1 and set(calls) == {1}
+
+
+def test_bulk_reader_gets_one_line_per_number(monkeypatch):
+    # each label and value takes one line of the reader's buffer, the next
+    # entry's index rides behind it, and the only other lines are the text's
+    # own blank lines and the two line ends after each block
+    open_read_stream = dataio._fmm_core.open_read_stream
+    bodies = []
+
+    def spy(stream, parallelism):
+        bodies.append(stream.getvalue().split(b"\n", 2)[2])  # after the header
+        return open_read_stream(stream, parallelism)
+
+    ds = make_quadratic_band(1500, n_features=54, seed=5)
+    text = serialize_libsvm(ds).replace("\n", "\n\n \n", 40)
+    n_blank = sum(not line.strip() for line in text.splitlines())
+    n_numbers = ds.n_instances + text.count(":")
+    monkeypatch.setattr(dataio._fmm_core, "open_read_stream", spy)
+    forbid_loop(monkeypatch)
+    assert datasets_equal(ds, parse_libsvm(text))
+    assert len(bodies) > 1
+    lines = b"".join(bodies).split(b"\n")
+    assert sum(bool(line.strip()) for line in lines) == n_numbers
+    assert sum(body.count(b"\n") for body in bodies) <= n_numbers + n_blank + 2 * len(bodies)
 
 
 def forbid_loop(monkeypatch):

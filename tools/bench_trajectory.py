@@ -36,7 +36,11 @@ def source_sha256():
 
 
 def run(workload, seed, seconds, trace):
-    """One benchmark process; returns the record it wrote."""
+    """One benchmark process; returns the parts of the record it wrote
+    that a trajectory keeps. The rest, every sample, is dropped at once: a
+    child process starts from this process's peak RSS (Linux carries the
+    high-water mark over fork and exec), so records kept here would raise
+    the `peak_rss_mb` of every later run."""
     subprocess.run([sys.executable, os.path.join(PERFBENCH, "run.py"),
                     "--workload", workload, "--seed", str(seed),
                     "--seconds", str(seconds), "--trace", str(trace)],
@@ -47,7 +51,7 @@ def run(workload, seed, seconds, trace):
         record = json.load(fh)
     if record["tiny"] or record["seconds"] != seconds:
         raise SystemExit(f"error: {path} is not the full-size run just made")
-    return record
+    return {key: record[key] for key in ("metrics", "attempted", "failed", "environment")}
 
 
 def summarize(values):
