@@ -15,16 +15,16 @@ Typical use::
 
 from .classify import (LinearModel, TrbfModel, sigma_heuristic,
                        train_linear, train_trbf_krr, trbf_dim, trbf_expand,
-                       trbf_indices, truncated_rbf_kernel)
+                       trbf_indices)
 from .dataio import (Dataset, SplitSpec, apply_feature_scale, load_libsvm,
                      max_abs_scale, parse_libsvm, save_libsvm,
                      select_instances, serialize_libsvm, split)
-from .datasets import make_blobs, make_quadratic_band, make_sparse_planted
+from .datasets import make_quadratic_band, make_sparse_planted
 from .decompose import (CompositeDecomposition, SubspaceDecomposition,
-                        abd_dense_transform, apply_decomposition, block_gram,
-                        disjoint_groups, feature_scatter, fit_abd,
-                        fit_bcd, fit_dca, fit_pca, fit_plan, make_rd,
-                        overlapping_groups, within_class_scatter)
+                        apply_decomposition, block_gram, disjoint_groups,
+                        feature_scatter, fit_abd, fit_bcd, fit_dca, fit_pca,
+                        fit_plan, make_rd, overlapping_groups,
+                        within_class_scatter)
 from .errors import (ConfigError, DataError, FeatdcError, NumericError,
                      ParseError, ValidationError)
 from .fuse import (DcModel, Guards, LearnerSpec, build_r, evaluate,
@@ -39,15 +39,14 @@ __all__ = [
     "DcModel", "EigResult", "FeatdcError", "Guards", "LearnerSpec",
     "LinearModel", "NumericError", "ParseError", "SplitSpec",
     "SubspaceDecomposition", "TrbfModel", "ValidationError",
-    "abd_dense_transform", "apply_decomposition", "apply_feature_scale",
-    "block_gram", "build_r", "disjoint_groups", "evaluate",
-    "feature_scatter", "fit_abd", "fit_bcd", "fit_dca", "fit_pca",
-    "fit_plan", "gen_sym_eig", "load_dc_model", "load_libsvm",
-    "make_blobs", "make_quadratic_band", "make_rd", "make_sparse_planted",
+    "apply_decomposition", "apply_feature_scale", "block_gram", "build_r",
+    "disjoint_groups", "evaluate", "feature_scatter", "fit_abd", "fit_bcd",
+    "fit_dca", "fit_pca", "fit_plan", "gen_sym_eig", "load_dc_model",
+    "load_libsvm", "make_quadratic_band", "make_rd", "make_sparse_planted",
     "max_abs_scale", "overlapping_groups", "parse_libsvm", "predict_dc",
     "within_class_scatter", "save_dc_model",
     "save_libsvm", "select_instances", "serialize_libsvm", "sigma_heuristic",
     "solve_spd", "split", "standardize_rows", "sym_eig", "train_dc",
     "train_linear", "train_trbf_krr", "trbf_dim", "trbf_expand",
-    "trbf_indices", "truncated_rbf_kernel", "__version__",
+    "trbf_indices", "__version__",
 ]

@@ -28,7 +28,8 @@ import scipy.sparse as sp
 from numpy.typing import NDArray
 from scipy.sparse.linalg import LinearOperator, lsmr
 
-from .decompose import DEFAULT_MAX_DENSE_FEATURES, _as_matrix, class_moments
+from .decompose import (DEFAULT_MAX_DENSE_FEATURES, _as_matrix,
+                        _require_finite, class_moments)
 from .errors import ConfigError, DataError, NumericError
 from .numerics import solve_spd
 from .rules import LEARNER_TYPES, require
@@ -65,8 +66,7 @@ def _training_inputs(x, y, lam):
     instance, and lam (None: `default_lam(N)`) taking the config's
     `LearnerSpec.lam` rule (positive)."""
     x = _as_matrix(x)
-    if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
-        raise NumericError("training features contain non-finite values")
+    _require_finite(x, "training")
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != x.shape[1]:
         raise DataError(f"{x.shape[1]} instances but {y.shape[0]} labels")
@@ -330,17 +330,6 @@ def _expand(x, sigma, p):
     return z, u
 
 
-def truncated_rbf_kernel(x, y, sigma, p):
-    """Degree-p truncation of the RBF kernel between two vectors: the
-    induced kernel of `trbf_expand` (test and dual-form oracle)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    s2 = sigma * sigma
-    dot = float(x @ y) / s2
-    series = sum(dot ** k / math.factorial(k) for k in range(p + 1))
-    return math.exp(-(x @ x + y @ y) / (2 * s2)) * series
-
-
 def sigma_heuristic(x, seed=0):
     """Median pairwise distance over a seeded subsample of at most 256
     instances (the usual kernel-bandwidth rule of thumb); falls back to
@@ -597,13 +586,11 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None, seed=0, threads=1):
     exists, which keeps them under the factor's 8 J^2 for p >= 2 once
     J >= 45 but puts them at 2-3 times it for p = 1; or each worker's
     temporaries, about 25 GRAM_BLOCK J bytes for a fill block. Before the
-    guard the inputs pass `_training_inputs`, and sigma (None: the
-    `sigma_heuristic` of x) and p take their `LearnerSpec` rules.
+    guard the inputs pass `_training_inputs` and p takes its `LearnerSpec`
+    rule; after it sigma (None: the `sigma_heuristic` of x) takes its own.
     """
     x, y, lam = _training_inputs(x, y, lam)
     m, n = x.shape
-    sigma = sigma_heuristic(x, seed=seed) if sigma is None else sigma
-    require("LearnerSpec.sigma", sigma)
     require("LearnerSpec.p", p)
     j = trbf_dim(m, p)
     need = 8 * (2 * j * j + j * EXPAND_CHUNK)
@@ -616,6 +603,8 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None, seed=0, threads=1):
             "memory, or of 8 GiB where it is not reported); lower the order "
             "p or fuse fewer inputs"
         )
+    sigma = sigma_heuristic(x, seed=seed) if sigma is None else sigma
+    require("LearnerSpec.sigma", sigma)
 
     a = lam * np.eye(j)
     b = np.zeros(j)

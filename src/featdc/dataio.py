@@ -33,8 +33,8 @@ text take the same path, with the same errors.
 Two parsers share this contract. A bulk path parses text that keeps to a
 strict grammar, in blocks of about 1 MiB cut at line ends:
 
-- the text is ASCII, and its only whitespace is space, tab, ``\n`` and
-  ``\r\n``;
+- the text is ASCII, and its only whitespace is space, tab, ``\r`` and
+  ``\n``, of which only ``\n`` ends a line, as in the line loop;
 - the label token holds no ``:``; every other token holds exactly one,
   with 1-15 ASCII digits before it;
 - labels and values are decimals spelled as ``float()`` reads them from
@@ -282,10 +282,6 @@ def _parse_block(block):
     if b"\0" in body:  # a byte outside the bulk alphabet
         return None
     b = np.frombuffer(raw, dtype=np.uint8)
-    if b"\r" in raw:  # only as part of "\r\n"
-        cr = np.flatnonzero(b == ord("\r"))
-        if cr[-1] + 1 == b.size or (b[cr + 1] != ord("\n")).any():
-            return None
 
     # tokens: runs of bytes above " ", the only whitespace left; a label
     # is the first token of its line

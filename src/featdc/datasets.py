@@ -1,10 +1,10 @@
 """Deterministic synthetic dataset generators.
 
 These produce Dataset objects shaped like the common benchmark regimes —
-a small dense well-separated problem, a dense mid-size problem whose
-decision boundary is nonlinear in one projection, and a high-dimensional
-sparse problem with a planted linear boundary — so the pipeline can be
-exercised end to end without downloading anything.
+a dense mid-size problem whose decision boundary is nonlinear in one
+projection, and a high-dimensional sparse problem with a planted linear
+boundary — so the pipeline can be exercised end to end without
+downloading anything.
 """
 
 import numpy as np
@@ -12,18 +12,6 @@ import scipy.sparse as sp
 
 from .dataio import Dataset
 from .errors import ConfigError
-
-
-def make_blobs(n_instances, n_features=2, separation=8.0, seed=0):
-    """Two spherical Gaussian blobs, far enough apart that a linear
-    least-squares classifier reaches zero training error."""
-    rng = np.random.default_rng(seed)
-    direction = rng.normal(size=n_features)
-    direction /= np.linalg.norm(direction)
-    y = np.where(rng.random(n_instances) < 0.5, 1, -1).astype(np.int64)
-    x = rng.normal(size=(n_features, n_instances))
-    x += np.outer(direction, y * (separation / 2.0))
-    return Dataset(sp.csc_array(x), y)
 
 
 def make_quadratic_band(n_instances, n_features=54, seed=0,

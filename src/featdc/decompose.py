@@ -46,7 +46,7 @@ import scipy.sparse as sp
 from numpy.typing import NDArray
 
 from .errors import ConfigError, DataError, NumericError
-from .numerics import gen_sym_eig, solve_spd, sym_eig
+from .numerics import solve_spd, sym_eig
 from .report import timed
 from .rules import METHODS, require
 
@@ -164,6 +164,14 @@ def _as_matrix(x):
     if 8 * m * n <= counted.nnz * (counted.data.itemsize + index) + (n + 1) * index:
         return _densify(x)
     return x
+
+
+def _require_finite(x, role):
+    """Refuse a matrix with a NaN or infinite entry (for sparse x, among
+    its stored values): a NumericError naming the `role` of its
+    features."""
+    if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
+        raise NumericError(f"{role} features contain non-finite values")
 
 
 def _densify(x):
@@ -427,7 +435,7 @@ def fit_dca(x, y, rho=None, n_subspaces=1, group_size=None, seed=0,
         rho = default_dca_ridge(sw, scatter)
     require("RunConfig.dca_ridge", rho)
     ridged = sw + rho * np.eye(m)
-    values, vectors = gen_sym_eig(scatter, ridged)
+    values, vectors = sym_eig(scatter, ridged)
     return _grouped_part("dca", m, n_subspaces, group_size, seed,
                          transform=vectors.T, eigenvalues=values,
                          fit_stats={"ridge": float(rho)})
@@ -540,12 +548,6 @@ def fit_abd(x, index_groups):
         index_groups=out_groups, transform=vectors, feature_order=order,
         block_size=size, eigenvalues=values,
         fit_stats={"regram_offdiag_residual": residual})
-
-
-def abd_dense_transform(part):
-    """Materialized effective transform of an abd part, kron(V.T, I), for
-    checks at small dimensions; the pipeline never builds it."""
-    return np.kron(part.transform.T, np.eye(part.block_size))
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +681,8 @@ def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
     objects with those attributes). `check_plan` holds the plan, each
     entry, the run seed, max_dense and dca_ridge to the config's rules
     before anything is fitted, so a value the config refuses is a
-    ConfigError that no fit precedes. Each entry gets a child seed
+    ConfigError that no fit precedes; then x with a NaN or infinite
+    entry is a NumericError. Each entry gets a child seed
     derived from (seed, entry position). When the plan has a pca, dca or
     bcd entry and x has at most `max_dense` features, one pass takes the
     `class_moments` of x that those entries all read; each part is the
@@ -691,6 +694,7 @@ def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
     gains its seconds, summed per method.
     """
     entries = check_plan(plan, seed, max_dense, dca_ridge)
+    _require_finite(x, "training")
     methods = {triple[0] for triple, _ in entries}
     moments = None
     if np.shape(x)[0] <= max_dense and methods & set(_GRAM_METHODS):

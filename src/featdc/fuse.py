@@ -51,9 +51,10 @@ from numpy.typing import NDArray
 from .classify import LinearModel, label_from_score, train_linear, train_trbf_krr
 from .dataio import Dataset, divide_feature_rows
 from .decompose import (DEFAULT_MAX_DENSE_FEATURES, _apply_part, _as_matrix,
-                        apply_decomposition, check_feature_count, check_plan,
-                        fit_plan, linear_pullback)
-from .errors import DataError, FeatdcError, NumericError
+                        _require_finite, apply_decomposition,
+                        check_feature_count, check_plan, fit_plan,
+                        linear_pullback)
+from .errors import DataError, FeatdcError
 from .report import timed
 from .rules import require, require_fields
 
@@ -286,8 +287,7 @@ def local_scores(model, x):
     check_feature_count(model.decomposition, x)
     if model.feature_scale is not None:
         x = divide_feature_rows(x, model.feature_scale)
-    if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
-        raise NumericError("query features contain non-finite values")
+    _require_finite(x, "query")
     if model.at is None:
         return build_r(model.locals, apply_decomposition(model.decomposition, x))
     if not sp.issparse(x):  # as the gate densifies: at h = 1 the product

@@ -18,20 +18,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from featdc.classify import (label_from_score, train_linear, train_trbf_krr,
-                             trbf_dim, trbf_expand, trbf_indices,
-                             truncated_rbf_kernel)
+                             trbf_dim, trbf_expand, trbf_indices)
 from featdc.dataio import (Dataset, SplitSpec, load_libsvm, max_abs_scale,
                            parse_libsvm, select_instances, serialize_libsvm,
                            split)
-from featdc.datasets import make_blobs, make_quadratic_band, \
-    make_sparse_planted
-from featdc.decompose import (abd_dense_transform, apply_decomposition,
-                              block_gram, disjoint_groups,
-                              feature_scatter, fit_abd, fit_bcd, fit_dca,
-                              fit_pca, fit_plan, make_rd,
+from featdc.datasets import make_quadratic_band, make_sparse_planted
+from featdc.decompose import (apply_decomposition, block_gram,
+                              disjoint_groups, feature_scatter, fit_abd,
+                              fit_bcd, fit_dca, fit_pca, fit_plan, make_rd,
                               within_class_scatter)
 from featdc.errors import DataError, ParseError, ValidationError
 from featdc.fuse import LearnerSpec, evaluate, predict_dc, train_dc
+
+from oracles import abd_dense_transform, make_blobs, truncated_rbf_kernel
 
 
 def _groups(m, k):

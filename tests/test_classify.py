@@ -12,12 +12,14 @@ import featdc.classify as classify
 from featdc.classify import (EXPAND_CHUNK, GRAM_BLOCK, default_lam,
                              label_from_score, sigma_heuristic, train_linear,
                              train_trbf_krr, trbf_dim, trbf_expand,
-                             trbf_indices, truncated_rbf_kernel, TrbfModel)
-from featdc.datasets import make_blobs, make_quadratic_band
+                             trbf_indices, TrbfModel)
+from featdc.datasets import make_quadratic_band
 from featdc.decompose import _as_matrix, block_gram
 from featdc.errors import ConfigError, DataError, NumericError
 from featdc.fuse import LearnerSpec, train_dc
 from featdc.persist import load_dc_model, save_dc_model
+
+from oracles import make_blobs, truncated_rbf_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +599,21 @@ def test_train_trbf_krr_memory_guard_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(classify, "_physical_memory", lambda: fits)
     model = train_trbf_krr(x, y, lam=1.0, sigma=1.0, p=p)
     assert model.intrinsic_dim == j and j in sizes
+
+
+def test_train_trbf_krr_memory_guard_runs_before_the_sigma_heuristic(monkeypatch):
+    # the heuristic builds a Gram of up to 256 instances: a plan the guard
+    # refuses must not pay for it
+    def heuristic(x, seed=0):
+        raise AssertionError("sigma_heuristic ran before the guard")
+
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(20, 10))
+    y = np.where(rng.random(10) < 0.5, 1.0, -1.0)
+    monkeypatch.setattr(classify, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(classify, "sigma_heuristic", heuristic)
+    with pytest.raises(ConfigError, match="physical memory"):
+        train_trbf_krr(x, y, lam=1.0, sigma=None, p=3)
 
 
 def test_train_trbf_krr_memory_guard_without_a_reading(monkeypatch):

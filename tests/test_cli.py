@@ -18,11 +18,12 @@ from featdc.cli import main
 from featdc.config import config_echo, parse_config
 from featdc.dataio import (Dataset, load_libsvm, save_libsvm, select_instances,
                            serialize_libsvm)
-from featdc.datasets import make_blobs
 from featdc.errors import ConfigError
 from featdc.fuse import LearnerSpec, predict_dc
 from featdc.persist import load_dc_model
 from featdc.report import recording, timed
+
+from oracles import make_blobs
 
 FIXTURE_MODEL = Path(__file__).parent / "fixtures" / "model_v1.json"
 FIXTURE_MODEL_V3 = FIXTURE_MODEL.with_name("model_v3.json")

@@ -349,8 +349,8 @@ LOOP_ONLY = [
     "nan 1:1\n", "inf 1:1\n",
     "+1 1e3:1\n", "+1 1.0:1\n", "+1 +5:1\n", "+1 1234567890123456:1\n",
     "+1 1:2:3 4\n", "+1:3 2:1\n", "+1 1: 2:1\n", "+1 1:1-2\n", "+1 :1\n",
-    "+1 1:1\r2:1\n-1 1:1\n", "+1 1:1\x0c2:1\n", "+1 1:1\x1c2:1\n",
-    "+1 1:1\x852:1\n", "\u0661 1:1\n", "+1 \u0661:1\n", "+1 1:1\r",
+    "+1 1:1\x0c2:1\n", "+1 1:1\x1c2:1\n", "+1 1:1\x852:1\n", "\u0661 1:1\n",
+    "+1 \u0661:1\n",
     "+1 1:1\x00 2:1\n", "\x00+1 1:1\n", "+1 1:1\x0b2:1\n", "+1 1:+ 2:1\n", "\x01\n",
     "\n \x00 \n",
 ]
@@ -374,6 +374,7 @@ BULK = [
     "1.e5 1:1.e5 2:+.5 3:-.5e-3 4:+1e+2 5:0e0\n+.5 1:1\n-.5e-3 1:1\n+1e+2 1:1\n0e0 1:1\n",
     "  +1  1:+5\t \t2:-7  \r\n\t-1\t3:+1.5e+3 \n \n+2\t\r\n",
     "+1 1:1 2:+2 3:3e3 4:+4.\n-1 999999999999999:+.5\n",
+    "+1 1:1\r2:1\n-1 1:1\n", "+1 1:1\r",  # a bare '\r' is a space
 ]
 
 
@@ -490,8 +491,9 @@ def test_spelling_check_accepts_what_float_reads():
 def random_layout(rng, rows):
     """A LIBSVM text of `rows` lines whose whitespace is drawn at random:
     tabs, '\\r\\n', runs of spaces, leading and trailing spaces, blank and
-    space-only lines, '+' on labels and values, and now and then a bare
-    '\\r' or an empty value, which the bulk path must refuse."""
+    space-only lines, '+' on labels and values, now and then a bare '\\r',
+    which reads as a space, and now and then an empty value, which the
+    bulk path must refuse."""
     gaps = [" ", "  ", "\t", " \t", "\t  ", "   "]
     edges = ["", "", " ", "\t", "  \t"]
     ends = ["\n", "\n", "\r\n", " \n", "\t\r\n", "\n\n", "\n \n", "\n\t \n", "\r\n  \r\n"]
@@ -620,6 +622,34 @@ def test_bulk_reader_gets_one_line_per_number(monkeypatch):
     assert sum(body.count(b"\n") for body in bodies) <= n_numbers + n_blank + 2 * len(bodies)
 
 
+def test_bulk_reader_buffers_end_in_a_line_end(monkeypatch):
+    # the reader can crash the process on a last line that holds a number,
+    # a space and no line end, so the spy refuses such a buffer before the
+    # reader sees it: texts without a final line end, with trailing spaces
+    # and tabs, and cut into blocks of a few lines
+    open_read_stream = dataio._fmm_core.open_read_stream
+    tails = []
+
+    def spy(stream, parallelism):
+        tails.append(stream.getvalue()[-1:])
+        assert tails[-1] == b"\n", stream.getvalue()
+        return open_read_stream(stream, parallelism)
+
+    texts = ["+1 1:1", "+1 1:1 2:2 ", "-1 3:4\t", "+1 1:1 \t \n-1 2:5 \t",
+             "+1\n-1 1:2 ", "+1 1:1\r", "-1 1:1 2:2 \r\n+1 3:3 \t\r\n  "]
+    monkeypatch.setattr(dataio._fmm_core, "open_read_stream", spy)
+    for block_chars in (dataio.BULK_BLOCK_CHARS, 8):
+        monkeypatch.setattr(dataio, "BULK_BLOCK_CHARS", block_chars)
+        for text in texts + ["\n".join(texts)]:
+            with monkeypatch.context() as m:
+                m.setattr(dataio, "_parse_bulk", lambda text: None)
+                want = outcome(lambda: parse_libsvm(text))
+            with monkeypatch.context() as m:
+                forbid_loop(m)
+                assert outcome(lambda: parse_libsvm(text)) == want, text
+    assert len(tails) > 2 * len(texts)
+
+
 def forbid_loop(monkeypatch):
     def loop(lines):
         raise AssertionError("the line loop ran")
@@ -630,6 +660,10 @@ def test_bulk_path_parses_inputs_without_the_loop(monkeypatch, tmp_path):
     forbid_loop(monkeypatch)
     for text in BULK:
         parse_libsvm(text)
+        # split lines and a file's universal newlines also end a line at a
+        # bare '\r' inside the text, which makes it another text
+        if "\r" in text.rstrip("\r").replace("\r\n", ""):
+            continue
         parse_libsvm(text.splitlines(True))
         write_text(tmp_path / "data.libsvm", text)
         load_libsvm(tmp_path / "data.libsvm")

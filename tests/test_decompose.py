@@ -6,12 +6,14 @@ import scipy.sparse as sp
 
 import featdc.decompose as decompose
 from featdc.decompose import (METHODS, CompositeDecomposition, _as_matrix,
-                              abd_dense_transform, apply_decomposition,
-                              block_gram, disjoint_groups, feature_scatter,
-                              fit_abd, fit_bcd, fit_dca, fit_pca, fit_plan,
+                              apply_decomposition, block_gram,
+                              disjoint_groups, feature_scatter, fit_abd,
+                              fit_bcd, fit_dca, fit_pca, fit_plan,
                               fit_plan_entry, make_rd, overlapping_groups,
                               within_class_scatter)
 from featdc.errors import ConfigError, DataError
+
+from oracles import abd_dense_transform
 
 
 def dense_bcd_oracle(x, groups):

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from featdc.classify import label_from_score, train_linear
 from featdc.config import RULES, PlanEntry
 from featdc.dataio import (Dataset, SplitSpec, apply_feature_scale,
                            max_abs_scale, parse_libsvm)
-from featdc.datasets import make_blobs
 from featdc.decompose import (METHODS, CompositeDecomposition, _as_matrix,
                               apply_decomposition, disjoint_groups, fit_dca,
                               fit_pca, fit_plan, fit_plan_entry, make_rd,
@@ -25,6 +25,8 @@ from featdc.fuse import (DcModel, Guards, LearnerSpec, apply_standardization,
                          build_r, evaluate, local_scores, predict_dc,
                          standardize_rows, train_dc)
 from featdc.report import recording
+
+from oracles import make_blobs
 
 
 def blob_dataset(n=120, n_features=8, seed=0, separation=8.0):
@@ -487,6 +489,28 @@ def test_predict_dc_refuses_non_finite_queries(global_):
                            match="prediction: query features contain "
                                  "non-finite values"):
             predict_dc(model, q)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_dc_refuses_non_finite_features_before_any_fit(method, bad):
+    # one check before the moments pass, on the dense and the sparse
+    # route alike: no method's fit sees the value, nor warns about it
+    rng = np.random.default_rng(5)
+    dense = rng.normal(size=(40, 60))
+    dense[3, 7] = bad
+    sparse = sp.random_array((40, 60), density=0.1, rng=rng, format="csc")
+    sparse.data[7] = bad
+    y = np.where(rng.random(60) < 0.5, 1, -1)
+    for x in (dense, sparse):
+        ds = Dataset(sp.csc_array(x), y)
+        assert sp.issparse(_as_matrix(ds.X)) == sp.issparse(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match="^decomposition fitting: training "
+                                     "features contain non-finite values$"):
+                train_dc(ds, [(method, 4, 10)], seed=0)
 
 
 @pytest.mark.parametrize("local", ["linear", "trbf"])

@@ -240,7 +240,7 @@ def test_solve_spd_non_finite_upper_triangle(bad):
 
 
 PIN_CHECK = """
-import ctypes, glob, os
+import ctypes, glob, os, sys
 import numpy
 
 def numpy_threads():
@@ -252,7 +252,8 @@ def numpy_threads():
     return None
 
 import featdc
-from featdc.datasets import make_blobs
+sys.path.insert(0, sys.argv[1])  # the tests' directory
+from oracles import make_blobs
 after_import = numpy_threads()
 featdc.train_dc(make_blobs(80, n_features=6, separation=3.0, seed=0),
                 [("rd", 2, 3), ("pca", 2, 3)], threads=4)
@@ -266,7 +267,8 @@ print(after_import, numpy_threads(),
 def test_import_runs_scipy_openblas_single_threaded():
     # a fresh interpreter, so the counts come from featdc's import alone;
     # train_dc at threads=4 must leave numpy's count at 1
-    proc = subprocess.run([sys.executable, "-c", PIN_CHECK],
+    proc = subprocess.run([sys.executable, "-c", PIN_CHECK,
+                           str(Path(__file__).parent)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     numpy_after_import, numpy_after_train, scipy_threads = proc.stdout.split()

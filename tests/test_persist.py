@@ -11,12 +11,13 @@ import scipy.sparse as sp
 from featdc.classify import LinearModel, TrbfModel
 from featdc.cli import main
 from featdc.dataio import Dataset, save_libsvm
-from featdc.datasets import make_blobs
 from featdc.decompose import METHODS, apply_decomposition
 from featdc.errors import DataError
 from featdc.fuse import LearnerSpec, predict_dc, train_dc
 from featdc.persist import (FORMAT_VERSION, READ_VERSIONS, load_dc_model,
                             save_dc_model)
+
+from oracles import make_blobs
 
 FULL_PLAN = [("rd", 2, 12), ("pca", 2, 12), ("dca", 2, 12), ("bcd", 2, 12),
              ("abd", 2, 12)]
