@@ -22,6 +22,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +52,10 @@ MOMENT_GROUP = 32
 SUMSQ_BLOCK = 1024
 # Largest J·n (output cells) that `trbf_expand` fills one degree at a
 # time: below it the run fill's per-call cost dominates, above it the
-# level fill's gathered copies do.
+# level fill's gathered copies do. Set by end-to-end runs, not synthetic
+# probes: on a 2-vCPU host the fusion-wide benchmark's 256-query batches
+# (231 x 256 cells) scored 648k instances/s with the level fill against
+# 610k at 1 << 15, which sends them to the run fill (median of 4 pairs).
 LEVEL_CELLS = 1 << 16
 
 
@@ -236,38 +240,59 @@ def trbf_indices(m, p):
     return out
 
 
+class _TrbfTables(NamedTuple):
+    coef: NDArray[np.float64]
+    parent: NDArray[np.intp]
+    last: NDArray[np.intp]
+    factor: NDArray[np.intp]
+    scale: NDArray[np.float64]
+    runs: tuple
+
+
 @functools.lru_cache(maxsize=32)
 def _trbf_tables(m, p):
-    """Row coefficients, parents, last coordinates and fill runs of the
-    order-p map on m inputs.
+    """Row coefficients, parents, last coordinates, factors, input scales
+    and fill runs of the order-p map on m inputs.
 
-    Row r of the map (before the envelope) is coef[r] times the product
-    of u over the coordinates of multi-index r, i.e. row parent[r] (the
-    multi-index without its last coordinate) times u[last[r]]; row 0, the
-    constant, has parent 0 and last 0. In graded lexicographic order the
-    rows of degree d form the block dim(m, d-1) .. dim(m, d)-1, and the
-    children c + (k,), k from c[-1] to m-1, of each multi-index c with
-    |c| < p sit on consecutive rows, so each run (parent, lo, first) fills
-    rows first .. first+m-lo-1 with z[parent] * u[lo:]. A run starts at
-    each row whose last coordinate equals its parent's. Cached per
-    (m, p); the arrays are read-only.
+    Row r of the map is the envelope times coef[r] times the product of u
+    over the coordinates of multi-index r. It is filled as row parent[r]
+    (the multi-index without its last coordinate) times one factor,
+    u[last[r]] * scale[c-1], where c is the count of last[r] in
+    multi-index r and scale[c-1] = 1/sqrt(c): row factor[r] =
+    (c-1) m + last[r] of `_expand`'s stack u * scale, whose first m rows
+    are u itself. So coef[r] = coef[parent[r]] / sqrt(c) rides in the
+    fill. Row 0, the constant, is the envelope (parent 0, last 0,
+    factor 0). In graded lexicographic order the rows of degree d form
+    the block dim(m, d-1) .. dim(m, d)-1, and the children c + (k,), k
+    from c[-1] to m-1, of each multi-index c with |c| < p sit on
+    consecutive rows. A run (parent, lo, first, factor) fills them: row
+    first is z[parent] times stack row factor[first], and only that first
+    child can repeat its last coordinate, so the rest are z[parent] times
+    u[lo+1:]. A run starts at each row whose last coordinate equals its
+    parent's. Cached per (m, p); the arrays are read-only, and scale has
+    shape (p, 1, 1) to broadcast over u.
     """
     combos = trbf_indices(m, p)
     coef = np.empty(len(combos))
     parent = np.zeros(len(combos), dtype=np.intp)
     last = np.zeros(len(combos), dtype=np.intp)
+    factor = np.zeros(len(combos), dtype=np.intp)
     coef[0] = 1.0
     row_of = {(): 0}
     for r, c in enumerate(combos[1:], start=1):
         parent[r] = row_of[c[:-1]]
         last[r] = c[-1]
-        coef[r] = coef[parent[r]] / math.sqrt(c.count(c[-1]))
+        count = c.count(c[-1])
+        coef[r] = coef[parent[r]] / math.sqrt(count)
+        factor[r] = (count - 1) * m + last[r]
         row_of[c] = r
-    for table in (coef, parent, last):
+    scale = 1.0 / np.sqrt(np.arange(1.0, p + 1)).reshape(p, 1, 1)
+    for table in (coef, parent, last, factor, scale):
         table.flags.writeable = False
     starts = np.flatnonzero(last[1:] == last[parent[1:]]) + 1
-    runs = tuple((int(parent[r]), int(last[r]), int(r)) for r in starts)
-    return coef, parent, last, runs
+    runs = tuple((int(parent[r]), int(last[r]), int(r), int(factor[r]))
+                 for r in starts)
+    return _TrbfTables(coef, parent, last, factor, scale, runs)
 
 
 def trbf_expand(x, sigma, p):
@@ -294,15 +319,19 @@ def _expand(x, sigma, p):
     """(z, u): the order-p map z of x (p >= 0; order 0 is the envelope
     alone) and the scaled inputs u = x / sigma, both dense.
 
-    Every row is its parent row times one u coordinate (`_trbf_tables`),
-    filled by one of two loops chosen from the input size alone. When
-    J·n <= LEVEL_CELLS each degree's row block takes one gathered
+    Row 0 is the envelope, and every other row is its parent row times
+    one factor (`_trbf_tables`), read from a stack of the pre-scaled
+    inputs u * (1/sqrt(c)), c = 1..p, built once per call; the block for
+    c = 1 is u itself. So each coordinate takes exactly one product, its
+    coefficient and the envelope riding in the factors and row 0. The
+    rows are filled by one of two loops chosen from the input size alone.
+    When J·n <= LEVEL_CELLS each degree's row block takes one gathered
     product, p calls in all, which suits single queries and small
-    batches. Larger chunks fill each run of consecutive rows with one
-    product, which avoids the gather's copies. Each element is the same
-    product either way, so both fills give the same bits, and the rows of
-    the order-q map are the first rows of every higher order's, bit for
-    bit.
+    batches. Larger chunks fill each run of consecutive rows with two
+    products, its first row and the rest, which avoids the gather's
+    copies. Each element is the same product either way, so both fills
+    give the same bits, and the rows of the order-q map are the first
+    rows of every higher order's, bit for bit.
     """
     x = _as_matrix(x)
     if sp.issparse(x):
@@ -311,22 +340,23 @@ def _expand(x, sigma, p):
         raise NumericError("input to the feature map contains non-finite values")
     m, n = x.shape
     u = x / sigma
-    envelope = np.exp(-0.5 * np.einsum("ij,ij->j", u, u))
-    coef, parent, last, runs = _trbf_tables(m, p)
-    j = coef.shape[0]
+    tables = _trbf_tables(m, p)
+    j = tables.parent.shape[0]
     z = np.empty((j, n))
-    z[0] = 1.0
+    z[0] = np.exp(-0.5 * np.einsum("ij,ij->j", u, u))
+    stack = u if p < 2 else (u * tables.scale).reshape(p * m, n)
     if j * n <= LEVEL_CELLS:
         lo = 1
         for d in range(1, p + 1):
             hi = trbf_dim(m, d)
-            np.multiply(z[parent[lo:hi]], u[last[lo:hi]], out=z[lo:hi])
+            rows = slice(lo, hi)
+            np.multiply(z[tables.parent[rows]], stack[tables.factor[rows]],
+                        out=z[rows])
             lo = hi
     else:
-        for row, k, first in runs:
-            np.multiply(z[row], u[k:], out=z[first:first + m - k])
-    z *= coef[:, None]
-    z *= envelope[None, :]
+        for row, k, first, f in tables.runs:
+            np.multiply(z[row], stack[f], out=z[first])
+            np.multiply(z[row], u[k + 1:], out=z[first + 1:first + m - k])
     return z, u
 
 
@@ -361,14 +391,17 @@ class TrbfModel(_Scorer):
     """Weights over the order-p truncated-RBF map of `n_features` inputs.
 
     Scoring never builds the map's top degree. Each degree-p row r is its
-    parent row (degree p-1) times u[last[r]] (`_trbf_tables`), so
+    parent row (degree p-1) times u[last[r]] / sqrt(c), c the count of
+    last[r] in multi-index r, and 1/sqrt(c) = coef[r] / coef[parent[r]]
+    (`_trbf_tables`), so
 
         weights . z = sum over |q| < p of z_q (weights_q + (F u)_q)
 
     with F (J(p-1) x m, `fold`) holding weights[r] coef[r] / coef[parent[r]]
-    at (parent[r], last[r]). The rows with |q| < p are the order-(p-1) map,
-    whose J(p-1) = C(m+p-1, p-1) rows per instance (the envelope alone for
-    p = 1) are all a batch expands: 231 instead of 1771 for m = 20, p = 3.
+    at (parent[r], last[r]); weights_q is added to F u in place. The rows
+    with |q| < p are the order-(p-1) map, whose J(p-1) = C(m+p-1, p-1)
+    rows per instance (the envelope alone for p = 1) are all a batch
+    expands: 231 instead of 1771 for m = 20, p = 3.
     F is derived from the weights at construction; it is an attribute,
     not a field, so the model file never holds it.
     """
@@ -387,7 +420,7 @@ class TrbfModel(_Scorer):
             raise DataError(f"a degree-{self.p} map of {self.n_features} "
                             f"features has {j} weights, not "
                             f"{np.shape(self.weights)}")
-        coef, parent, last, _ = _trbf_tables(self.n_features, self.p)
+        coef, parent, last, *_ = _trbf_tables(self.n_features, self.p)
         below = trbf_dim(self.n_features, self.p - 1)  # rows of degree < p
         top = slice(below, j)
         self.fold = np.zeros((below, self.n_features))
@@ -406,7 +439,9 @@ class TrbfModel(_Scorer):
         for lo in range(0, n, EXPAND_CHUNK):
             hi = min(lo + EXPAND_CHUNK, n)
             z, u = _expand(x[:, lo:hi], self.sigma, self.p - 1)
-            scores[lo:hi] = np.einsum("qj,qj->j", z, self.fold @ u + head)
+            t = self.fold @ u
+            t += head
+            scores[lo:hi] = np.einsum("qj,qj->j", z, t)
         return scores
 
 
@@ -437,7 +472,7 @@ def _moment_plan(m, p):
     the first coordinate never falls within a degree, so those rows are
     contiguous. Cached per (m, p); O(J) integers, read-only.
     """
-    _, parent, last, _ = _trbf_tables(m, p)
+    _, parent, last, *_ = _trbf_tables(m, p)
     first = last.copy()
     for d in range(2, p + 1):
         rows = slice(trbf_dim(m, d - 1), trbf_dim(m, d))
@@ -467,7 +502,7 @@ def _canonical_pairs(m, p):
     first[b] >= last[a]. Those pairs write a + b in ascending coordinate
     order, a's p coordinates first, so over all tasks they reach every
     multi-index of degree p+1 .. 2p exactly once."""
-    _, _, last, _ = _trbf_tables(m, p)
+    last = _trbf_tables(m, p).last
     first, tasks = _moment_plan(m, p)
     for rows, spans in tasks:
         cols = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
@@ -480,7 +515,7 @@ def _row_keys(m, p, attempt):
     multiplicity, so key(a + b) = key(a) + key(b). The weights are drawn
     uniformly by a generator seeded with `attempt`, so every sum of them
     is uniform over the 64 bits too."""
-    _, parent, last, _ = _trbf_tables(m, p)
+    _, parent, last, *_ = _trbf_tables(m, p)
     weights = np.random.default_rng(attempt).integers(
         0, 2**64, size=m, dtype=np.uint64)
     keys = np.zeros(trbf_dim(m, p), dtype=np.uint64)
@@ -507,7 +542,7 @@ class _Moments:
     def __init__(self, m, p, low, prods):
         """Takes the products: they are scaled in place, and the list is
         emptied once the moments are read out of it."""
-        coef = _trbf_tables(m, p)[0]
+        coef = _trbf_tables(m, p).coef
         size = math.comb(m + 2 * p, 2 * p)
 
         def packed(head, pieces):  # one array, no list of pieces to join
@@ -562,19 +597,21 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None, seed=0, threads=1):
     Solves the intrinsic-space normal equations (Z Z^T + lam I) u = Z y,
     Z the J x N map, with a Cholesky factorization, which beats the N^3
     dual path whenever J stays moderate. Z is expanded in fixed
-    EXPAND_CHUNK-column chunks, but Z Z^T is never multiplied out: its
-    entry (a, b) is coef[a] coef[b] times the moment
-    sum_n envelope_n^2 u_n^(a+b), which depends on a + b only, so each of
-    the C(m+2p, 2p) distinct moments is computed once (230,230 for the
-    1.57M upper-triangle entries at m = 20, p = 3). Per chunk, z @ z[0]
-    gives the moments of degree <= p, and each task of `_moment_plan`
-    (degree-p rows times a suffix of each degree) adds the higher ones to
-    a product of its own. After the last chunk `_Moments` keys the
-    moments, and the upper block-triangle of the normal matrix, all the
-    solve reads, is filled from them in row blocks of GRAM_BLOCK. Tasks
-    and fill blocks share one pool of `threads` workers, each writes only
-    its own output, and neither partition depends on `threads`, so the
-    weights have the same bits for every `threads`.
+    EXPAND_CHUNK-column chunks, one product per coordinate with the
+    coefficients and the envelope riding in the fill (`_expand`), but
+    Z Z^T is never multiplied out: its entry (a, b) is coef[a] coef[b]
+    times the moment sum_n envelope_n^2 u_n^(a+b), which depends on a + b
+    only, so each of the C(m+2p, 2p) distinct moments is computed once
+    (230,230 for the 1.57M upper-triangle entries at m = 20, p = 3). Per
+    chunk, z @ z[0] (row 0 is the envelope) gives the moments of degree
+    <= p, and each task of `_moment_plan` (degree-p rows times a suffix of
+    each degree) adds the higher ones to a product of its own. After the
+    last chunk `_Moments` keys the moments, and the upper block-triangle
+    of the normal matrix, all the solve reads, is filled from them in row
+    blocks of GRAM_BLOCK. Tasks and fill blocks share one pool of
+    `threads` workers, each writes only its own output, and neither
+    partition depends on `threads`, so the weights have the same bits for
+    every `threads`.
 
     The one guard on J runs before anything is allocated: 8 (2 J^2 + J
     EXPAND_CHUNK) bytes, the normal matrix and its Cholesky factor plus
@@ -609,7 +646,7 @@ def train_trbf_krr(x, y, sigma=None, p=2, lam=None, seed=0, threads=1):
     a = lam * np.eye(j)
     b = np.zeros(j)
     low = np.zeros(j)
-    coef = _trbf_tables(m, p)[0]
+    coef = _trbf_tables(m, p).coef
     tasks = _moment_plan(m, p)[1]
     prods = [np.zeros((len(rows), sum(hi - lo for lo, hi in spans)))
              for rows, spans in tasks]

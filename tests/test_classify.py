@@ -299,30 +299,25 @@ def test_trbf_kernel_consistency_property():
 
 
 def row_loop_expand(x, sigma, p):
-    # the map as one Python row operation per multi-index: the reference
-    # that the run-wise fill must reproduce bit for bit
+    # the map as one Python row operation per multi-index: row 0 is the
+    # envelope and each row is its parent row times its last input scaled
+    # by 1/sqrt(count of that input), the reference that both fills must
+    # reproduce bit for bit
     single = np.ndim(x) == 1 and not sp.issparse(x)
     x = classify._as_matrix(x)
     if sp.issparse(x):
         x = x.toarray()
     m, n = x.shape
     u = x / sigma
-    envelope = np.exp(-0.5 * np.einsum("ij,ij->j", u, u))
     combos = trbf_indices(m, p)
     z = np.empty((len(combos), n))
-    z[0] = 1.0
-    coef = np.empty(len(combos))
-    coef[0] = 1.0
+    z[0] = np.exp(-0.5 * np.einsum("ij,ij->j", u, u))
     row_of = {(): 0}
     for r, c in enumerate(combos[1:], start=1):
         parent = c[:-1]
         last = c[-1]
-        pr = row_of[parent]
-        z[r] = z[pr] * u[last]
-        coef[r] = coef[pr] / math.sqrt(c.count(last))
+        z[r] = z[row_of[parent]] * (u[last] * (1.0 / math.sqrt(c.count(last))))
         row_of[c] = r
-    z *= coef[:, None]
-    z *= envelope[None, :]
     return z[:, 0] if single else z
 
 
@@ -379,15 +374,21 @@ def test_trbf_tables_built_once_per_shape():
     trbf_expand(x, 1.0, 3)
     info = classify._trbf_tables.cache_info()
     assert (info.misses, info.hits) == (2, 2)
-    coef, parent, last, runs = classify._trbf_tables(3, 2)
-    for table in (coef, parent, last):
+    coef, parent, last, factor, scale, runs = classify._trbf_tables(3, 2)
+    for table in (coef, parent, last, factor):
         assert not table.flags.writeable
         assert table.shape == (trbf_dim(3, 2),)
+    assert not scale.flags.writeable
+    assert scale.ravel().tolist() == [1.0, 1.0 / math.sqrt(2.0)]
     # rows (), (0,), (1,), (2,), (0,0), (0,1), (0,2), (1,1), (1,2), (2,2)
     assert parent.tolist() == [0, 0, 0, 0, 1, 1, 1, 2, 2, 3]
     assert last.tolist() == [0, 0, 1, 2, 0, 1, 2, 1, 2, 2]
-    # one run per multi-index of degree < p: 1 + 3 here
-    assert runs == ((0, 0, 1), (1, 0, 4), (2, 1, 7), (3, 2, 9))
+    # the stack row of u[last] / sqrt(c), c the count of the last
+    # coordinate: (c - 1) m + last, so rows (0,0), (1,1), (2,2) read c = 2
+    assert factor.tolist() == [0, 0, 1, 2, 3, 1, 2, 4, 2, 5]
+    # one run per multi-index of degree < p: 1 + 3 here, each with the
+    # factor of its first row
+    assert runs == ((0, 0, 1, 0), (1, 0, 4, 3), (2, 1, 7, 4), (3, 2, 9, 5))
 
 
 def test_trbf_expand_validation():
@@ -688,6 +689,30 @@ def test_trbf_model_folded_scores_match_the_full_map(m, p):
                       model.weights @ trbf_expand(v, sigma, p),
                       rtol=0.0, atol=1e-12 * (np.abs(model.weights)
                                               @ np.abs(trbf_expand(v, sigma, p))))
+
+
+def test_trbf_model_folded_scoring_property():
+    # random shapes, orders and bandwidths at the widths where the fills
+    # change: one column, the widest level fill of the folded map and one
+    # column past it, and one column past a scoring chunk. The reference
+    # is the full map, in slices wide enough for its run fill; the
+    # tolerance is the kernel-consistency property's
+    rng = np.random.default_rng(33)
+    for p in (1, 2, 3, 4):
+        for m in [int(k) for k in rng.integers(1, 9, size=3)] + [20]:
+            sigma = float(rng.uniform(0.5, 2.5)) * math.sqrt(m)
+            model = TrbfModel(weights=rng.normal(size=trbf_dim(m, p)),
+                              sigma=sigma, p=p, lam=1.0, n_features=m)
+            at = classify.LEVEL_CELLS // trbf_dim(m, p - 1)
+            width = max(classify.LEVEL_CELLS // trbf_dim(m, p) + 1, 512)
+            for n in (1, at, at + 1, EXPAND_CHUNK + 1):
+                x = rng.normal(size=(m, n))
+                want = np.concatenate([
+                    model.weights @ trbf_expand(x[:, lo:lo + width], sigma, p)
+                    for lo in range(0, n, width)])
+                got = model.decision_function(x)
+                scale = np.maximum(1.0, np.abs(want))
+                assert np.all(np.abs(got - want) <= 1e-8 * scale), (m, p, n)
 
 
 def test_trbf_model_fold_is_derived_not_saved(tmp_path):

@@ -2,7 +2,9 @@
 
 Each case draws a small dataset (dense, or CSC sparse enough to stay
 sparse at the `_as_matrix` gate), a plan of one to three entries over the
-five decomposition methods, linear locals and a linear or TRBF global.
+five decomposition methods, linear or (one case in four) TRBF locals,
+which score each view through the feature map instead of the collapsed
+`at`, and a linear or TRBF global.
 One case in four is corrupted: a NaN in the training data (also under a
 lone rd entry, so that the locals meet it), an inf in the test data, a
 huge training value, one class under a dca entry, or a group larger than
@@ -33,8 +35,8 @@ CORRUPTIONS = ("nan train", "inf test", "huge", "one class", "big group",
 
 
 def make_case(seed):
-    """(train Dataset, test matrix, plan, global spec, corruption or None);
-    even seeds are dense, odd ones CSC."""
+    """(train Dataset, test matrix, plan, local spec, global spec,
+    corruption or None); even seeds are dense, odd ones CSC."""
     rng = np.random.default_rng(seed)
     m, n, n_test = int(rng.integers(3, 13)), int(rng.integers(24, 61)), 16
     if seed % 2:
@@ -66,9 +68,12 @@ def make_case(seed):
         plan[0] = ("dca",) + plan[0][1:]
     elif corruption == "big group":
         plan[0] = (plan[0][0], plan[0][1], m + 1)
+    # drawn last, so the draws above do not depend on it
+    local = (LearnerSpec(type="trbf", p=int(rng.integers(1, 3)))
+             if rng.random() < 0.25 else LearnerSpec(type="linear"))
     x = sp.csc_array(dense) if seed % 2 else dense
     train = Dataset(x[:, :n], y)
-    return train, x[:, n:], plan, global_, corruption
+    return train, x[:, n:], plan, local, global_, corruption
 
 
 def run(fn):
@@ -97,11 +102,12 @@ def assert_same(results):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_plans_agree_on_every_path(seed, tmp_path):
-    train, test, plan, global_, corruption = make_case(seed)
+    train, test, plan, local, global_, corruption = make_case(seed)
     # a Dataset stores X as CSC: odd seeds stay sparse at the gate
     assert sp.issparse(_as_matrix(train.X)) == bool(seed % 2)
-    fits = [run(lambda: train_dc(train, plan, global_=global_, seed=seed,
-                                 threads=threads)) for threads in (1, 2)]
+    fits = [run(lambda: train_dc(train, plan, local=local, global_=global_,
+                                 seed=seed, threads=threads))
+            for threads in (1, 2)]
     if corruption is None:
         assert not isinstance(fits[0], FeatdcError), fits[0]
     assert_same([e if isinstance(e, FeatdcError) else (e.at,) for e in fits])
@@ -127,10 +133,13 @@ def test_random_plans_agree_on_every_path(seed, tmp_path):
 
 
 def test_clean_plans_cover_every_method_on_both_routes():
-    # the eigensolver fits pca, dca and abd; rd and bcd go through solves
+    # the eigensolver fits pca, dca and abd; rd and bcd go through solves;
+    # linear locals score through `at`, TRBF locals through their views
     covered = {"dense": set(), "csc": set()}
     for seed in SEEDS:
-        _, _, plan, _, corruption = make_case(seed)
+        _, _, plan, local, _, corruption = make_case(seed)
         if corruption is None:
-            covered["csc" if seed % 2 else "dense"] |= {m for m, _, _ in plan}
-    assert covered == {"dense": set(METHODS), "csc": set(METHODS)}
+            covered["csc" if seed % 2 else "dense"] |= (
+                {m for m, _, _ in plan} | {local.type})
+    want = set(METHODS) | {"linear", "trbf"}
+    assert covered == {"dense": want, "csc": want}
