@@ -123,8 +123,7 @@ def cmd_train(args):
 
         model = train_dc(train, cfg.plan, local=cfg.local, global_=cfg.global_,
                          seed=cfg.seed, threads=cfg.threads, guards=cfg.guards,
-                         dca_ridge=cfg.dca_ridge, feature_scale=scale,
-                         config_snapshot=config_echo(cfg),
+                         feature_scale=scale, config_snapshot=config_echo(cfg),
                          positive_label=cfg.positive_label)
 
         metrics = None

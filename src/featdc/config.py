@@ -46,7 +46,6 @@ class RunConfig:
     out_dir: str = "."
     threads: int = field(default_factory=lambda: os.cpu_count() or 1)
     seed: int = 0
-    dca_ridge: Optional[float] = None
     baseline: str = "linear"
 
 

@@ -418,27 +418,24 @@ def default_dca_ridge(sw, scatter):
     return rho
 
 
-def fit_dca(x, y, rho=None, n_subspaces=1, group_size=None, seed=0,
+def fit_dca(x, y, n_subspaces, group_size, seed=0,
             max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Discriminant transform: generalized eigenvectors of the centered
-    scatter against the ridged within-class scatter, descending eigenvalue.
-    x is the data matrix, or its `class_moments` taken with the labels
-    y."""
+    scatter against the within-class scatter ridged by
+    `default_dca_ridge`, descending eigenvalue; groups drawn as for pca.
+    x is the data matrix, or its `class_moments` taken with the labels y.
+    The ridge the fit took is `fit_stats["ridge"]`; moments that
+    overflowed reach `sym_eig` non-finite, a NumericError."""
     m = np.shape(x)[0]
     _guard_dense(m, max_dense, "dca")
-    if group_size is None:
-        group_size = m
     moments = class_moments(x, y)
     scatter = moments.scatter(center=True)
     sw = moments.within_scatter()
-    if rho is None:
-        rho = default_dca_ridge(sw, scatter)
-    require("RunConfig.dca_ridge", rho)
-    ridged = sw + rho * np.eye(m)
-    values, vectors = sym_eig(scatter, ridged)
+    rho = default_dca_ridge(sw, scatter)
+    values, vectors = sym_eig(scatter, sw + rho * np.eye(m))
     return _grouped_part("dca", m, n_subspaces, group_size, seed,
                          transform=vectors.T, eigenvalues=values,
-                         fit_stats={"ridge": float(rho)})
+                         fit_stats={"ridge": rho})
 
 
 def _solve_pivot(pivot, rhs_t, scatter_norm):
@@ -509,20 +506,19 @@ def block_gram(x, index_groups):
     `_as_matrix` gate)."""
     x = _as_matrix(x)
     n_padded = _check_partition(index_groups, True, x.shape[0])
-    order = np.concatenate(index_groups)
-    xr = _padded_rearranged(x, order, n_padded)
+    xr = _padded_rearranged(x, np.concatenate(index_groups), n_padded)
     size = len(index_groups[0])
     count = len(index_groups)
     if not sp.issparse(xr):
         # block i is row i of the C-ordered rows laid end to end
         flat = xr.reshape(count, size * xr.shape[1])
-        return flat @ flat.T, xr, order, size
+        return flat @ flat.T
     gram = np.zeros((count, count))
     blocks = [xr[i * size:(i + 1) * size] for i in range(count)]
     for i in range(count):
         for j in range(i, count):
             gram[i, j] = gram[j, i] = blocks[i].multiply(blocks[j]).sum()
-    return gram, xr, order, size
+    return gram
 
 
 def fit_abd(x, index_groups):
@@ -534,19 +530,20 @@ def fit_abd(x, index_groups):
     V is. Requires disjoint equal-size groups (zero-pad first). Reads the
     data matrix, of any width, through `block_gram`.
     """
-    gram, _, order, size = block_gram(x, index_groups)
+    gram = block_gram(x, index_groups)
     values, vectors = sym_eig(gram)
     regram = vectors.T @ gram @ vectors
     off = regram - np.diag(np.diag(regram))
     gram_norm = float(np.linalg.norm(gram))
-    count = len(index_groups)
+    count, size = len(index_groups), len(index_groups[0])
     out_groups = [np.arange(i * size, (i + 1) * size, dtype=np.int64)
                   for i in range(count)]
     residual = float(np.linalg.norm(off)) / gram_norm if gram_norm else 0.0
     return SubspaceDecomposition(
         method="abd", n_features_in=np.shape(x)[0], n_features_out=count * size,
-        index_groups=out_groups, transform=vectors, feature_order=order,
-        block_size=size, eigenvalues=values,
+        index_groups=out_groups, transform=vectors,
+        feature_order=np.concatenate(index_groups), block_size=size,
+        eigenvalues=values,
         fit_stats={"regram_offdiag_residual": residual})
 
 
@@ -653,7 +650,7 @@ def part_seed(run_seed, part_index):
 
 
 def fit_plan_entry(x, y, entry, child_seed,
-                   max_dense=DEFAULT_MAX_DENSE_FEATURES, dca_ridge=None):
+                   max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Fit a single plan entry with an already-derived child seed. x is
     the data matrix, or for rd, pca, dca and bcd also its
     `class_moments` (with the labels' class sums for dca)."""
@@ -664,8 +661,7 @@ def fit_plan_entry(x, y, entry, child_seed,
     if method == "pca":
         return fit_pca(x, n_sub, size, seed=child_seed, max_dense=max_dense)
     if method == "dca":
-        return fit_dca(x, y, rho=dca_ridge, n_subspaces=n_sub, group_size=size,
-                       seed=child_seed, max_dense=max_dense)
+        return fit_dca(x, y, n_sub, size, seed=child_seed, max_dense=max_dense)
     groups, _ = disjoint_groups(m, n_sub, size,
                                 np.random.default_rng(child_seed))
     if method == "bcd":
@@ -673,13 +669,12 @@ def fit_plan_entry(x, y, entry, child_seed,
     return fit_abd(x, groups)
 
 
-def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
-             dca_ridge=None):
+def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """Fit every plan entry and compose the result.
 
     plan is a sequence of (method, n_subspaces, group_size) triples (or
     objects with those attributes). `check_plan` holds the plan, each
-    entry, the run seed, max_dense and dca_ridge to the config's rules
+    entry, the run seed and max_dense to the config's rules
     before anything is fitted, so a value the config refuses is a
     ConfigError that no fit precedes; then x with a NaN or infinite
     entry is a NumericError. Each entry gets a child seed
@@ -693,7 +688,7 @@ def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
     fit is `timed` as `fit_<method>`, so an open `report.recording()`
     gains its seconds, summed per method.
     """
-    entries = check_plan(plan, seed, max_dense, dca_ridge)
+    entries = check_plan(plan, seed, max_dense)
     _require_finite(x, "training")
     methods = {triple[0] for triple, _ in entries}
     moments = None
@@ -706,17 +701,15 @@ def fit_plan(x, y, plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
         source = x if moments is None or method not in _GRAM_METHODS else moments
         with timed(f"fit_{method}"):
             parts.append(fit_plan_entry(source, y, triple, child_seed,
-                                        max_dense=max_dense, dca_ridge=dca_ridge))
+                                        max_dense=max_dense))
     return CompositeDecomposition(parts)
 
 
-def check_plan(plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES,
-               dca_ridge=None):
+def check_plan(plan, seed, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     """[(entry triple, child seed)] of plan, once the plan, its entries
-    (named `plan[i]`), seed, max_dense and dca_ridge took their rules."""
+    (named `plan[i]`), seed and max_dense took their rules."""
     require("RunConfig.plan", plan)
     require("Guards.max_dense_features", max_dense)
-    require("RunConfig.dca_ridge", dca_ridge)
     return [(_plan_triple(e, f"plan[{i}]"), part_seed(seed, i))
             for i, e in enumerate(plan)]
 

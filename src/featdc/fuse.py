@@ -218,8 +218,8 @@ def _role_seed(seed, role, index):
 
 
 def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
-             guards=None, dca_ridge=None, config_snapshot=None,
-             feature_scale=None, positive_label=None):
+             guards=None, config_snapshot=None, feature_scale=None,
+             positive_label=None):
     """Fit the full divide-and-conquer model on a training Dataset.
 
     plan is a list of (method, n_subspaces, group_size) entries (or config
@@ -228,7 +228,7 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
     `positive_label` or divided the features by a scale before training
     passes them: the model records both and scores raw features (without
     `feature_scale` it scores what it was trained on). Before any work on
-    the data, the plan, seed, guards, dca_ridge, threads, both specs and
+    the data, the plan, seed, guards, threads, both specs and
     positive_label take their config rules (`featdc.rules`): a ConfigError
     tagged with the stage that reads the value.
     """
@@ -238,7 +238,7 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
     global_ = global_ or LearnerSpec(type="trbf")
     guards = guards or Guards()
     with _stage("decomposition fitting"):
-        check_plan(plan, seed, guards.max_dense_features, dca_ridge)
+        check_plan(plan, seed, guards.max_dense_features)
     with _stage("local training"):
         require("RunConfig.threads", threads)
         require_fields(local, where="local")
@@ -249,8 +249,7 @@ def train_dc(train, plan, local=None, global_=None, seed=0, threads=1,
 
     with _stage("decomposition fitting"), timed("fit_decomposition"):
         x = _as_matrix(train.X)  # densified once here, not once per entry
-        comp = fit_plan(x, y, plan, seed, max_dense=guards.max_dense_features,
-                        dca_ridge=dca_ridge)
+        comp = fit_plan(x, y, plan, seed, max_dense=guards.max_dense_features)
 
     with _stage("local training"), timed("local_training"):
         def fit(i, view):

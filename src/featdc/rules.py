@@ -30,7 +30,6 @@ RULES = {
     "RunConfig.n_features_override": _AT_LEAST_1,
     "RunConfig.threads": _AT_LEAST_1,
     "RunConfig.seed": _NON_NEGATIVE,
-    "RunConfig.dca_ridge": _POSITIVE,
     "RunConfig.baseline": _LEARNER,
     "SplitSpec.train_fraction": _check(lambda v: 0.0 < v < 1.0,
                                        "must be strictly between 0 and 1"),

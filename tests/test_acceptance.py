@@ -101,7 +101,7 @@ def test_criterion_1_decomposition_properties():
         abd = fit_abd(x, groups)
         w = abd_dense_transform(abd)
         assert np.linalg.norm(w @ w.T - np.eye(m)) <= 1e-10
-        gram2, _, _, _ = block_gram(w @ x, groups)
+        gram2 = block_gram(w @ x, groups)
         off = gram2 - np.diag(np.diag(gram2))
         assert np.linalg.norm(off) <= 1e-8 * np.linalg.norm(gram2)
 

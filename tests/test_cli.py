@@ -104,7 +104,8 @@ def test_eval_prints_two_decimal_error_rate(tmp_path, capsys):
 def test_eval_of_version_1_fixture_ignores_removed_config_keys(tmp_path,
                                                               capsys):
     # the fixture's config snapshot still holds the removed keys
-    # `crossfit_fusion` and `guards.max_intrinsic_dim`; eval never parses it
+    # `crossfit_fusion`, `dca_ridge` and `guards.max_intrinsic_dim`; eval
+    # never parses it
     ds = make_blobs(200, n_features=6, separation=2.0, seed=3)
     save_libsvm(ds, tmp_path / "test6.libsvm")
     rc = main(["eval", "--model", str(FIXTURE_MODEL),
@@ -114,6 +115,7 @@ def test_eval_of_version_1_fixture_ignores_removed_config_keys(tmp_path,
     assert "error rate:" in capsys.readouterr().out
     report = json.loads((tmp_path / "evalout" / "eval_report.json").read_text())
     assert report["config"]["crossfit_fusion"] is False
+    assert "dca_ridge" in report["config"]
     assert "max_intrinsic_dim" in report["config"]["guards"]
     assert report["metrics"]["n"] == 200
 
@@ -422,6 +424,7 @@ def test_config_problems_are_collected(tmp_path, capsys):
         "threads": 0,
         "guards": {"max_intrinsic_dim": 20000},
         "crossfit_fusion": True,
+        "dca_ridge": 0.25,
     }))
     rc = main(["train", "--config", str(cfg)])
     assert rc == 2
@@ -433,6 +436,7 @@ def test_config_problems_are_collected(tmp_path, capsys):
     assert "threads" in err          # non-positive
     assert "max_intrinsic_dim" in err  # removed option, now an unknown key
     assert "crossfit_fusion" in err    # removed option, now an unknown key
+    assert "unknown key 'dca_ridge'" in err  # removed option
 
 
 def test_missing_train_file_is_data_error(tmp_path, capsys):
@@ -467,10 +471,13 @@ def test_numeric_overflow_is_numeric_error(tmp_path, capsys):
                          for j in range(8))
         lines.append(f"{label} {feats}")
     (tmp_path / "train.libsvm").write_text("\n".join(lines) + "\n")
-    cfg = base_config(tmp_path, scale_features=False)
-    rc = main(["train", "--config", str(cfg)])
-    assert rc == 4
-    assert "error:" in capsys.readouterr().err
+    # the rd + pca plan, and a dca plan whose ridge the overflow makes NaN
+    for plan in ({}, {"plan": [{"method": "dca", "n_subspaces": 2,
+                                "group_size": 4}]}):
+        cfg = base_config(tmp_path, scale_features=False, **plan)
+        rc = main(["train", "--config", str(cfg)])
+        assert rc == 4
+        assert "error: decomposition fitting: " in capsys.readouterr().err
 
 
 def test_eval_refuses_other_format_version(tmp_path, capsys):
@@ -813,7 +820,7 @@ FULL_CONFIG = {
     "local": {"type": "linear", "lam": 1.0},
     "global": {"type": "trbf", "p": 2, "sigma": None, "lam": None},
     "guards": {"max_dense_features": 4096},
-    "dca_ridge": None, "baseline": "linear",
+    "baseline": "linear",
     "out_dir": "out", "threads": 4, "seed": 7,
 }
 
@@ -830,15 +837,13 @@ def test_config_echo_is_pinned():
         '"local": {"type": "linear", "lam": 1.0, "sigma": null, "p": 2}, '
         '"global": {"type": "trbf", "lam": null, "sigma": null, "p": 2}, '
         '"guards": {"max_dense_features": 4096}, '
-        '"out_dir": "out", "threads": 4, "seed": 7, '
-        '"dca_ridge": null, "baseline": "linear"}')
+        '"out_dir": "out", "threads": 4, "seed": 7, "baseline": "linear"}')
 
 
 def test_rerun_from_echo_reproduces_config():
     minimal = {"train_path": "x",
                "plan": [{"method": "abd", "n_subspaces": 2, "group_size": 3}]}
-    others = {"split": {"train_fraction": 0.5}, "dca_ridge": 0.25,
-              "local": {"lam": 3, "p": 4},
+    others = {"split": {"train_fraction": 0.5}, "local": {"lam": 3, "p": 4},
               "global": {"type": "linear", "sigma": 1.5},
               "guards": {"max_dense_features": 99}, "baseline": "trbf"}
     for doc in (FULL_CONFIG, minimal, {**minimal, **others}):

@@ -166,11 +166,11 @@ def test_fit_pca_sparse_matches_dense():
 
 def test_fit_dca_singleton_classes_reduce_to_pca_of_scatter():
     # one instance per class: within-class scatter is zero, so the
-    # generalized problem is S-bar / rho
+    # generalized problem is S-bar / rho, rho the ridge the fit took
     x = np.array([[1.0, -1.0], [0.5, 0.5]])
     y = np.array([1, -1])
-    rho = 0.25
-    part = fit_dca(x, y, rho=rho, n_subspaces=1, group_size=2)
+    part = fit_dca(x, y, n_subspaces=1, group_size=2)
+    rho = part.fit_stats["ridge"]
     sw = within_class_scatter(x, y)
     assert np.allclose(sw, 0.0)
     s = feature_scatter(x, center=True)
@@ -201,8 +201,9 @@ def test_fit_dca_residual_property():
         y = np.where(rng.random(n) < 0.5, 1, -1)
         if np.unique(y).size < 2:
             continue
-        rho = float(rng.uniform(0.01, 1.0))
-        part = fit_dca(x, y, rho=rho, n_subspaces=1, group_size=m)
+        rng.uniform(0.01, 1.0)  # once a set ridge; later trials keep their data
+        part = fit_dca(x, y, n_subspaces=1, group_size=m)
+        rho = part.fit_stats["ridge"]
         s = feature_scatter(x, center=True)
         b = within_class_scatter(x, y) + rho * np.eye(m)
         for k in range(m):
@@ -329,7 +330,7 @@ def test_fit_bcd_eliminates_in_its_one_working_copy():
 def test_fit_abd_hand_oracle():
     x = np.array([[1.0, 0.0], [1.0, 0.0]])
     part = fit_abd(x, [np.array([0]), np.array([1])])
-    gram, _, _, _ = block_gram(x, [np.array([0]), np.array([1])])
+    gram = block_gram(x, [np.array([0]), np.array([1])])
     assert np.allclose(gram, [[1.0, 1.0], [1.0, 1.0]])
     assert np.allclose(sorted(part.eigenvalues), [0.0, 2.0])
     s = np.sqrt(0.5)
@@ -340,7 +341,7 @@ def test_fit_abd_hand_oracle():
 def test_fit_abd_orthogonal_rows_tie_case():
     x = np.array([[1.0, 1.0], [1.0, -1.0]])
     part = fit_abd(x, [np.array([0]), np.array([1])])
-    gram, _, _, _ = block_gram(x, [np.array([0]), np.array([1])])
+    gram = block_gram(x, [np.array([0]), np.array([1])])
     assert np.allclose(gram, np.diag([2.0, 2.0]))
     w = abd_dense_transform(part)
     assert np.allclose(w @ w.T, np.eye(2), atol=1e-10)
@@ -356,7 +357,7 @@ def test_fit_abd_regram_diagonality_property():
         assert np.linalg.norm(w @ w.T - np.eye(20)) <= 1e-10
         # recompute the block gram after transforming
         xt = w @ x
-        gram2, _, _, _ = block_gram(xt, groups)
+        gram2 = block_gram(xt, groups)
         off = gram2 - np.diag(np.diag(gram2))
         assert np.linalg.norm(off) <= 1e-8 * np.linalg.norm(gram2)
 
@@ -678,13 +679,13 @@ def test_block_gram_dense_matches_sparse(size):
     rng = np.random.default_rng(size)
     xd = rng.normal(size=(10, 30)) * (rng.random(size=(10, 30)) < 0.5)
     groups, _ = disjoint_groups(10, 3, size, rng)
-    dense, _, order, got = block_gram(xd, groups)
-    sparse, _, order_s, _ = block_gram(sp.csc_array(xd), groups)
-    assert got == len(groups[0]) and np.array_equal(order, order_s)
+    dense = block_gram(xd, groups)
+    sparse = block_gram(sp.csc_array(xd), groups)
     assert np.allclose(dense, sparse, rtol=0, atol=1e-12)
+    order = np.concatenate(groups)
     padded = np.zeros((len(order), 30))
     padded[:10] = xd
-    blocks = padded[order].reshape(len(groups), got, 30)
+    blocks = padded[order].reshape(len(groups), len(groups[0]), 30)
     assert np.allclose(dense, np.einsum("ikn,jkn->ij", blocks, blocks),
                        rtol=0, atol=1e-12)
 

@@ -4,11 +4,14 @@ Each case draws a small dataset (dense, or CSC sparse enough to stay
 sparse at the `_as_matrix` gate), a plan of one to three entries over the
 five decomposition methods, linear or (one case in four) TRBF locals,
 which score each view through the feature map instead of the collapsed
-`at`, and a linear or TRBF global.
+`at`, and a linear or TRBF global. The cases after the first 48 train on
+more than 256 instances, so a TRBF global's `sigma_heuristic` draws its
+seeded subsample.
 One case in four is corrupted: a NaN in the training data (also under a
 lone rd entry, so that the locals meet it), an inf in the test data, a
-huge training value, one class under a dca entry, or a group larger than
-the feature count.
+huge training value, one class under a dca entry, a group larger than
+the feature count, or a TRBF global whose order the fusion stage's memory
+guard refuses once the locals are trained.
 Every case must give the same bits at threads 1 and 2, after a save and
 load, and through the gate (a dense query handed over as a CSC matrix);
 the collapsed scorer `at` must agree with the subspace views; and the
@@ -28,17 +31,18 @@ from featdc.errors import FeatdcError
 from featdc.fuse import LearnerSpec, local_scores, predict_dc, train_dc
 from featdc.persist import load_dc_model, save_dc_model
 
-SEEDS = range(48)
+SEEDS = range(56)
 STAGE = re.compile(r"(decomposition fitting|local training|fusion|prediction): ")
 CORRUPTIONS = ("nan train", "inf test", "huge", "one class", "big group",
-               "nan view")
+               "nan view", "big global")
 
 
 def make_case(seed):
     """(train Dataset, test matrix, plan, local spec, global spec,
     corruption or None); even seeds are dense, odd ones CSC."""
     rng = np.random.default_rng(seed)
-    m, n, n_test = int(rng.integers(3, 13)), int(rng.integers(24, 61)), 16
+    m, n_test = int(rng.integers(3, 13)), 16
+    n = int(rng.integers(24, 61) if seed < 48 else rng.integers(257, 321))
     if seed % 2:
         dense = sp.random(m, n + n_test, density=rng.uniform(0.15, 0.4),
                           random_state=rng, data_rvs=rng.standard_normal,
@@ -68,6 +72,8 @@ def make_case(seed):
         plan[0] = ("dca",) + plan[0][1:]
     elif corruption == "big group":
         plan[0] = (plan[0][0], plan[0][1], m + 1)
+    elif corruption == "big global":  # J >= 10^6 + 1 for any h
+        global_ = LearnerSpec(type="trbf", p=10**6)
     # drawn last, so the draws above do not depend on it
     local = (LearnerSpec(type="trbf", p=int(rng.integers(1, 3)))
              if rng.random() < 0.25 else LearnerSpec(type="linear"))
@@ -110,6 +116,8 @@ def test_random_plans_agree_on_every_path(seed, tmp_path):
             for threads in (1, 2)]
     if corruption is None:
         assert not isinstance(fits[0], FeatdcError), fits[0]
+    if corruption == "big global":
+        assert str(fits[0]).startswith("fusion: intrinsic dimension"), fits[0]
     assert_same([e if isinstance(e, FeatdcError) else (e.at,) for e in fits])
     if isinstance(fits[0], FeatdcError):
         return
@@ -134,12 +142,15 @@ def test_random_plans_agree_on_every_path(seed, tmp_path):
 
 def test_clean_plans_cover_every_method_on_both_routes():
     # the eigensolver fits pca, dca and abd; rd and bcd go through solves;
-    # linear locals score through `at`, TRBF locals through their views
+    # linear locals score through `at`, TRBF locals through their views;
+    # a TRBF global over more than 256 instances subsamples for sigma
     covered = {"dense": set(), "csc": set()}
     for seed in SEEDS:
-        _, _, plan, local, _, corruption = make_case(seed)
+        train, _, plan, local, global_, corruption = make_case(seed)
         if corruption is None:
+            subsampled = global_.type == "trbf" and train.X.shape[1] > 256
             covered["csc" if seed % 2 else "dense"] |= (
-                {m for m, _, _ in plan} | {local.type})
-    want = set(METHODS) | {"linear", "trbf"}
+                {m for m, _, _ in plan} | {local.type}
+                | ({"subsample"} if subsampled else set()))
+    want = set(METHODS) | {"linear", "trbf", "subsample"}
     assert covered == {"dense": want, "csc": want}

@@ -611,6 +611,25 @@ def test_one_class_dca_is_a_tagged_data_error():
         train_dc(ds, [("dca", 2, 4)], seed=0)
 
 
+@pytest.mark.parametrize("form", ["dense", "csc"])
+@pytest.mark.parametrize("huge", [1e160, 1e200, 1e308])
+def test_overflowed_dca_is_a_tagged_numeric_error(huge, form):
+    # one finite value whose square overflows: the moments, and the ridge
+    # taken from them, are NaN, which the eigensolver refuses without a
+    # warning on the dense and the sparse route alike
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(8, 40))
+    if form == "csc":
+        x *= rng.random(size=(8, 40)) < 0.2
+    x[3, 17] = huge
+    ds = Dataset(sp.csc_array(x), np.where(np.arange(40) % 2, 1, -1))
+    assert sp.issparse(_as_matrix(ds.X)) == (form == "csc")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError, match="^decomposition fitting: "):
+            train_dc(ds, [("dca", 2, 3)], seed=0)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_all_zero_features_train_every_method(method):
     ds = blob_dataset(n=60, n_features=8, seed=5)
@@ -633,7 +652,6 @@ REFUSED = {
     "PlanEntry.group_size": [0, -3],
     "RunConfig.plan": [[]],
     "RunConfig.seed": [-1],
-    "RunConfig.dca_ridge": [0.0, -1.0, math.nan],
     "RunConfig.threads": [0, -4],
     "RunConfig.positive_label": [math.nan, math.inf],
     "RunConfig.n_features_override": [0, -1],
@@ -672,8 +690,8 @@ def refused_cases():
     """(config key, refused value, train_dc keywords) for every value of
     REFUSED that train_dc takes: a plan entry field for each method,
     behind a good entry; an empty plan, the run seed, threads and the
-    positive label; the dca ridge on a dca plan; a TRBF learner's lam,
-    sigma and p, as the locals and as the global; and the guards."""
+    positive label on an rd plan; a TRBF learner's lam, sigma and p, as
+    the locals and as the global; and the guards."""
     for key, values in REFUSED.items():
         cls, name = key.split(".")
         if key in NOT_TRAIN_DC:
@@ -688,10 +706,9 @@ def refused_cases():
                                        {"plan": [("rd", 2, 3), entry]},
                                        id=f"{key}={value!r}{tag}")
             elif cls == "RunConfig":
-                method = "dca" if name == "dca_ridge" else "rd"
-                yield pytest.param(key, value, {"plan": [(method, 2, 3)],
+                yield pytest.param(key, value, {"plan": [("rd", 2, 3)],
                                                 name: value},
-                                   id=f"{key}={value!r}-{method}")
+                                   id=f"{key}={value!r}-rd")
             elif cls == "Guards":
                 yield pytest.param(key, value,
                                    {"plan": [("rd", 2, 3)],
@@ -749,14 +766,12 @@ def test_a_value_a_rule_cannot_compare_is_refused():
 @pytest.mark.parametrize("kwargs", [
     {"global_": LearnerSpec(type="trbf", sigma=0.0)},
     {"local": LearnerSpec(type="trbf", lam=-1.0)},
-    {"dca_ridge": 0.0},
     {"threads": 0},
     {"guards": Guards(max_dense_features=0)},
     {"positive_label": math.nan},
-], ids=["global", "local", "dca_ridge", "threads", "guards",
-        "positive_label"])
+], ids=["global", "local", "threads", "guards", "positive_label"])
 def test_train_dc_refuses_before_fitting_anything(kwargs, monkeypatch):
-    # threads, guards, ridge, label and both specs are checked before the
+    # threads, guards, label and both specs are checked before the
     # data is touched: nothing is recorded, no moments pass runs, and the
     # training matrix is never densified
     def unreached(*args):
@@ -795,8 +810,6 @@ def test_direct_calls_take_the_same_plan_entry_rule():
     for call in (lambda: fit_pca(x, 0, 3),
                  lambda: fit_pca(x, 2, 0),
                  lambda: fit_dca(x, y, n_subspaces=0, group_size=3),
-                 lambda: fit_dca(x, y, rho=math.nan, n_subspaces=2,
-                                 group_size=3),
                  lambda: make_rd(6, 2, 0, seed=0),
                  lambda: overlapping_groups(6, 2, 0, rng),
                  lambda: overlapping_groups(6, 0, 3, rng),
