@@ -62,10 +62,15 @@ values are dropped and both zeros map to the same label.)
 
 The writer (`serialize_libsvm`, `save_libsvm`) formats whole lines in
 blocks of at most WRITE_BLOCK_ROWS rows, one row per line and one per
-stored value: each value's repr() and each index's digits go into
-NUL-padded fixed-width rows, and the NULs are dropped. So no per-value
-Python object outlives its block, `serialize_libsvm` holds about twice
-the text (the blocks and their join) and `save_libsvm` one block.
+stored value: each index's digits and each value's repr() go into
+NUL-padded fixed-width rows, and the NULs are dropped. A block's values
+are spelled by one call of scipy's compiled Matrix Market writer, with
+the shortest digits that read back to the same float (Ryu; Adams, PLDI
+2018), which are the digits repr() writes. numpy lays those digits out
+as repr() does, fixed notation for decimal exponents -4 to 15 and
+``d.ddde+XX`` or ``d.ddde-XX`` otherwise, so the bytes are repr()'s. No per-value Python
+object is made: `serialize_libsvm` holds about twice the text (the
+blocks and their join) and `save_libsvm` one block.
 
 Every file the package reads or writes goes through `read_text` and
 `write_text`, whose errors name the path: a dataset or model file that
@@ -77,6 +82,7 @@ of str chunks, written in turn; `save_libsvm` passes its blocks.
 
 import gzip
 import io
+import itertools
 import math
 import os
 import zlib
@@ -480,15 +486,18 @@ def split(ds: Dataset, spec: SplitSpec):
 
 
 WRITE_BLOCK_ROWS = 1 << 12  # a written block: one row per line and per stored value
-_REPR_WIDTH = 24            # the longest float repr, e.g. -2.2250738585072014e-308
-                            # (numpy would cut a longer one without a word)
+_REPR_WIDTH = 24            # the longest float repr, e.g. -2.2250738585072014e-308,
+                            # and the longest compiled spelling, -2.2250738585072014E-308
+_GATHER_ROWS = 1 << 9       # values gathered at once, which bounds the gather's index
 
 
 def serialize_libsvm(ds: Dataset) -> str:
     """Inverse of parse_libsvm: exact decimal encoding, ascending indices.
 
-    Values are printed with repr(), whose shortest round-trip decimal form
-    guarantees parse(serialize(ds)) reproduces every float bit-exactly.
+    Values are written as repr() writes them: their digits come from
+    scipy's compiled writer (module docstring), and their shortest
+    round-trip decimal form guarantees parse(serialize(ds)) reproduces
+    every float bit-exactly.
     A matrix that is not in scipy's canonical form (unsorted or duplicate
     indices in an instance) is written as its canonical copy: sorted,
     duplicates summed. Stored zeros are written (``i:0.0``). A non-finite
@@ -539,9 +548,7 @@ def _format_lines(labels, counts, indices, values):
     """The text of whole lines: line k holds `labels[k]` and the next
     `counts[k]` (index, value) pairs. Every line and every pair is one
     fixed-width row of bytes, NUL-padded, and the NULs are dropped."""
-    texts = repr(values.tolist())[1:-1].split(", ") if values.size else []
-    value_bytes = np.array(texts, dtype=f"S{_REPR_WIDTH}").view(np.uint8)
-    del texts  # one str per value: gone before the rows are made
+    value_bytes = _repr_bytes(values)
     prefixes = _index_prefixes(indices)
     p = prefixes.shape[1]
     rows = np.zeros((counts.size + values.size, p + _REPR_WIDTH + 1), dtype=np.uint8)
@@ -551,10 +558,111 @@ def _format_lines(labels, counts, indices, values):
     rows[starts, 1] = ord("1")
     pairs = np.arange(values.size) + np.repeat(np.arange(1, counts.size + 1), counts)
     rows[pairs, :p] = prefixes
-    rows[pairs, p:-1] = value_bytes.reshape(-1, _REPR_WIDTH)
+    rows[pairs, p:-1] = value_bytes
     rows[ends, -1] = ord("\n")
     flat = rows.ravel()
     return flat[flat != 0].tobytes().decode("ascii")
+
+
+_CONSTANTS = b"0.e+\0"  # bytes of a repr that its spelling lacks, in columns after it
+_ZERO, _DOT, _E, _PLUS, _NUL = range(_REPR_WIDTH, _REPR_WIDTH + len(_CONSTANTS))
+_MAX_DIGITS = 17            # the most shortest round-trip digits a float64 needs
+_FIXED = range(-4, 16)      # the exponents repr() writes in fixed notation
+_CLASSES = len(_FIXED) + 6  # and the other exponents' sign and digit count
+
+
+def _repr_column_maps():
+    """int8 maps[neg, digits - 1, exponent class]: for each of the
+    _REPR_WIDTH bytes of repr(), the column of the compiled spelling
+    (`_spellings`), or of _CONSTANTS after it, that it copies.
+
+    The class of a fixed-notation exponent x is x + 4; any other exponent
+    is written with at least two digits, copied from the spelling, and its
+    class is 20 + 3 * (x < 0) + its digit count - 1.
+    """
+    maps = np.full((2, _MAX_DIGITS, _CLASSES, _REPR_WIDTH), _NUL, dtype=np.int8)
+    for neg, n, cls in itertools.product(range(2), range(1, _MAX_DIGITS + 1), range(_CLASSES)):
+        digit_cols = [neg, *range(neg + 2, neg + n + 1)]  # skipping the dot after the first
+        out = [0] * neg  # the sign
+        if cls < len(_FIXED):
+            x = _FIXED[cls]
+            if x < 0:
+                out += [_ZERO, _DOT] + [_ZERO] * (-1 - x) + digit_cols
+            elif x + 1 < n:
+                out += digit_cols[:x + 1] + [_DOT] + digit_cols[x + 1:]
+            else:
+                out += digit_cols + [_ZERO] * (x + 1 - n) + [_DOT, _ZERO]
+        else:
+            x_neg, more = divmod(cls - len(_FIXED), 3)  # more: exponent digits - 1
+            e_at = neg + n + (n > 1)
+            out += digit_cols[:1] + ([_DOT] + digit_cols[1:] if n > 1 else [])
+            out += [_E, e_at + 1 if x_neg else _PLUS] + [_ZERO] * (more == 0)
+            out += range(e_at + 1 + x_neg, e_at + 2 + x_neg + more)
+        maps[neg, n - 1, cls, :len(out)] = out
+    return maps
+
+
+_REPR_COLUMNS = _repr_column_maps().reshape(-1, _REPR_WIDTH)
+
+
+def _repr_bytes(values):
+    """repr() of each float64 in `values`, one NUL-padded row of
+    _REPR_WIDTH bytes each, gathered from the value's compiled spelling
+    (`_spellings`) through the column map of its sign, digit count and
+    exponent class (`_repr_column_maps`), _GATHER_ROWS values at a time.
+    An empty `values` makes no compiled call."""
+    if not values.size:
+        return np.empty((0, _REPR_WIDTH), dtype=np.uint8)
+    source, key = _spellings(values)
+    flat = source.ravel()
+    out = np.empty((values.size, _REPR_WIDTH), dtype=np.uint8)
+    for a in range(0, values.size, _GATHER_ROWS):
+        columns = _REPR_COLUMNS.take(key[a:a + _GATHER_ROWS], axis=0)
+        rows = np.arange(a, a + len(columns)) * source.shape[1]
+        np.take(flat, columns + rows[:, None], out=out[a:a + len(columns)])
+    return out
+
+
+def _spellings(values):
+    """Each value's spelling by scipy's compiled Matrix Market writer, one
+    row of _REPR_WIDTH bytes and then _CONSTANTS, and the index of its
+    column map in _REPR_COLUMNS.
+
+    The writer (precision -1: shortest round-trip digits, as repr() has
+    them; one thread) spells a value ``[-]d[.ddd][E[-]x]``, its digits
+    times ten to the x, with no E when x is 0.
+    """
+    n = values.size
+    stream = io.BytesIO()
+    _fmm_core.write_body_array(_fmm_core.open_write_stream(stream, _fmm_core.header(), 1, -1),
+                               values.reshape(-1, 1))
+    stream.write(bytes(_REPR_WIDTH))  # so each spelling's window lies in the buffer
+    text = np.frombuffer(stream.getbuffer(), dtype=np.uint8)
+    line_ends = np.flatnonzero(text == ord("\n"))[-n - 1:]  # the header's last, then the values'
+    first, ends = line_ends[:-1] + 1, line_ends[1:]
+    source = np.empty((n, _REPR_WIDTH + len(_CONSTANTS)), dtype=np.uint8)
+    source[:, :_REPR_WIDTH] = np.lib.stride_tricks.sliding_window_view(text, _REPR_WIDTH)[first]
+    source[:, _REPR_WIDTH:] = np.frombuffer(_CONSTANTS, dtype=np.uint8)
+    neg = source[:, 0] == ord("-")
+
+    # the exponent of each spelling with an E: its sign, digit count and,
+    # up to two digits, all that fixed notation needs, its value
+    e_at = np.flatnonzero(text[first[0]:] == ord("E")) + first[0]
+    e_line = np.searchsorted(ends, e_at)
+    after_e = ends[e_line] - e_at - 1
+    x_neg = text[e_at + 1] == ord("-")
+    x_digits = after_e - x_neg
+    last = e_at + after_e
+    x = text[last] % 16 + np.where(x_digits > 1, text[last - 1] % 16 * 10, 0)  # ASCII digits
+    x = np.where(x_neg, -x.astype(np.int64), x)
+    fixed = (x_digits < 3) & (x >= _FIXED[0]) & (x <= _FIXED[-1])
+    cls = np.full(n, -_FIXED[0])  # no E: the exponent is 0
+    cls[e_line] = np.where(fixed, x - _FIXED[0], len(_FIXED) + 3 * x_neg + x_digits - 1)
+
+    digits = ends - first - neg  # then less the dot and the exponent
+    digits[e_line] -= after_e + 1
+    digits -= digits > 1
+    return source, (neg * _MAX_DIGITS + digits - 1) * _CLASSES + cls
 
 
 def _index_prefixes(indices):

@@ -464,7 +464,8 @@ def fit_bcd(x, index_groups, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     is built against the current gram, so the accumulated transform is
     the product B_h ... B_1 and the final gram is block-diagonal up to
     roundoff. The gram and the transform are dense over the padded range,
-    so that count is what `max_dense` bounds.
+    so that count is what `max_dense` bounds. A gram that overflowed is
+    refused, a NumericError, before any pivot is solved.
     """
     m = np.shape(x)[0]
     n_padded = _check_partition(index_groups, False, m)
@@ -473,7 +474,10 @@ def fit_bcd(x, index_groups, max_dense=DEFAULT_MAX_DENSE_FEATURES):
     rows = _rows_of(order)[:m]
     s = np.zeros((n_padded, n_padded))  # the gram, eliminated in place
     s[np.ix_(rows, rows)] = class_moments(x).scatter(center=False)
-    scatter_norm = float(np.linalg.norm(s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scatter_norm = float(np.linalg.norm(s))
+    if not np.isfinite(scatter_norm):  # an entry, or the sum of their squares
+        raise NumericError("bcd: non-finite entries in the feature gram or its norm")
 
     offsets = np.cumsum([0] + [len(g) for g in index_groups])
     w = np.eye(n_padded)
@@ -503,21 +507,23 @@ def fit_bcd(x, index_groups, max_dense=DEFAULT_MAX_DENSE_FEATURES):
 def block_gram(x, index_groups):
     """Block-pair gram: entry (i, j) is the sum of the elementwise product
     of row-blocks i and j of the rearranged matrix (x passes the
-    `_as_matrix` gate)."""
+    `_as_matrix` gate). Overflow is not trapped here, as in
+    `ClassMoments`: `sym_eig` refuses the non-finite entries."""
     x = _as_matrix(x)
     n_padded = _check_partition(index_groups, True, x.shape[0])
     xr = _padded_rearranged(x, np.concatenate(index_groups), n_padded)
     size = len(index_groups[0])
     count = len(index_groups)
-    if not sp.issparse(xr):
-        # block i is row i of the C-ordered rows laid end to end
-        flat = xr.reshape(count, size * xr.shape[1])
-        return flat @ flat.T
-    gram = np.zeros((count, count))
-    blocks = [xr[i * size:(i + 1) * size] for i in range(count)]
-    for i in range(count):
-        for j in range(i, count):
-            gram[i, j] = gram[j, i] = blocks[i].multiply(blocks[j]).sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not sp.issparse(xr):
+            # block i is row i of the C-ordered rows laid end to end
+            flat = xr.reshape(count, size * xr.shape[1])
+            return flat @ flat.T
+        gram = np.zeros((count, count))
+        blocks = [xr[i * size:(i + 1) * size] for i in range(count)]
+        for i in range(count):
+            for j in range(i, count):
+                gram[i, j] = gram[j, i] = blocks[i].multiply(blocks[j]).sum()
     return gram
 
 

@@ -7,10 +7,12 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import featdc.classify as classify
 import featdc.cli as cli
@@ -18,6 +20,7 @@ from featdc.cli import main
 from featdc.config import config_echo, parse_config
 from featdc.dataio import (Dataset, load_libsvm, save_libsvm, select_instances,
                            serialize_libsvm)
+from featdc.decompose import _as_matrix
 from featdc.errors import ConfigError
 from featdc.fuse import LearnerSpec, predict_dc
 from featdc.persist import load_dc_model
@@ -478,6 +481,30 @@ def test_numeric_overflow_is_numeric_error(tmp_path, capsys):
         rc = main(["train", "--config", str(cfg)])
         assert rc == 4
         assert "error: decomposition fitting: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["dense", "csc"])
+@pytest.mark.parametrize("method", ["bcd", "abd"])
+def test_overflowed_gram_is_a_tagged_numeric_error(tmp_path, capsys, method, form):
+    # finite training values whose squares overflow: bcd refuses its gram
+    # before any pivot solve and abd's eigensolver refuses the block gram,
+    # with no RuntimeWarning, on the dense and on the CSC route
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(8, 40))
+    if form == "csc":
+        x *= rng.random(size=(8, 40)) < 0.2
+    x[3, ::5] = 1e200
+    ds = Dataset(sp.csc_array(x), np.where(np.arange(40) % 2, 1, -1))
+    assert sp.issparse(_as_matrix(ds.X)) == (form == "csc")
+    save_libsvm(ds, tmp_path / "train.libsvm")
+    cfg = base_config(tmp_path, scale_features=False,
+                      plan=[{"method": method, "n_subspaces": 2, "group_size": 4}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["train", "--config", str(cfg)])
+    assert rc == 4
+    assert re.search(r"error: decomposition fitting: \S+: non-finite entries",
+                     capsys.readouterr().err)
 
 
 def test_eval_refuses_other_format_version(tmp_path, capsys):

@@ -818,6 +818,66 @@ def test_serialize_writes_each_awkward_value_as_its_repr():
         [v for v in AWKWARD_VALUES if v != 0.0]).tobytes()
 
 
+def repr_rows(values):
+    return np.array([repr(v).encode() for v in values.tolist()],
+                    dtype=f"S{dataio._REPR_WIDTH}").view(np.uint8).reshape(values.size, -1)
+
+
+def test_compiled_digits_are_laid_out_as_repr():
+    # the writer's value bytes are repr()'s, byte for byte, at every switch
+    # between fixed and exponent notation and across the exponent range
+    rng = np.random.default_rng(35)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64)
+    subnormal_bits = rng.integers(1, 2**52, size=2000, dtype=np.uint64)
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    integers = np.concatenate([np.arange(1001), rng.integers(0, 2**53, size=5000,
+                                                             endpoint=True),
+                               [2**53 - 1, 2**53]]).astype(np.float64)
+    switches = np.array([1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,
+                         1e15, 999999999999999.9, 1e-5, 0.00010000000000000002])
+    exact = np.concatenate([powers_of_two, powers_of_ten, switches])
+    values = np.concatenate([
+        bits.view(np.float64), subnormal_bits.view(np.float64), [5e-324, 0.0],
+        exact, np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf), integers,
+        rng.normal(size=5000), rng.random(5000)])
+    values = np.concatenate([values, -values])
+    values = values[np.isfinite(values)]
+    nonzero = np.abs(values[values != 0])
+    assert np.signbit(values[values == 0]).any() and (nonzero < 2.2250738585072014e-308).any()
+    for chunk in np.array_split(values, 40):
+        got = dataio._repr_bytes(chunk)
+        want = repr_rows(chunk)
+        bad = np.flatnonzero((got != want).any(axis=1))
+        assert bad.size == 0, [repr(v) for v in chunk[bad[:5]]]
+    assert dataio._REPR_COLUMNS.nbytes <= 64 * 1024
+    x = sp.csc_array(values[:20000].reshape(40, 500))
+    ds = Dataset(x, np.where(np.arange(500) % 3, 1, -1))
+    assert serialize_libsvm(ds) == per_line_text(ds)
+
+
+def test_each_block_with_values_makes_one_compiled_write(monkeypatch):
+    # one compiled write per block that holds values, none for a block of
+    # empty lines
+    calls = []
+    write = dataio._fmm_core.write_body_array
+    monkeypatch.setattr(dataio._fmm_core, "write_body_array",
+                        lambda *args: calls.append(args[1].size) or write(*args))
+    monkeypatch.setattr(dataio, "WRITE_BLOCK_ROWS", 4)
+    counts = [0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 9, 1, 0, 0, 0, 0, 2]
+    x = sp.csc_array((np.arange(1.0, sum(counts) + 1),
+                      np.concatenate([np.arange(c) for c in counts]),
+                      np.concatenate([[0], np.cumsum(counts)])), shape=(9, len(counts)))
+    ds = Dataset(x, np.ones(len(counts), dtype=np.int64))
+    per_block = []
+    for block in dataio._text_blocks(ds):
+        per_block.append((block.count(":"), calls[:]))
+        calls.clear()
+    assert {values > 0 for values, _ in per_block} == {True, False}
+    assert all(made == ([values] if values else []) for values, made in per_block)
+    assert serialize_libsvm(ds) == per_line_text(ds)
+
+
 def test_serialize_golden_bytes():
     # generated data, several blocks each; the digests predate the block writer
     golden = [
